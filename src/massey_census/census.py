@@ -6,8 +6,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
-
 import numpy as np
 
 from . import fp
@@ -214,33 +212,12 @@ class TmpTriple:
 
 
 # --- the scan engine ---------------------------------------------------------
-
-
-def _span_indices(vecs, p, d):
-    """Indices of all linear combinations of the given coordinate rows."""
-    vecs = np.asarray(vecs, dtype=np.int64)
-    k = vecs.shape[0]
-    coeffs = vectors_array(k, p).astype(np.int64)  # (p^k, k)
-    combos = coeffs @ vecs % p  # (p^k, d)
-    powers = np.array([p ** t for t in range(d - 1, -1, -1)], dtype=np.int64)
-    return combos @ powers
-
-
-def _pair_mask(model, p, budget_box):
-    """The (P, P) boolean table: rows x, columns y, true when every
-    conditioned factor pairs (x, y) to zero.  None when unconditioned."""
-    d = model.rank
-    P = p ** d
-    V = vectors_array(d, p).astype(np.int64)
-    mask = None
-    for off, size, gram in model_gram_blocks(model, p):
-        if gram is None:
-            continue
-        _spend(budget_box, P * P)
-        block = V[:, off : off + size]
-        t = block @ gram.matrix.array @ block.T % p
-        mask = (t == 0) if mask is None else mask & (t == 0)
-    return mask
+#
+# One kernel counts every triple and pair.  It loops over x only: all
+# admissible y for that x are taken at once, and z is counted per y as the
+# row sum of the pair mask minus its hits on span(x, y).  The budget counts
+# primitive form evaluations (P per admissible pair and relator, P * P per
+# pair-mask block) and is charged in full before any scanning.
 
 
 def _spend(box, amount):
@@ -252,23 +229,42 @@ def _spend(box, amount):
         )
 
 
-def _block_zero_masks(model, p):
-    """Per-demushkin-factor boolean arrays: vector index -> block is zero."""
-    d = model.rank
-    V = vectors_array(d, p)
-    out = []
-    off = 0
+def _zero_pairing_mask(blocks, p, box):
+    """The (P, P) boolean table, rows x and columns y, true when every
+    (coordinates, Gram matrix) block pairs (x, y) to zero.  None if no block."""
+    mask = None
+    for block, gram in blocks:
+        _spend(box, len(block) ** 2)
+        t = block @ gram @ block.T % p
+        mask = (t == 0) if mask is None else mask & (t == 0)
+    return mask
+
+
+def _pair_mask(model, p, box):
+    V = vectors_array(model.rank, p).astype(np.int64)
+    return _zero_pairing_mask(
+        [(V[:, off : off + size], gram.matrix.array)
+         for off, size, gram in model_gram_blocks(model, p) if gram is not None],
+        p, box,
+    )
+
+
+def _class_types(model, p):
+    """Per vector, bit i set when its block of the i-th Demushkin factor is
+    zero; and the number of such factors."""
+    V = vectors_array(model.rank, p)
+    types = np.zeros(len(V), dtype=np.int64)
+    bits = off = 0
     for kind, size, _q, _case in model.factors:
         if kind == "demushkin":
-            out.append((V[:, off : off + size] == 0).all(axis=1))
+            types |= (V[:, off : off + size] == 0).all(axis=1).astype(np.int64) << bits
+            bits += 1
         off += size
-    return out
+    return types, bits
 
 
 def _classify_keys(model):
-    if model.kind == "demushkin":
-        return ("central", "noncentral")
-    if model.kind == "df":
+    if model.kind in ("demushkin", "df"):
         return ("central", "noncentral")
     if model.kind == "dd":
         return (
@@ -280,140 +276,105 @@ def _classify_keys(model):
     return ("any",)
 
 
-def _scan_x_range(model, p, lo, hi, want_list, want_classes, mask, budget_box):
-    """Count (and optionally collect/classify) triples with x in [lo, hi)."""
-    d = model.rank
+def _class_key(x_type, z_type, bits):
+    """A factor is central when both x and z vanish on its block."""
+    return "+".join(
+        "central" if (x_type & z_type) >> i & 1 else "noncentral"
+        for i in range(bits)
+    ) or "any"
+
+
+def _admissible_pairs(mask, lines):
+    """Pairs (x, y) with mask[x, y] and y outside span(x), x nonzero."""
+    P, p = lines.shape
+    if mask is None:
+        return (P - 1) * (P - p)
+    return int(mask[1:].sum()) - int(
+        np.take_along_axis(mask[1:], lines[1:], axis=1).sum())
+
+
+def _type_sums(mask, types, T):
+    """(P, T): per y, the z of each type with mask[y, z]."""
+    if mask is None:
+        return np.broadcast_to(np.bincount(types, minlength=T), (len(types), T))
+    if T == 1:
+        return np.count_nonzero(mask, axis=1)[:, None]
+    return np.stack(
+        [np.count_nonzero(mask[:, types == t], axis=1) for t in range(T)], axis=1)
+
+
+def _scan(d, p, mask, box, tensors=None, types=None, want_list=False,
+          pairs_only=False):
+    """The triple scan over F_p^d.  `mask` is the pair mask (None: every pair
+    admissible); `tensors` are the s3 trace tensors, whose vanishing on
+    (x, y, z) replaces mask[y, z].  Returns the count, the (x, y, z) index
+    triples in lexicographic order when `want_list`, and a (T, T) tally of
+    triples by (type of x, type of z) for the int `types` of each vector.
+    With `pairs_only`, charges and returns the admissible (x, y) pair count."""
     P = p ** d
     V = vectors_array(d, p).astype(np.int64)
-    powers = np.array([p ** t for t in range(d - 1, -1, -1)], dtype=np.int64)
+    powers = p ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    scal = np.arange(p, dtype=np.int64)
+    lines = (scal[:, None] * V[:, None, :] % p) @ powers  # (P, p): span(x)
+    if pairs_only:
+        _spend(box, (P - 1) * P)
+        return _admissible_pairs(mask, lines)
+    _spend(box, _admissible_pairs(mask, lines) * P
+           * (1 if tensors is None else len(tensors)))
 
+    if types is None:
+        types = np.zeros(P, dtype=np.int64)
+    T = int(types.max()) + 1
+    dense = want_list or tensors is not None  # build each x's (k, P) z-mask
+    type_sums = None if dense else _type_sums(mask, types, T)
+    a, b = scal.repeat(p), np.tile(scal, p)  # the p^2 coefficient pairs
+
+    tally = np.zeros((T, T), dtype=np.int64)
+    listing = [] if want_list else None
+    for ix in range(1, P):
+        x = V[ix]
+        ymask = np.ones(P, dtype=bool) if mask is None else mask[ix].copy()
+        ymask[lines[ix]] = False
+        Y = np.flatnonzero(ymask)
+        if not len(Y):
+            continue
+        span = (a[:, None] * x + b[:, None] * V[Y][:, None, :]) % p @ powers
+        if dense:
+            if tensors is not None:
+                zmask = np.ones((len(Y), P), dtype=bool)
+                for t in tensors:
+                    w = np.einsum("ijk,i,yj->yk", t, x, V[Y]) % p
+                    zmask &= w @ V.T % p == 0
+            else:
+                zmask = np.ones((len(Y), P), dtype=bool) if mask is None else mask[Y]
+            np.put_along_axis(zmask, span, False, axis=1)
+            rows, iz = np.nonzero(zmask)
+            tally[types[ix]] += np.bincount(types[iz], minlength=T)
+            if want_list:
+                listing.extend(zip([ix] * len(iz), Y[rows].tolist(), iz.tolist()))
+        else:
+            hit = types[span] if mask is None else types[span][mask[Y[:, None], span]]
+            tally[types[ix]] += type_sums[Y].sum(axis=0) - np.bincount(
+                hit.ravel(), minlength=T)
+    return int(tally.sum()), listing, tally
+
+
+def _tmp_scan(model, p, budget, want_list, want_classes):
+    p = model_check(model, p)
+    box = [0, budget]
+    mask = _pair_mask(model, p, box)
     tensors = None
     if model.kind == "s3":
         form = TrilinearForm(model.data, p)
         tensors = [trace_tensor(form, m) for m in range(1, model.data.r + 1)]
-
-    zero_blocks = _block_zero_masks(model, p) if want_classes else []
-
-    count = 0
-    listing = [] if want_list else None
-    classes = {k: 0 for k in _classify_keys(model)} if want_classes else None
-
-    for ix in range(max(lo, 1), hi):
-        x = V[ix]
-        if mask is not None:
-            ymask = mask[ix].copy()
-        else:
-            ymask = np.ones(P, dtype=bool)
-        ymask[_span_indices([x], p, d)] = False
-        for iy in np.nonzero(ymask)[0]:
-            y = V[iy]
-            if mask is not None:
-                zmask = mask[iy].copy()
-                _spend(budget_box, P)
-            elif tensors is not None:
-                zmask = np.ones(P, dtype=bool)
-                for T in tensors:
-                    w = np.einsum("ijk,i,j->k", T, x, y) % p
-                    zmask &= (V @ w % p) == 0
-                    _spend(budget_box, P)
-            else:
-                zmask = np.ones(P, dtype=bool)
-                _spend(budget_box, P)
-            zmask[_span_indices([x, y], p, d)] = False
-            n_here = int(zmask.sum())
-            count += n_here
-            if want_list and n_here:
-                for iz in np.nonzero(zmask)[0]:
-                    listing.append((ix, int(iy), int(iz)))
-            if want_classes and n_here:
-                _tally_classes(
-                    model, classes, zero_blocks, ix, int(iy), zmask, n_here
-                )
-    return count, listing, classes
-
-
-def _tally_classes(model, classes, zero_blocks, ix, iy, zmask, n_here):
-    if model.kind in ("free", "s3"):
-        classes["any"] += n_here
-        return
-    if model.kind in ("demushkin", "df"):
-        zb = zero_blocks[0]
-        if not zb[ix]:
-            classes["noncentral"] += n_here
-            return
-        nc_central = int((zmask & zb).sum())
-        classes["central"] += nc_central
-        classes["noncentral"] += n_here - nc_central
-        return
-    # dd: classify against both blocks
-    zb1, zb2 = zero_blocks
-    x1_zero, x2_zero = bool(zb1[ix]), bool(zb2[ix])
-    n11 = int((zmask & zb1 & zb2).sum())
-    n10 = int((zmask & zb1 & ~zb2).sum())
-    n01 = int((zmask & ~zb1 & zb2).sum())
-    n00 = n_here - n11 - n10 - n01
-    for (z1_zero, z2_zero), n in (
-        ((True, True), n11),
-        ((True, False), n10),
-        ((False, True), n01),
-        ((False, False), n00),
-    ):
-        c1 = "central" if (x1_zero and z1_zero) else "noncentral"
-        c2 = "central" if (x2_zero and z2_zero) else "noncentral"
-        classes[f"{c1}+{c2}"] += n
-
-
-def _scan_worker(args):
-    model, p, lo, hi, want_list, want_classes, budget = args
-    box = [0, budget]
-    mask = _pair_mask(model, p, [0, budget])  # table cost charged by parent
-    return _scan_x_range(model, p, lo, hi, want_list, want_classes, mask, box)
-
-
-def _tmp_scan(model, p, budget, want_list, want_classes, threads=1):
-    p = model_check(model, p)
-    d = model.rank
-    P = p ** d
-    box = [0, budget]
-    mask = _pair_mask(model, p, box)
-
-    # pre-charge the z-scans so the budget verdict lands before the main loop
-    if mask is not None:
-        survivors = int(mask[1:].sum())
-        V = vectors_array(d, p).astype(np.int64)
-        for ix in range(1, P):
-            for s in _span_indices([V[ix]], p, d):
-                if mask[ix, s]:
-                    survivors -= 1
-    else:
-        survivors = (P - 1) * (P - p)
-    per_pair = P * (model.data.r if model.kind == "s3" else 1)
-    _spend(box, survivors * per_pair)
-    scan_box = [0, float("inf")]  # already charged
-
-    threads = max(1, int(threads))
-    if threads == 1 or P < 64:
-        count, listing, classes = _scan_x_range(
-            model, p, 0, P, want_list, want_classes, mask, scan_box
-        )
-    else:
-        bounds = np.linspace(1, P, threads + 1, dtype=int)
-        jobs = [
-            (model, p, int(lo), int(hi), want_list, want_classes, budget)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if lo < hi
-        ]
-        count, listing, classes = 0, ([] if want_list else None), (
-            {k: 0 for k in _classify_keys(model)} if want_classes else None
-        )
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for c, lst, cls in pool.map(_scan_worker, jobs):
-                count += c
-                if want_list:
-                    listing.extend(lst)
-                if want_classes:
-                    for k, v in cls.items():
-                        classes[k] += v
+    types, bits = _class_types(model, p) if want_classes else (None, 0)
+    count, listing, tally = _scan(model.rank, p, mask, box, tensors, types,
+                                  want_list)
+    classes = None
+    if want_classes:
+        classes = {k: 0 for k in _classify_keys(model)}
+        for x_type, z_type in zip(*np.nonzero(tally)):
+            classes[_class_key(x_type, z_type, bits)] += int(tally[x_type, z_type])
     return count, listing, classes
 
 
@@ -422,9 +383,10 @@ def tmp_enumerate(model, p, budget=DEFAULT_TMP_BUDGET, want_list=False, threads=
     membership conditions; optionally return them in lexicographic order.
 
     The budget counts primitive form evaluations; exceeding it raises a
-    BudgetError suggesting the closed form.
+    BudgetError suggesting the closed form, before any scanning.  `threads`
+    is accepted for a uniform signature: the scan runs in-process.
     """
-    count, listing, _ = _tmp_scan(model, p, budget, want_list, False, threads)
+    count, listing, _ = _tmp_scan(model, p, budget, want_list, False)
     triples = None
     if want_list:
         d = model.rank
@@ -449,26 +411,10 @@ def tmp_enumerate_forms(forms, p, budget=DEFAULT_TMP_BUDGET):
     d = forms[0].dim
     if any(f.dim != d or f.p != p for f in forms):
         raise ValueError("forms must share one dimension and modulus")
-    # piggyback on the scan with a throwaway model: fake a dd/demushkin-like
-    # structure by evaluating directly here
-    P = p ** d
     box = [0, budget]
     V = vectors_array(d, p).astype(np.int64)
-    mask = None
-    for f in forms:
-        _spend(box, P * P)
-        t = V @ f.matrix.array @ V.T % p
-        mask = (t == 0) if mask is None else mask & (t == 0)
-    count = 0
-    for ix in range(1, P):
-        ymask = mask[ix].copy()
-        ymask[_span_indices([V[ix]], p, d)] = False
-        for iy in np.nonzero(ymask)[0]:
-            _spend(box, P)
-            zmask = mask[iy].copy()
-            zmask[_span_indices([V[ix], V[iy]], p, d)] = False
-            count += int(zmask.sum())
-    return count
+    mask = _zero_pairing_mask([(V, f.matrix.array) for f in forms], p, box)
+    return _scan(d, p, mask, box)[0]
 
 
 # --- closed forms ------------------------------------------------------------
@@ -602,21 +548,8 @@ def cp_count(model: GroupModel, p: int, method="closed", budget=DEFAULT_TMP_BUDG
         )
     if method != "enumerate":
         raise ValueError(f"unknown method {method!r}")
-    d = model.rank
-    P = p ** d
     box = [0, budget]
-    mask = _pair_mask(model, p, box)
-    V = vectors_array(d, p).astype(np.int64)
-    count = 0
-    for ix in range(1, P):
-        _spend(box, P)
-        if mask is not None:
-            ymask = mask[ix].copy()
-        else:
-            ymask = np.ones(P, dtype=bool)
-        ymask[_span_indices([V[ix]], p, d)] = False
-        count += int(ymask.sum())
-    return count
+    return _scan(model.rank, p, _pair_mask(model, p, box), box, pairs_only=True)
 
 
 def un_quotient_decision(model: GroupModel, n: int) -> bool:
@@ -735,7 +668,7 @@ def epi_count(model: GroupModel, p: int, target: int = 4, method="formula",
         if method == "formula":
             epi, tmp = _epi_formula(model, p, budget, threads)
         elif method == "tmp_sum":
-            count, _, classes = _tmp_scan(model, p, budget, False, True, threads)
+            count, _, classes = _tmp_scan(model, p, budget, False, True)
             if model.kind == "demushkin":
                 assert classes.get("central", 0) == 0  # independence forbids it
             tmp = count

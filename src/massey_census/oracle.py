@@ -3,6 +3,7 @@ the unitriangular groups directly, with no counting theory in the loop."""
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -266,25 +267,32 @@ def _enumerate_space(pres, n, p, bar, fixed, budget, threads=1,
         raise BudgetError(
             f"state space has {space} assignments, over the budget {budget}"
         )
-    threads = max(1, int(threads))
     reporter = _make_progress(space, label) if progress else None
-    if exists_only or threads == 1 or space <= 2 * chunk:
+    ranges = [(0, space)] if exists_only else _plan_ranges(space, chunk, threads)
+    if len(ranges) == 1:
         return _count_range(pres, n, p, bar, fixed, 0, space, chunk,
                             want_surjective, exists_only, reporter)
-    bounds = [0]
-    step = -(-space // threads)
-    step += (-step) % chunk  # round the split points to chunk boundaries
-    while bounds[-1] < space:
-        bounds.append(min(bounds[-1] + step, space))
     jobs = [
         (pres, n, p, bar, fixed, lo, hi, chunk, want_surjective)
-        for lo, hi in zip(bounds[:-1], bounds[1:])
+        for lo, hi in ranges
     ]
     total = 0
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
         for c in pool.map(_range_worker, jobs):
             total += c
     return total
+
+
+def _plan_ranges(space, chunk, threads):
+    """Split [0, space) into chunk-aligned ranges, one per worker, with
+    min(threads, cpu count, chunk count) workers.  A space of at most two
+    chunks stays in one range."""
+    chunks = -(-space // chunk)
+    workers = min(max(1, int(threads)), os.cpu_count() or 1, chunks)
+    if workers <= 1 or chunks <= 2:
+        return [(0, space)]
+    step = -(-chunks // workers) * chunk
+    return [(lo, min(lo + step, space)) for lo in range(0, space, step)]
 
 
 # --- public operations --------------------------------------------------------

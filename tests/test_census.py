@@ -1,10 +1,14 @@
 """Census pathway tests: enumeration vs closed forms vs hand-frozen counts."""
 
+import itertools
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from massey_census import census
 from massey_census.census import (
     CensusReport,
     GroupModel,
@@ -12,6 +16,7 @@ from massey_census.census import (
     epi_count,
     infer_case,
     local_field_model,
+    model_gram_blocks,
     model_presentation,
     nu_extensions,
     nu_local_closed,
@@ -23,9 +28,9 @@ from massey_census.census import (
     un_quotient_decision,
     z1_closed,
 )
-from massey_census.fp import BudgetError, FpMatrix, GramForm, rank_mod
+from massey_census.fp import BudgetError, FpMatrix, FpVector, GramForm, rank_mod
 from massey_census.forms import TrilinearForm, demushkin_gram, trilinear_trace
-from massey_census.words import Comm, Gen, Pow, Prod
+from massey_census.words import Comm, Gen, Pow, Prod, RamifiedRelatorData
 
 
 def test_model_construction_and_case_inference():
@@ -141,6 +146,182 @@ def test_tmp_threads_deterministic():
 def test_tmp_budget_error():
     with pytest.raises(BudgetError):
         tmp_enumerate(GroupModel.demushkin(4, 3), 3, budget=1000)
+
+
+def test_tmp_budget_pinned_to_form_evaluations():
+    model = GroupModel.demushkin(4, 3)
+    # 81^2 pair-mask cells + 1920 admissible pairs x 81 z-candidates
+    assert tmp_enumerate(model, 3, budget=162081)[0] == 34560
+    with pytest.raises(BudgetError):
+        tmp_enumerate(model, 3, budget=162080)
+
+
+def _spy_charges(monkeypatch):
+    charges = []
+    spend = census._spend
+
+    def spy(box, amount):
+        charges.append(amount)
+        spend(box, amount)
+
+    monkeypatch.setattr(census, "_spend", spy)
+    return charges
+
+
+def test_scan_charges_up_front(monkeypatch):
+    # the whole scan is one charge after the pair mask's, so a short budget
+    # fails before any x is scanned
+    model = GroupModel.demushkin(4, 3)
+    charges = _spy_charges(monkeypatch)
+    tmp_enumerate(model, 3)
+    assert charges == [81 * 81, 1920 * 81]
+    charges.clear()
+    # pairs: 81^2 pair-mask cells + 80 nonzero x times 81 y-candidates
+    assert cp_count(model, 3, "enumerate", budget=13041) == cp_count(model, 3)
+    assert charges == [81 * 81, 80 * 81]
+    charges.clear()
+    with pytest.raises(BudgetError):
+        cp_count(model, 3, "enumerate", budget=13040)
+    assert charges == [81 * 81, 80 * 81]
+
+
+# --- the scan kernel against the literal definition ---------------------------
+
+
+def _naive_triples(d, p, pair_zero):
+    """Every (x, y, z) in F_p^d, in lexicographic order, with
+    pair_zero(x, y, z) and rank_mod([x, y, z]) == 3."""
+    space = list(itertools.product(range(p), repeat=d))
+    return [
+        (x, y, z)
+        for x in space for y in space for z in space
+        if pair_zero(x, y, z) and rank_mod(np.array([x, y, z]), p) == 3
+    ]
+
+
+def _naive_gram_triples(model, p):
+    blocks = [(off, size, gram.matrix.array)
+              for off, size, gram in model_gram_blocks(model, p) if gram is not None]
+
+    def pairs(u, v):
+        return all(
+            np.array(u[o:o + s]) @ g @ np.array(v[o:o + s]) % p == 0
+            for o, s, g in blocks
+        )
+
+    return _naive_triples(model.rank, p, lambda x, y, z: pairs(x, y) and pairs(y, z))
+
+
+def _naive_class(model, x, z):
+    keys, off = [], 0
+    for kind, size, _q, _case in model.factors:
+        if kind == "demushkin":
+            zero = not any(x[off:off + size]) and not any(z[off:off + size])
+            keys.append("central" if zero else "noncentral")
+        off += size
+    return "+".join(keys) or "any"
+
+
+def _as_tuples(triples):
+    return [tuple(tuple(int(e) for e in v) for v in t) for t in triples]
+
+
+def _check_against_naive(model, p, naive):
+    count, triples = tmp_enumerate(model, p, want_list=True)
+    assert count == len(naive)
+    assert _as_tuples(triples) == naive
+    _, _, classes = census._tmp_scan(model, p, 10 ** 8, False, True)
+    expected = Counter(_naive_class(model, x, z) for x, _y, z in naive)
+    assert {k: v for k, v in classes.items() if v} == dict(expected)
+
+
+def _demushkin_factors(p, max_d):
+    out = []
+    for d in range(2, max_d + 1):
+        for q in (p, p * p, 0):
+            for case in ("D1", "D2", "D3", "D4"):
+                try:
+                    out.append(GroupModel.demushkin(d, q, case).factors[0])
+                except ValueError:
+                    pass
+    return out
+
+
+def _gram_model_cases():
+    # the literal loop is P^3 triples: p = 3 stays at rank <= 3
+    cases = []
+    for p, max_d in ((2, 4), (3, 3)):
+        dem = _demushkin_factors(p, max_d)
+        free = [("free", e, None, None) for e in range(1, max_d + 1)]
+        factor_lists = (
+            [("demushkin", [f]) for f in dem]
+            + [("free", [f]) for f in free]
+            + [("df", [f, g]) for f in dem for g in free if f[1] + g[1] <= max_d]
+            + [("dd", [f, g]) for f in dem for g in dem if f[1] + g[1] <= max_d]
+        )
+        cases += [(GroupModel(kind, factors), p) for kind, factors in factor_lists]
+    return cases
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_gram_model_cases()))
+def test_scan_matches_literal_definition_gram(case):
+    model, p = case
+    _check_against_naive(model, p, _naive_gram_triples(model, p))
+
+
+@st.composite
+def s3_models(draw):
+    p = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(2, 4 if p == 2 else 3))
+    r = draw(st.integers(1, 2))
+    slots = [(i, j, k, m) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+             for k in range(1, j + 1) for m in range(1, r + 1)]
+    chosen = draw(st.lists(st.sampled_from(slots), max_size=4, unique=True))
+    e = {slot: draw(st.integers(1, p - 1)) for slot in chosen}
+    return GroupModel.s3(RamifiedRelatorData(n, e, r=r)), p
+
+
+@settings(max_examples=20, deadline=None)
+@given(s3_models())
+def test_scan_matches_literal_definition_s3(case):
+    model, p = case
+    form = TrilinearForm(model.data, p)
+    vec = {v: FpVector(v, p)
+           for v in itertools.product(range(p), repeat=model.rank)}
+
+    def traces_vanish(x, y, z):
+        return all(int(trilinear_trace(form, vec[x], vec[y], vec[z], m)) == 0
+                   for m in range(1, model.data.r + 1))
+
+    _check_against_naive(model, p, _naive_triples(model.rank, p, traces_vanish))
+
+
+@st.composite
+def explicit_forms(draw):
+    p = draw(st.sampled_from((2, 3)))
+    d = draw(st.integers(2, 4 if p == 2 else 3))
+    forms = []
+    for _ in range(draw(st.integers(1, 2))):
+        a = np.zeros((d, d), dtype=np.int64)
+        for i, j in itertools.combinations(range(d), 2):
+            a[i, j] = draw(st.integers(0, p - 1))
+            a[j, i] = -a[i, j] % p
+        forms.append(GramForm(FpMatrix(a, p)))
+    return forms, d, p
+
+
+@settings(max_examples=30, deadline=None)
+@given(explicit_forms())
+def test_scan_matches_literal_definition_forms(case):
+    forms, d, p = case
+    grams = [f.matrix.array for f in forms]
+
+    def pairs(u, v):
+        return all(np.array(u) @ g @ np.array(v) % p == 0 for g in grams)
+
+    naive = _naive_triples(d, p, lambda x, y, z: pairs(x, y) and pairs(y, z))
+    assert tmp_enumerate_forms(forms, p) == len(naive)
 
 
 def test_z1_closed_values():

@@ -53,6 +53,29 @@ def test_epi_threads_and_chunks_deterministic():
     assert serial == threaded == rechunked == 6144
 
 
+def test_plan_ranges_caps_workers(monkeypatch):
+    # inspected, not forked: the plan is the worker count
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+    chunk = 2 ** 10
+    for space, threads, workers in (
+        (2 ** 24, 8, 2),        # capped by the cpu count
+        (2 ** 24, 1, 1),
+        (3 * chunk, 8, 2),      # capped by the cpu count, not the 3 chunks
+        (2 * chunk, 8, 1),      # two chunks or fewer stay in one range
+        (5 * chunk + 7, 2, 2),
+    ):
+        ranges = oracle._plan_ranges(space, chunk, threads)
+        assert len(ranges) == workers
+        assert ranges[0][0] == 0 and ranges[-1][1] == space
+        assert all(hi == lo for (_, hi), (lo, _) in zip(ranges, ranges[1:]))
+        assert all(lo % chunk == 0 for lo, _ in ranges)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
+    assert len(oracle._plan_ranges(3 * chunk, chunk, 8)) == 3  # chunk count
+    assert len(oracle._plan_ranges(2 ** 24, chunk, 8)) == 8
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)
+    assert oracle._plan_ranges(2 ** 24, chunk, 8) == [(0, 2 ** 24)]
+
+
 def test_epi_budget_error_names_space():
     pres = free_presentation(3)
     with pytest.raises(BudgetError) as err:
