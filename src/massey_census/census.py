@@ -8,7 +8,6 @@ import json
 import time
 import numpy as np
 
-from . import fp
 from .fp import BudgetError, FpVector, check_prime, vectors_array
 from .forms import TrilinearForm, demushkin_gram, trace_tensor
 from .unipotent import aut_order
@@ -389,15 +388,11 @@ def tmp_enumerate(model, p, budget=DEFAULT_TMP_BUDGET, want_list=False, threads=
     count, listing, _ = _tmp_scan(model, p, budget, want_list, False)
     triples = None
     if want_list:
-        d = model.rank
-        triples = [
-            TmpTriple(
-                fp.vector_from_index(ix, d, p),
-                fp.vector_from_index(iy, d, p),
-                fp.vector_from_index(iz, d, p),
-            )
-            for ix, iy, iz in listing
-        ]
+        # FpVector is never mutated, so the triples share one vector per index
+        rows = vectors_array(model.rank, p).tolist()
+        vecs = [FpVector(row, p) for row in rows]
+        triples = [TmpTriple(vecs[ix], vecs[iy], vecs[iz])
+                   for ix, iy, iz in listing]
     return count, triples
 
 

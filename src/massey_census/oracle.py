@@ -33,8 +33,14 @@ _PROFILE_TABLE_LIMIT = 2 ** 22
 # --- batched group arithmetic -------------------------------------------------
 #
 # A batch element is a list over triangle positions; each slot is either a
-# numpy int16 array (one value per assignment in the chunk) or a python int
-# broadcast across the chunk.  All recipes mirror the scalar ones.
+# numpy int16 array (one value per assignment in the block) or a python int
+# broadcast across the block: the digits that stay constant over a block are
+# python ints.  All recipes mirror the scalar ones.  Reduction is
+# `v - v // p * p`: numpy divides an array by a scalar far faster with
+# floor_divide than with remainder, and floor division keeps the result in
+# [0, p) for the negative sums of `_batch_inv`.  Before reduction a product
+# slot reaches 2(p-1) + (n-2)(p-1)^2, which `_enumerate_space` keeps below
+# the int16 limit.
 
 
 def _batch_identity(n, p, bar):
@@ -47,7 +53,7 @@ def _batch_mul(a, b, recipe, p):
         v = a[t] + b[t]
         for (u, w) in prods:
             v = v + a[u] * b[w]
-        out.append(v % p)
+        out.append(v - v // p * p)
     return out
 
 
@@ -59,7 +65,8 @@ def _batch_inv(a, n, p, bar):
         s = a[t]
         for k in range(i + 1, j):
             s = s + out[idx[(i, k)]] * a[idx[(k, j)]]
-        out[t] = (-s) % p
+        s = -s
+        out[t] = s - s // p * p
     return out
 
 
@@ -163,20 +170,43 @@ def _surjective_mask(images, n, p, rank, size, memo):
     return verdicts[inverse]
 
 
-def _decode_images(I, rank, n, p, bar, free_pairs, fixed):
-    """Per-generator batch elements for the global assignment indices I."""
+def _block_exponent(p, chunk, digits):
+    """The k of the p^k-assignment blocks: the largest p^k <= chunk, capped
+    at the number of assignment digits."""
+    k = 0
+    while k < digits and p ** (k + 1) <= chunk:
+        k += 1
+    return k
+
+
+def _digit_planes(p, k):
+    """For j < k, digit j of every index 0 .. p^k - 1, as an int16 array."""
+    digits = np.arange(p, dtype=np.int16)[:, None]
+    return [
+        np.broadcast_to(digits, (p ** (k - 1 - j), p, p ** j)).reshape(-1)
+        for j in range(k)
+    ]
+
+
+def _decode_images(start, planes, rank, n, p, bar, free_pairs, fixed):
+    """Per-generator batch elements for the block of p^len(planes)
+    assignments that starts at `start`, a multiple of the block size.  The
+    free entry j of generator g is base-p digit (rank-1-g)*len(free_pairs)+j
+    of the assignment index: a digit plane below the block size, a python
+    int constant over the block above it."""
     pairs = triangle_pairs(n, bar)
     idx = pair_index(n, bar)
-    M = p ** len(free_pairs)
+    width = len(free_pairs)
     images = []
     for g in range(rank):
-        gidx = (I // M ** (rank - 1 - g)) % M
         entries = [0] * len(pairs)
         if fixed:
             for pq, values in fixed.items():
                 entries[idx[pq]] = int(values[g])
         for j, pq in enumerate(free_pairs):
-            entries[idx[pq]] = ((gidx // p ** j) % p).astype(np.int16)
+            pos = (rank - 1 - g) * width + j
+            entries[idx[pq]] = (planes[pos] if pos < len(planes)
+                                else start // p ** pos % p)
         images.append(entries)
     return images
 
@@ -188,19 +218,22 @@ def _compress(images, survivors):
     ]
 
 
-def _count_range(pres, n, p, bar, fixed, lo, hi, chunk, want_surjective,
+def _count_range(pres, n, p, bar, fixed, lo, hi, k, want_surjective,
                  exists_only=False, progress=None):
+    """Count the assignments in [lo, hi), both multiples of p^k, that pass
+    every stage, one block of p^k assignments at a time."""
     rank = pres.rank
     pairs = triangle_pairs(n, bar)
     free_pairs = [pq for pq in pairs if not (fixed and pq in fixed)]
     surj_first = want_surjective and len(pres.relators) >= 2
+    planes = _digit_planes(p, k)
+    block = p ** k
     memo = {}
     total = 0
-    for start in range(lo, hi, chunk):
-        stop = min(start + chunk, hi)
-        I = np.arange(start, stop, dtype=np.int64)
-        size = stop - start
-        images = _decode_images(I, rank, n, p, bar, free_pairs, fixed)
+    for start in range(lo, hi, block):
+        size = block
+        images = _decode_images(start, planes, rank, n, p, bar, free_pairs,
+                                fixed)
 
         stages = []
         if surj_first:
@@ -224,13 +257,13 @@ def _count_range(pres, n, p, bar, fixed, lo, hi, chunk, want_surjective,
         if exists_only and size:
             return total
         if progress is not None:
-            progress(stop)
+            progress(start + block)
     return total
 
 
 def _range_worker(args):
-    pres, n, p, bar, fixed, lo, hi, chunk, want_surjective = args
-    return _count_range(pres, n, p, bar, fixed, lo, hi, chunk, want_surjective)
+    pres, n, p, bar, fixed, lo, hi, k, want_surjective = args
+    return _count_range(pres, n, p, bar, fixed, lo, hi, k, want_surjective)
 
 
 def _make_progress(space, label):
@@ -259,21 +292,30 @@ def _enumerate_space(pres, n, p, bar, fixed, budget, threads=1,
     if not MIN_N <= n <= MAX_N:
         raise ValueError(f"target size n={n} outside supported range "
                          f"[{MIN_N}, {MAX_N}]")
+    peak = 2 * (p - 1) + (n - 2) * (p - 1) ** 2
+    if peak >= 2 ** 15:
+        raise ValueError(
+            f"U_{n}(F_{p}) products reach {peak} before reduction, over the "
+            f"int16 bound 2^15 - 1 of the batch entries"
+        )
     rank = pres.rank
     pairs = triangle_pairs(n, bar)
     free_pairs = [pq for pq in pairs if not (fixed and pq in fixed)]
-    space = p ** (len(free_pairs) * rank)
+    digits = len(free_pairs) * rank
+    space = p ** digits
     if space > budget:
         raise BudgetError(
             f"state space has {space} assignments, over the budget {budget}"
         )
     reporter = _make_progress(space, label) if progress else None
-    ranges = [(0, space)] if exists_only else _plan_ranges(space, chunk, threads)
+    k = _block_exponent(p, chunk, digits)
+    ranges = ([(0, space)] if exists_only
+              else _plan_ranges(space, p ** k, threads))
     if len(ranges) == 1:
-        return _count_range(pres, n, p, bar, fixed, 0, space, chunk,
+        return _count_range(pres, n, p, bar, fixed, 0, space, k,
                             want_surjective, exists_only, reporter)
     jobs = [
-        (pres, n, p, bar, fixed, lo, hi, chunk, want_surjective)
+        (pres, n, p, bar, fixed, lo, hi, k, want_surjective)
         for lo, hi in ranges
     ]
     total = 0
@@ -283,15 +325,15 @@ def _enumerate_space(pres, n, p, bar, fixed, budget, threads=1,
     return total
 
 
-def _plan_ranges(space, chunk, threads):
-    """Split [0, space) into chunk-aligned ranges, one per worker, with
-    min(threads, cpu count, chunk count) workers.  A space of at most two
-    chunks stays in one range."""
-    chunks = -(-space // chunk)
-    workers = min(max(1, int(threads)), os.cpu_count() or 1, chunks)
-    if workers <= 1 or chunks <= 2:
+def _plan_ranges(space, block, threads):
+    """Split [0, space) into block-aligned ranges, one per worker, with
+    min(threads, cpu count, block count) workers.  A space of at most two
+    blocks stays in one range."""
+    blocks = -(-space // block)
+    workers = min(max(1, int(threads)), os.cpu_count() or 1, blocks)
+    if workers <= 1 or blocks <= 2:
         return [(0, space)]
-    step = -(-chunks // workers) * chunk
+    step = -(-blocks // workers) * block
     return [(lo, min(lo + step, space)) for lo in range(0, space, step)]
 
 

@@ -3,8 +3,9 @@ group arithmetic, and the defining-system search."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from massey_census import oracle
+from massey_census import fp, oracle
 from massey_census.census import GroupModel, epi_count, tmp_enumerate
 from massey_census.fp import BudgetError, FpVector, vector_from_index
 from massey_census.forms import consecutive_orthogonal_basis, demushkin_gram
@@ -14,7 +15,14 @@ from massey_census.oracle import (
     cup_defining_check,
     massey_system_exists,
 )
-from massey_census.unipotent import UniMatrix, element_from_index, group_mul
+from massey_census.unipotent import (
+    UniMatrix,
+    element_from_index,
+    group_mul,
+    mul_recipe,
+    pair_index,
+    triangle_pairs,
+)
 from massey_census.words import (
     Comm,
     Gen,
@@ -51,6 +59,43 @@ def test_epi_threads_and_chunks_deterministic():
     threaded = count_epi_bruteforce(pres, 4, 2, threads=2, chunk=2 ** 14)
     rechunked = count_epi_bruteforce(pres, 4, 2, chunk=2 ** 10)
     assert serial == threaded == rechunked == 6144
+
+
+def test_epi_odd_p_chunks_and_threads_deterministic():
+    # chunks that are not powers of p: a block is the largest power of p at
+    # most the chunk, and two workers split the space at a block boundary
+    for pres, n, p, want in (
+        (demushkin_presentation(4, 3, 3, "D1"), 3, 3, 155520),
+        (free_presentation(3), 3, 5, 1860000),  # (5^3-1)(5^3-5) 5^3
+    ):
+        for chunk in (1000, p ** 7, oracle.CHUNK):
+            for threads in (1, 2):
+                assert count_epi_bruteforce(pres, n, p, threads=threads,
+                                            chunk=chunk) == want
+    # chunks below p: one-assignment blocks, every digit a python int
+    for chunk in (1, 2):
+        for threads in (1, 2):
+            assert count_epi_bruteforce(free_presentation(2), 3, 3,
+                                        threads=threads, chunk=chunk) == 432
+
+
+def test_int16_overflow_refused():
+    # U_n(F_p) products reach 2(p-1) + (n-2)(p-1)^2 before reduction
+    before = fp._MAX_PRIME
+    fp.set_max_prime(131)
+    try:
+        one = free_presentation(1)
+        with pytest.raises(ValueError, match=r"34060 .*2\^15"):
+            count_lifts_bruteforce(one, 131, (FpVector((1,), 131),) * 3,
+                                   budget=1)
+        with pytest.raises(ValueError, match=r"40200 .*2\^15"):
+            count_epi_bruteforce(one, 6, 101, budget=1)
+        # 2*126 + 2*126^2 = 32004 fits: the budget decides
+        with pytest.raises(BudgetError):
+            count_lifts_bruteforce(one, 127, (FpVector((1,), 127),) * 3,
+                                   budget=1)
+    finally:
+        fp.set_max_prime(before)
 
 
 def test_plan_ranges_caps_workers(monkeypatch):
@@ -274,3 +319,117 @@ def test_progress_reporting(capsys):
     count = count_epi_bruteforce(pres, 3, 2, progress=True)
     assert count == 144
     assert "epi" in capsys.readouterr().err
+
+
+# --- differential checks against dense integer matrices ----------------------
+
+
+def _dense(element, n, bar, k):
+    """Assignment k of a batch element as an n x n integer matrix."""
+    m = np.eye(n, dtype=np.int64)
+    for (i, j), v in zip(triangle_pairs(n, bar), element):
+        m[i - 1, j - 1] = v[k] if isinstance(v, np.ndarray) else v
+    return m
+
+
+def _dense_inv(m, p):
+    nil = np.eye(len(m), dtype=np.int64) - m
+    out = term = np.eye(len(m), dtype=np.int64)
+    for _ in range(len(m) - 1):
+        term = np.matmul(term, nil) % p
+        out = out + term
+    return out % p
+
+
+def _dense_pow(m, e, p):
+    if e < 0:
+        m, e = _dense_inv(m, p), -e
+    out = np.eye(len(m), dtype=np.int64)
+    for _ in range(e):
+        out = np.matmul(out, m) % p
+    return out
+
+
+@st.composite
+def batch_cases(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    n = draw(st.integers(3, 6))
+    bar = draw(st.booleans())
+    size = draw(st.integers(1, 5))
+    digit = st.integers(0, p - 1)
+
+    def element():
+        return [
+            np.array(draw(st.lists(digit, min_size=size, max_size=size)),
+                     dtype=np.int16)
+            if draw(st.booleans()) else draw(digit)
+            for _ in triangle_pairs(n, bar)
+        ]
+
+    return p, n, bar, size, element(), element(), draw(st.integers(-9, 9))
+
+
+@settings(max_examples=80, deadline=None)
+@given(batch_cases())
+def test_batch_arithmetic_matches_dense_matmul(case):
+    p, n, bar, size, a, b, e = case
+    got = {
+        "mul": oracle._batch_mul(a, b, mul_recipe(n, bar), p),
+        "inv": oracle._batch_inv(a, n, p, bar),
+        "pow": oracle._batch_pow(a, e, n, p, bar),
+    }
+    for k in range(size):
+        A, B = _dense(a, n, bar, k), _dense(b, n, bar, k)
+        want = {
+            "mul": np.matmul(A, B) % p,
+            "inv": _dense_inv(A, p),
+            "pow": _dense_pow(A, e, p),
+        }
+        for name, element in got.items():
+            # the bar corner is central, so the other entries ignore it
+            assert [int(v[k]) if isinstance(v, np.ndarray) else int(v)
+                    for v in element] == [
+                int(want[name][i - 1, j - 1])
+                for i, j in triangle_pairs(n, bar)
+            ], (name, k)
+
+
+@st.composite
+def decode_cases(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    n = draw(st.integers(3, 5))
+    bar = draw(st.booleans())
+    rank = draw(st.integers(1, 3))
+    pairs = triangle_pairs(n, bar)
+    fixed = {
+        pq: [draw(st.integers(0, p - 1)) for _ in range(rank)]
+        for pq in draw(st.lists(st.sampled_from(pairs), unique=True))
+    }
+    free_pairs = [pq for pq in pairs if pq not in fixed]
+    chunk = draw(st.integers(1, 3000))
+    digits = len(free_pairs) * rank
+    block = p ** oracle._block_exponent(p, chunk, digits)
+    start = draw(st.integers(0, p ** digits // block - 1)) * block
+    return p, n, bar, rank, fixed or None, free_pairs, chunk, block, start
+
+
+@settings(max_examples=60, deadline=None)
+@given(decode_cases())
+def test_block_decode_matches_literal_digits(case):
+    p, n, bar, rank, fixed, free_pairs, chunk, block, start = case
+    digits = len(free_pairs) * rank
+    assert block <= max(chunk, 1)
+    assert block == p ** digits or block * p > chunk
+    k = oracle._block_exponent(p, chunk, digits)
+    images = oracle._decode_images(start, oracle._digit_planes(p, k), rank,
+                                   n, p, bar, free_pairs, fixed)
+    idx = pair_index(n, bar)
+    I = range(start, start + block)
+    for g in range(rank):
+        for pq in triangle_pairs(n, bar):
+            entry = np.broadcast_to(images[g][idx[pq]], (block,)).tolist()
+            if pq in free_pairs:
+                pos = (rank - 1 - g) * len(free_pairs) + free_pairs.index(pq)
+                assert entry == [(i // p ** pos) % p for i in I], (g, pq)
+            else:
+                assert entry == [fixed[pq][g]] * block, (g, pq)
