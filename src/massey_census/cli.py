@@ -94,6 +94,10 @@ def build_parser():
     ce.add_argument("--method", default="formula",
                     choices=["formula", "oracle", "tmp-sum", "tmp_sum"])
     ce.add_argument("--csv", action="store_true", help="CSV instead of JSON")
+    ce.add_argument("--progress", action="store_true",
+                    help="with --method oracle, report enumeration progress "
+                         "on stderr; a run split over several workers "
+                         "reports none")
 
     cx = subs.add_parser("count-extensions",
                          help="count Galois U_n(F_p)-extensions of a p-adic field")
@@ -256,11 +260,11 @@ def _emit_error(args, message):
         print(f"error: {message}", file=sys.stderr)
 
 
-def _oracle_report(pres, label, p, target, settings):
+def _oracle_report(pres, label, p, target, settings, progress):
     t0 = time.monotonic()
     epi = oracle.count_epi_bruteforce(
         pres, target, p, budget=settings["oracle_budget"],
-        threads=settings["threads"],
+        threads=settings["threads"], progress=progress,
     )
     ms = int((time.monotonic() - t0) * 1000)
     report = CensusReport(label, p, target, epi, "oracle", ms)
@@ -282,7 +286,8 @@ def _cmd_count_epi(args):
     if method == "oracle":
         if pres is None:
             pres = model_presentation(model, p)
-        report = _oracle_report(pres, label, p, args.target, settings)
+        report = _oracle_report(pres, label, p, args.target, settings,
+                                args.progress)
     else:
         if model is None:
             raise ValueError(

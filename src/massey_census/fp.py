@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 VECTOR_BUDGET = 10 ** 8
@@ -226,31 +228,51 @@ class FpMatrix:
         return f"FpMatrix({self.array.tolist()}, p={self.p})"
 
 
-def rank_mod(a, p: int) -> int:
-    """Row rank of an integer array over F_p, by Gaussian elimination."""
-    a = np.array(a, dtype=np.int64) % p
-    if a.ndim != 2:
-        raise ValueError("rank needs a 2-dimensional array")
-    nrows, ncols = a.shape
-    r = 0
-    for c in range(ncols):
-        piv = -1
-        for i in range(r, nrows):
-            if a[i, c]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        a[r] = a[r] * _inv_mod(int(a[r, c]), p) % p
-        for i in range(nrows):
-            if i != r and a[i, c]:
-                a[i] = (a[i] - a[i, c] * a[r]) % p
-        r += 1
-        if r == nrows:
-            break
-    return r
+_RANK_SLICE = 4096
+
+
+def rank_mod(a, p: int):
+    """Rank over F_p of an integer matrix, or of each matrix in a stack of
+    shape (..., rows, cols): a python int for a 2-dimensional input, an
+    array of shape (...) otherwise.
+
+    Gaussian elimination runs over _RANK_SLICE matrices at a time.
+    Intermediate entries reach (p-1)^2 in magnitude, so int32 is exact for
+    p < 46341; larger primes eliminate over python ints."""
+    a = np.asarray(a)
+    if a.ndim < 2:
+        raise ValueError("rank needs an array of at least 2 dimensions")
+    if a.shape[-1] > a.shape[-2]:
+        # row rank = column rank: loop over the shorter side
+        a = np.swapaxes(a, -1, -2)
+    rows, cols = a.shape[-2:]
+    flat = a.reshape(math.prod(a.shape[:-2]), rows, cols)
+    dtype = np.int32 if p < 46341 else object
+    ranks = np.empty(len(flat), dtype=np.int64)
+    for lo in range(0, len(flat), _RANK_SLICE):
+        s = (flat[lo:lo + _RANK_SLICE] % p).astype(dtype)
+        ranks[lo:lo + len(s)] = _echelon_rank(s, p)
+    if a.ndim == 2:
+        return int(ranks[0])
+    return ranks.reshape(a.shape[:-2])
+
+
+def _echelon_rank(s, p):
+    """Ranks of a (m, rows, cols) stack reduced mod p, cols <= rows.  Column
+    by column, each matrix picks a row with a nonzero entry as pivot and
+    clears that column from every row by cross-multiplying, so no inverse is
+    needed.  The pivot row clears itself to zero and stays zero."""
+    ranks = np.zeros(len(s), dtype=np.int64)
+    every = np.arange(len(s))
+    for j in range(s.shape[2]):
+        nonzero = s[:, :, j] != 0
+        found = nonzero.any(axis=1)
+        prow = s[every, nonzero.argmax(axis=1)]
+        scale = np.where(found, prow[:, j], 1)
+        ranks += found
+        s = (s * scale[:, None, None]
+             - s[:, :, j:j + 1] * prow[:, None, :]) % p
+    return ranks
 
 
 def mat_rank(m) -> int:

@@ -124,27 +124,39 @@ def _identity_mask(entries, size):
 # --- assignment space ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _surjective_table(n, p, rank):
-    """Boolean table over packed superdiagonal profiles: generates U_n?"""
-    width = (n - 1) * rank
-    if p ** width > _PROFILE_TABLE_LIMIT:
-        return None
-    rows = vectors_array(width, p)
-    mats = rows.reshape(-1, rank, n - 1).transpose(0, 2, 1)
-    return np.array([rank_mod(m, p) == n - 1 for m in mats], dtype=bool)
+# A profile packs the superdiagonal entries (s, s+1) of the rank generator
+# images into one base-p number, generator 0 and s = 0 most significant.  It
+# generates U_n exactly when its (n-1) x rank matrix has full row rank.  The
+# verdicts come from one batched elimination (`fp.rank_mod`): for every
+# profile at once while p^width <= _PROFILE_TABLE_LIMIT, built once per
+# (n, p, rank) per process, and for a block's distinct profiles above that.
 
 
 def _profile_weights(n, p, rank):
+    """Place value of entry (s, s+1) of generator g, as an (n-1, rank) array."""
     width = (n - 1) * rank
-    return {
-        (g, s): p ** (width - 1 - (g * (n - 1) + s))
-        for g in range(rank)
-        for s in range(n - 1)
-    }
+    slot = np.arange(rank)[None, :] * (n - 1) + np.arange(n - 1)[:, None]
+    return p ** (width - 1 - slot)
 
 
-def _surjective_mask(images, n, p, rank, size, memo):
+def _generates(profiles, n, p, rank):
+    """Whether each packed profile generates U_n."""
+    mats = np.empty((len(profiles), n - 1, rank), dtype=np.int16)
+    for (s, g), w in np.ndenumerate(_profile_weights(n, p, rank)):
+        mats[:, s, g] = profiles // w % p
+    return rank_mod(mats, p) == n - 1
+
+
+@lru_cache(maxsize=None)
+def _surjective_table(n, p, rank):
+    """Boolean table over packed superdiagonal profiles: generates U_n?"""
+    size = p ** ((n - 1) * rank)
+    if size > _PROFILE_TABLE_LIMIT:
+        return None
+    return _generates(np.arange(size), n, p, rank)
+
+
+def _surjective_mask(images, n, p, rank, size):
     table = _surjective_table(n, p, rank)
     weights = _profile_weights(n, p, rank)
     idx = pair_index(n, False)
@@ -152,22 +164,11 @@ def _surjective_mask(images, n, p, rank, size, memo):
     for g in range(rank):
         for s in range(n - 1):
             entry = images[g][idx[(s + 1, s + 2)]]
-            profile += np.asarray(entry, dtype=np.int64) * weights[(g, s)]
+            profile += np.asarray(entry, dtype=np.int64) * weights[s, g]
     if table is not None:
         return table[profile]
-    # profile space too large to tabulate: rank-test unique profiles only
     uniq, inverse = np.unique(profile, return_inverse=True)
-    verdicts = np.empty(len(uniq), dtype=bool)
-    for u_i, prof in enumerate(uniq):
-        key = int(prof)
-        if key not in memo:
-            mat = [
-                [(key // weights[(g, s)]) % p for g in range(rank)]
-                for s in range(n - 1)
-            ]
-            memo[key] = rank_mod(np.array(mat), p) == n - 1
-        verdicts[u_i] = memo[key]
-    return verdicts[inverse]
+    return _generates(uniq, n, p, rank)[inverse]
 
 
 def _block_exponent(p, chunk, digits):
@@ -228,7 +229,6 @@ def _count_range(pres, n, p, bar, fixed, lo, hi, k, want_surjective,
     surj_first = want_surjective and len(pres.relators) >= 2
     planes = _digit_planes(p, k)
     block = p ** k
-    memo = {}
     total = 0
     for start in range(lo, hi, block):
         size = block
@@ -244,7 +244,7 @@ def _count_range(pres, n, p, bar, fixed, lo, hi, k, want_surjective,
 
         for stage in stages:
             if stage == "surjective":
-                keep = _surjective_mask(images, n, p, rank, size, memo)
+                keep = _surjective_mask(images, n, p, rank, size)
             else:
                 value = _batch_eval(pres.relators[stage], images, n, p, bar)
                 keep = _identity_mask(value, size)

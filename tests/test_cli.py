@@ -36,6 +36,27 @@ def test_count_epi_preset_oracle(capsys):
     assert payload["method"] == "oracle"
 
 
+def test_count_epi_oracle_progress_on_stderr(capsys):
+    argv = ("count-epi", "--model", "preset", "--name", "borromean",
+            "--p", "2", "--target", "4", "--method", "oracle")
+    code, out, err = run(capsys, *argv)
+    pcode, pout, perr = run(capsys, *argv, "--progress")
+    assert code == pcode == 0
+    plain, shown = json.loads(out), json.loads(pout)
+    plain.pop("ms")
+    shown.pop("ms")
+    assert plain == shown
+    assert shown["epi"] == "3072"
+    assert err == ""
+    assert "epi: " in perr and perr.endswith("\n")
+    # the budget verdict comes first: exit 2, no progress
+    code, out, err = run(capsys, *argv, "--progress", "--oracle-budget", "1",
+                         "--json")
+    assert code == 2
+    assert "budget" in json.loads(out)["error"]
+    assert err == ""
+
+
 def test_count_epi_preset_formula_default(capsys):
     code, out, _ = run(
         capsys, "count-epi", "--model", "preset", "--name", "ram01",

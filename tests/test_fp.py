@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from massey_census import fp
 from massey_census.fp import (
@@ -97,6 +98,66 @@ def test_rank_invariance_random():
             c = a.copy()
             c[1] = (c[1] + c[2]) % p
             assert fp.rank_mod(c, p) == r
+
+
+def _row_space_rank(a, p):
+    """log_p of the number of distinct c @ a mod p over every c in F_p^rows:
+    a rank that shares no code with the elimination."""
+    rows, cols = a.shape
+    combos = np.indices((p,) * rows).reshape(rows, -1).T
+    codes = (combos @ (a % p)) % p @ p ** np.arange(cols)
+    size = len(np.unique(codes))
+    k = 0
+    while p ** k < size:
+        k += 1
+    assert p ** k == size
+    return k
+
+
+@st.composite
+def _rank_stacks(draw):
+    """A stack of up to 4 integer matrices, up to 6 x 8, whose rows are
+    random (entries -p .. 2p), zero, or a multiple of an earlier row."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 8))
+    stack = []
+    for _ in range(draw(st.integers(1, 4))):
+        mat = []
+        for _ in range(rows):
+            kind = draw(st.sampled_from(("random", "zero", "repeat")))
+            if kind == "zero":
+                mat.append([0] * cols)
+            elif kind == "repeat" and mat:
+                row = draw(st.sampled_from(mat))
+                k = draw(st.integers(1, p - 1))
+                mat.append([k * x for x in row])
+            else:
+                mat.append(draw(st.lists(st.integers(-p, 2 * p),
+                                         min_size=cols, max_size=cols)))
+        stack.append(mat)
+    return p, np.array(stack, dtype=np.int64)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_rank_stacks())
+def test_rank_stack_matches_row_space_size(case):
+    p, stack = case
+    ranks = fp.rank_mod(stack, p)
+    assert ranks.shape == (len(stack),)
+    for a, r in zip(stack, ranks):
+        single = fp.rank_mod(a, p)
+        assert type(single) is int
+        assert single == r == _row_space_rank(a, p)
+    assert fp.rank_mod(stack[None], p).tolist() == [ranks.tolist()]
+
+
+def test_rank_exact_for_large_primes():
+    # eliminating multiplies entries up to (p-1)^2: past int16 at 46337,
+    # past int32 at 65537 and past int64 at 2^61 - 1
+    for p in (46337, 65537, 2 ** 61 - 1):
+        assert fp.rank_mod([[p - 1, 1], [1, p - 1]], p) == 1  # rows r, -r
+        assert fp.rank_mod([[p - 1, 2], [1, p - 1]], p) == 2  # det -1
 
 
 def test_gram_form_validation():

@@ -1,12 +1,19 @@
 """Brute-force oracle tests: frozen counts, cross-checks against the scalar
 group arithmetic, and the defining-system search."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from massey_census import fp, oracle
-from massey_census.census import GroupModel, epi_count, tmp_enumerate
+from massey_census.census import (
+    GroupModel,
+    epi_count,
+    model_presentation,
+    tmp_enumerate,
+)
 from massey_census.fp import BudgetError, FpVector, vector_from_index
 from massey_census.forms import consecutive_orthogonal_basis, demushkin_gram
 from massey_census.oracle import (
@@ -136,6 +143,40 @@ def test_epi_profile_memo_fallback(monkeypatch):
         assert count_epi_bruteforce(pres, 4, 2) == 6144
     finally:
         oracle._surjective_table.cache_clear()
+
+
+def test_epi_profile_fallback_odd_p(monkeypatch):
+    # above the table limit each block rank-tests its distinct profiles
+    monkeypatch.setattr(oracle, "_PROFILE_TABLE_LIMIT", 1)
+    oracle._surjective_table.cache_clear()
+    try:
+        # (3^3-1)(3^3-3) 3^3
+        assert count_epi_bruteforce(free_presentation(3), 3, 3) == 16848
+        pres = demushkin_presentation(4, 3, 3, "D1")
+        assert count_epi_bruteforce(pres, 3, 3) == 155520
+        # two relators: the surjectivity stage runs first and its survivors
+        # feed the relators, so each verdict must land on its own assignment
+        pres = model_presentation(GroupModel.dd(2, 3, 2, 3), 3)
+        assert count_epi_bruteforce(pres, 3, 3) == 62208  # cp_count * 3^4
+    finally:
+        oracle._surjective_table.cache_clear()
+
+
+def test_surjective_table_counts_full_rank_profiles():
+    # a profile passes exactly when its (n-1) x rank matrix has full row
+    # rank, and prod_{i < n-1} (p^rank - p^i) of them do
+    for p in (2, 3, 5, 7):
+        for n in (3, 4, 5):
+            rank = 1
+            while p ** ((n - 1) * rank) <= 400_000:
+                table = oracle._surjective_table(n, p, rank)
+                assert table.dtype == bool
+                assert len(table) == p ** ((n - 1) * rank)
+                want = math.prod(p ** rank - p ** i for i in range(n - 1))
+                assert table.sum() == want
+                rank += 1
+    assert oracle._surjective_table(3, 7, 3).sum() == 114912
+    assert oracle._surjective_table(3, 5, 4).sum() == 386880
 
 
 def test_lifts_constant_on_triples():
