@@ -3,25 +3,35 @@ the unitriangular groups directly, with no counting theory in the loop."""
 
 from __future__ import annotations
 
+import functools
+import operator
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from functools import lru_cache
 
 import numpy as np
 
-from .fp import BudgetError, FpVector, check_prime, rank_mod, vectors_array
+from .fp import (
+    _RANK_SLICE,
+    BudgetError,
+    FpVector,
+    check_prime,
+    rank_mod,
+    vectors_array,
+)
 from .forms import gram_from_demushkin, zero_form
 from .unipotent import (
-    ExponentToken,
+    F2_LANES,
     MAX_N,
     MIN_N,
+    fp_ring,
     mul_recipe,
     pair_index,
     triangle_pairs,
+    walk_word,
 )
-from .words import Comm, Gen, Pow, Presentation, Prod
+from .words import Presentation
 
 ORACLE_BUDGET = 2 ** 26
 ORACLE_BUDGET_EXTENDED = 2 ** 31
@@ -30,88 +40,25 @@ CHUNK = 2 ** 18
 _PROFILE_TABLE_LIMIT = 2 ** 22
 
 
-# --- batched group arithmetic -------------------------------------------------
+# --- block representations ----------------------------------------------------
 #
-# A batch element is a list over triangle positions; each slot is either a
-# numpy int16 array (one value per assignment in the block) or a python int
-# broadcast across the block: the digits that stay constant over a block are
-# python ints.  All recipes mirror the scalar ones.  Reduction is
-# `v - v // p * p`: numpy divides an array by a scalar far faster with
-# floor_divide than with remainder, and floor division keeps the result in
-# [0, p) for the negative sums of `_batch_inv`.  Before reduction a product
-# slot reaches 2(p-1) + (n-2)(p-1)^2, which `_enumerate_space` keeps below
-# the int16 limit.
+# The oracle walks its space in blocks of p^k assignments and evaluates each
+# relator once per block with the recipe walkers of `unipotent`.  An entry of
+# a generator image is one of:
+#   - odd p: a numpy int16 array, one value per assignment of the block, or
+#     a python int broadcast across it (the digits constant over the block).
+#     Stages compact the block to its survivors.  Before reduction an entry
+#     reaches 2(p-1) + (n-2)(p-1)^2, which `_enumerate_space` keeps below the
+#     int16 limit.
+#   - p = 2: bit-sliced, a numpy uint64 array whose bit l of word w is the
+#     entry of assignment 64w + l of the block, or a python int lane word
+#     repeated across it.  Stages AND their verdicts into one `alive` mask
+#     and nothing is compacted.
 
-
-def _batch_identity(n, p, bar):
-    return [0] * len(triangle_pairs(n, bar))
-
-
-def _batch_mul(a, b, recipe, p):
-    out = []
-    for t, prods in enumerate(recipe):
-        v = a[t] + b[t]
-        for (u, w) in prods:
-            v = v + a[u] * b[w]
-        out.append(v - v // p * p)
-    return out
-
-
-def _batch_inv(a, n, p, bar):
-    pairs = triangle_pairs(n, bar)
-    idx = pair_index(n, bar)
-    out = [0] * len(pairs)
-    for t, (i, j) in enumerate(pairs):
-        s = a[t]
-        for k in range(i + 1, j):
-            s = s + out[idx[(i, k)]] * a[idx[(k, j)]]
-        s = -s
-        out[t] = s - s // p * p
-    return out
-
-
-def _batch_pow(a, e, n, p, bar):
-    if isinstance(e, ExponentToken):
-        if e.is_infinite:
-            return _batch_identity(n, p, bar)
-        e = e.value
-    e = int(e)
-    if e < 0:
-        a = _batch_inv(a, n, p, bar)
-        e = -e
-    recipe = mul_recipe(n, bar)
-    result = _batch_identity(n, p, bar)
-    base = a
-    while e:
-        if e & 1:
-            result = _batch_mul(result, base, recipe, p)
-        e >>= 1
-        if e:
-            base = _batch_mul(base, base, recipe, p)
-    return result
-
-
-def _batch_eval(word, images, n, p, bar):
-    if isinstance(word, Gen):
-        return images[word.index - 1]
-    if isinstance(word, Prod):
-        recipe = mul_recipe(n, bar)
-        out = _batch_identity(n, p, bar)
-        for f in word.factors:
-            out = _batch_mul(out, _batch_eval(f, images, n, p, bar), recipe, p)
-        return out
-    if isinstance(word, Pow):
-        return _batch_pow(_batch_eval(word.word, images, n, p, bar),
-                          word.exponent, n, p, bar)
-    if isinstance(word, Comm):
-        a = _batch_eval(word.left, images, n, p, bar)
-        b = _batch_eval(word.right, images, n, p, bar)
-        recipe = mul_recipe(n, bar)
-        ia = _batch_inv(a, n, p, bar)
-        ib = _batch_inv(b, n, p, bar)
-        return _batch_mul(_batch_mul(_batch_mul(ia, ib, recipe, p), a,
-                                     recipe, p), b, recipe, p)
-    raise TypeError(f"not a group word: {word!r}")
+_ALL = 2 ** 64 - 1
+# bit l of _LANES[j] is bit j of l: digit j of the 64 assignments of a word
+_LANES = [sum(1 << lane for lane in range(64) if lane >> j & 1)
+          for j in range(6)]
 
 
 def _identity_mask(entries, size):
@@ -121,15 +68,37 @@ def _identity_mask(entries, size):
     return keep
 
 
+def _f2_identity_lanes(entries):
+    """Lanes in which every entry is 0."""
+    return _ALL ^ functools.reduce(operator.or_, entries, 0)
+
+
+def _f2_surjective_lanes(images, n):
+    """Lanes whose images generate U_n: no nonzero F_2-combination of the
+    n-1 superdiagonal rows vanishes on every generator."""
+    idx = pair_index(n, False)
+    rows = [[img[idx[(s + 1, s + 2)]] for img in images] for s in range(n - 1)]
+    combos = [[0] * len(images)]  # combos[c]: the rows in c summed, per g
+    dead = 0
+    for c in range(1, 2 ** (n - 1)):
+        low = (c & -c).bit_length() - 1
+        combo = [x ^ y for x, y in zip(combos[c & (c - 1)], rows[low])]
+        combos.append(combo)
+        dead |= _f2_identity_lanes(combo)
+    return _ALL ^ dead
+
+
 # --- assignment space ---------------------------------------------------------
 
 
-# A profile packs the superdiagonal entries (s, s+1) of the rank generator
-# images into one base-p number, generator 0 and s = 0 most significant.  It
-# generates U_n exactly when its (n-1) x rank matrix has full row rank.  The
-# verdicts come from one batched elimination (`fp.rank_mod`): for every
-# profile at once while p^width <= _PROFILE_TABLE_LIMIT, built once per
-# (n, p, rank) per process, and for a block's distinct profiles above that.
+# At odd p, a profile packs the superdiagonal entries (s, s+1) of the rank
+# generator images into one base-p number, generator 0 and s = 0 most
+# significant.  It generates U_n exactly when its (n-1) x rank matrix has
+# full row rank.  The verdicts come from batched eliminations (`fp.rank_mod`,
+# one _RANK_SLICE of profiles at a time): for every profile while p^width <=
+# _PROFILE_TABLE_LIMIT, as a table built once per (n, p, rank) per process,
+# and for a block's distinct profiles above that.  The bit-sliced p = 2 path
+# tests the rank in its lanes instead (`_f2_surjective_lanes`).
 
 
 def _profile_weights(n, p, rank):
@@ -140,14 +109,20 @@ def _profile_weights(n, p, rank):
 
 
 def _generates(profiles, n, p, rank):
-    """Whether each packed profile generates U_n."""
-    mats = np.empty((len(profiles), n - 1, rank), dtype=np.int16)
-    for (s, g), w in np.ndenumerate(_profile_weights(n, p, rank)):
-        mats[:, s, g] = profiles // w % p
-    return rank_mod(mats, p) == n - 1
+    """Whether each packed profile generates U_n.  Profiles are decoded and
+    eliminated one fp._RANK_SLICE at a time, so the working set is one
+    slice's matrices whatever the number of profiles."""
+    weights = _profile_weights(n, p, rank)
+    out = np.empty(len(profiles), dtype=bool)
+    for lo in range(0, len(profiles), _RANK_SLICE):
+        part = profiles[lo:lo + _RANK_SLICE]
+        out[lo:lo + len(part)] = (
+            rank_mod(part[:, None, None] // weights % p, p) == n - 1
+        )
+    return out
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def _surjective_table(n, p, rank):
     """Boolean table over packed superdiagonal profiles: generates U_n?"""
     size = p ** ((n - 1) * rank)
@@ -180,21 +155,33 @@ def _block_exponent(p, chunk, digits):
     return k
 
 
-def _digit_planes(p, k):
-    """For j < k, digit j of every index 0 .. p^k - 1, as an int16 array."""
-    digits = np.arange(p, dtype=np.int16)[:, None]
+def _digit_planes(p, k, values=None):
+    """For j < k, digit j of every index 0 .. p^k - 1 as an array, the digit
+    d written as values[d] (by default d itself, as int16)."""
+    if values is None:
+        values = np.arange(p, dtype=np.int16)
+    column = values[:, None]
     return [
-        np.broadcast_to(digits, (p ** (k - 1 - j), p, p ** j)).reshape(-1)
+        np.broadcast_to(column, (p ** (k - 1 - j), p, p ** j)).reshape(-1)
         for j in range(k)
     ]
 
 
-def _decode_images(start, planes, rank, n, p, bar, free_pairs, fixed):
-    """Per-generator batch elements for the block of p^len(planes)
-    assignments that starts at `start`, a multiple of the block size.  The
-    free entry j of generator g is base-p digit (rank-1-g)*len(free_pairs)+j
-    of the assignment index: a digit plane below the block size, a python
-    int constant over the block above it."""
+def _lane_planes(k):
+    """The bit-sliced digit planes of a block of 2^k assignments: digits
+    below 6 vary inside a word and are the same lane word in every word;
+    digits 6 .. k-1 are words of all ones or all zeros."""
+    words = _digit_planes(2, max(k - 6, 0), np.array([0, _ALL], np.uint64))
+    return _LANES[:k] + words
+
+
+def _decode_images(start, planes, rank, n, p, bar, free_pairs, fixed, one=1):
+    """Per-generator elements for the block of assignments that starts at
+    `start`, a multiple of the block size p^len(planes).  The free entry j of
+    generator g is base-p digit (rank-1-g)*len(free_pairs)+j of the
+    assignment index: a digit plane below the block size, a python int
+    constant over the block above it.  Constants are scaled by `one`: 1 for
+    int16 entries, all ones for bit-sliced ones."""
     pairs = triangle_pairs(n, bar)
     idx = pair_index(n, bar)
     width = len(free_pairs)
@@ -203,11 +190,11 @@ def _decode_images(start, planes, rank, n, p, bar, free_pairs, fixed):
         entries = [0] * len(pairs)
         if fixed:
             for pq, values in fixed.items():
-                entries[idx[pq]] = int(values[g])
+                entries[idx[pq]] = int(values[g]) * one
         for j, pq in enumerate(free_pairs):
             pos = (rank - 1 - g) * width + j
             entries[idx[pq]] = (planes[pos] if pos < len(planes)
-                                else start // p ** pos % p)
+                                else start // p ** pos % p * one)
         images.append(entries)
     return images
 
@@ -219,42 +206,85 @@ def _compress(images, survivors):
     ]
 
 
+def _fp_block_counter(pres, n, p, bar, fixed, free_pairs, k, stages):
+    """Counts one block of p^k assignments at odd p, compacting the block to
+    the survivors of each stage before the next."""
+    rank = pres.rank
+    recipe, ring = mul_recipe(n, bar), fp_ring(p)
+    planes = _digit_planes(p, k)
+
+    def count(start):
+        images = _decode_images(start, planes, rank, n, p, bar, free_pairs,
+                                fixed)
+        size, keep = p ** k, None
+        for stage in stages:
+            if keep is not None:  # compact to the last stage's survivors
+                survivors = np.nonzero(keep)[0]
+                size = len(survivors)
+                if size == 0:
+                    return 0
+                images = _compress(images, survivors)
+            if stage == "surjective":
+                keep = _surjective_mask(images, n, p, rank, size)
+            else:
+                value = walk_word(pres.relators[stage], images, recipe, ring)
+                keep = _identity_mask(value, size)
+        return size if keep is None else int(np.count_nonzero(keep))
+
+    return count
+
+
+def _f2_block_counter(pres, n, bar, fixed, free_pairs, k, stages):
+    """Counts one block of 2^k assignments at p = 2, bit-sliced: 64
+    assignments per uint64 word, one word when the block has fewer than 64
+    lanes."""
+    rank = pres.rank
+    recipe = mul_recipe(n, bar)
+    planes = _lane_planes(k)
+    words = 2 ** max(k - 6, 0)
+    lanes = _ALL if k >= 6 else 2 ** (2 ** k) - 1
+
+    def count(start):
+        images = _decode_images(start, planes, rank, n, 2, bar, free_pairs,
+                                fixed, _ALL)
+        alive = np.full(words, lanes, dtype=np.uint64)
+        for stage in stages:
+            if stage == "surjective":
+                alive &= _f2_surjective_lanes(images, n)
+            else:
+                value = walk_word(pres.relators[stage], images, recipe,
+                                  F2_LANES)
+                alive &= _f2_identity_lanes(value)
+            if not alive.any():
+                return 0
+        return int(np.bitwise_count(alive).sum())
+
+    return count
+
+
 def _count_range(pres, n, p, bar, fixed, lo, hi, k, want_surjective,
                  exists_only=False, progress=None):
     """Count the assignments in [lo, hi), both multiples of p^k, that pass
     every stage, one block of p^k assignments at a time."""
-    rank = pres.rank
     pairs = triangle_pairs(n, bar)
     free_pairs = [pq for pq in pairs if not (fixed and pq in fixed)]
+    # with two or more relators the surjectivity stage runs first
     surj_first = want_surjective and len(pres.relators) >= 2
-    planes = _digit_planes(p, k)
+    stages = ["surjective"] if surj_first else []
+    stages.extend(range(len(pres.relators)))
+    if want_surjective and not surj_first:
+        stages.append("surjective")
+    if p == 2:
+        count = _f2_block_counter(pres, n, bar, fixed, free_pairs, k, stages)
+    else:
+        count = _fp_block_counter(pres, n, p, bar, fixed, free_pairs, k,
+                                  stages)
     block = p ** k
     total = 0
     for start in range(lo, hi, block):
-        size = block
-        images = _decode_images(start, planes, rank, n, p, bar, free_pairs,
-                                fixed)
-
-        stages = []
-        if surj_first:
-            stages.append("surjective")
-        stages.extend(range(len(pres.relators)))
-        if want_surjective and not surj_first:
-            stages.append("surjective")
-
-        for stage in stages:
-            if stage == "surjective":
-                keep = _surjective_mask(images, n, p, rank, size)
-            else:
-                value = _batch_eval(pres.relators[stage], images, n, p, bar)
-                keep = _identity_mask(value, size)
-            survivors = np.nonzero(keep)[0]
-            size = len(survivors)
-            if size == 0:
-                break
-            images = _compress(images, survivors)
-        total += size
-        if exists_only and size:
+        found = count(start)
+        total += found
+        if exists_only and found:
             return total
         if progress is not None:
             progress(start + block)

@@ -3,7 +3,9 @@ used for representation searches (the (1,n) corner entry removed)."""
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from . import fp
 from .fp import FpMatrix, FpScalar
@@ -175,59 +177,141 @@ class UniBarMatrix(UniMatrix):
     __slots__ = ()
 
 
-def _compat(a: UniMatrix, b: UniMatrix) -> None:
+def check_same_group(a: UniMatrix, b: UniMatrix) -> None:
     if type(a) is not type(b) or a.n != b.n or a.p != b.p:
         raise ValueError("group elements live in different groups")
 
 
 def group_mul(a: UniMatrix, b: UniMatrix) -> UniMatrix:
     """Product in U_n(F_p) (or its bar quotient)."""
-    _compat(a, b)
-    recipe = mul_recipe(a.n, a.bar)
-    p = a.p
-    ae, be = a.entries, b.entries
-    out = []
-    for t, prods in enumerate(recipe):
-        v = ae[t] + be[t]
-        for (u, w) in prods:
-            v += ae[u] * be[w]
-        out.append(v % p)
+    check_same_group(a, b)
+    out = walk_mul(a.entries, b.entries, mul_recipe(a.n, a.bar), fp_ring(a.p))
     return type(a)(a.n, a.p, out)
 
 
 def group_inv(a: UniMatrix) -> UniMatrix:
     """Inverse, solved band by band from the superdiagonal inward."""
-    pairs = triangle_pairs(a.n, a.bar)
-    idx = pair_index(a.n, a.bar)
-    p = a.p
-    out = [0] * len(pairs)
-    for t, (i, j) in enumerate(pairs):
-        s = a.entries[t]
-        for k in range(i + 1, j):
-            s += out[idx[(i, k)]] * a.entries[idx[(k, j)]]
-        out[t] = -s % p
+    out = walk_inv(a.entries, mul_recipe(a.n, a.bar), fp_ring(a.p))
     return type(a)(a.n, a.p, out)
 
 
 def group_pow(a: UniMatrix, e) -> UniMatrix:
     """a**e by square-and-multiply; e may be an int or an ExponentToken
     (p-infinity gives the identity)."""
+    out = walk_pow(a.entries, e, mul_recipe(a.n, a.bar), fp_ring(a.p))
+    return type(a)(a.n, a.p, out)
+
+
+# --- the recipe walkers -------------------------------------------------------
+#
+# The one implementation of the group arithmetic.  An element is a sequence
+# over the stored triangle positions (`triangle_pairs` order); the walkers
+# only combine entries through a Ring, so the same code multiplies python
+# ints (the scalar functions above), int16 arrays holding one assignment per
+# slot (the oracle at odd p) and uint64 words holding one assignment per bit
+# (the oracle at p = 2).  0 is the identity entry in every ring, and a python
+# int entry is broadcast across an array-valued element.
+
+
+class Ring(NamedTuple):
+    """The field operations the walkers use on entries."""
+
+    add: Callable
+    mul: Callable
+    neg: Callable
+    reduce: Callable
+
+
+@lru_cache(maxsize=None)
+def fp_ring(p: int) -> Ring:
+    """F_p on python ints or integer arrays.  Reduction is `v - v // p * p`:
+    numpy divides an array by a scalar far faster with floor_divide than with
+    remainder, and floor division keeps negative values in [0, p).  Before
+    reduction a product entry reaches 2(p-1) + (n-2)(p-1)^2."""
+    return Ring(operator.add, operator.mul, operator.neg,
+                lambda v: v - v // p * p)
+
+
+def _unchanged(v):
+    return v
+
+
+# F_2 bit-sliced: bit l of a uint64 word (or of a python int below 2^64) is
+# the entry in lane l.  Addition is XOR, multiplication AND, -v = v, and no
+# entry ever leaves F_2.
+F2_LANES = Ring(operator.xor, operator.and_, _unchanged, _unchanged)
+
+
+def walk_mul(a, b, recipe, ring):
+    """Entries of a * b: c[i,j] = a[i,j] + b[i,j] + sum a[i,k] b[k,j]."""
+    add, mul, _, reduce = ring
+    out = []
+    for t, prods in enumerate(recipe):
+        v = add(a[t], b[t])
+        for u, w in prods:
+            v = add(v, mul(a[u], b[w]))
+        out.append(reduce(v))
+    return out
+
+
+def walk_inv(a, recipe, ring):
+    """Entries of a^-1, band by band: c[i,j] = -(a[i,j] + sum c[i,k] a[k,j]),
+    where every c[i,k] lies in an earlier band."""
+    add, mul, neg, reduce = ring
+    out = [0] * len(recipe)
+    for t, prods in enumerate(recipe):
+        s = a[t]
+        for u, w in prods:
+            s = add(s, mul(out[u], a[w]))
+        out[t] = reduce(neg(s))
+    return out
+
+
+def walk_pow(a, e, recipe, ring):
+    """Entries of a^e by square-and-multiply; e may be an int or an
+    ExponentToken (p-infinity gives the identity)."""
     if isinstance(e, ExponentToken):
         if e.is_infinite:
-            return type(a)(a.n, a.p)
+            return [0] * len(recipe)
         e = e.value
     e = int(e)
     if e < 0:
-        return group_pow(group_inv(a), -e)
-    result = type(a)(a.n, a.p)
-    base = a
+        a, e = walk_inv(a, recipe, ring), -e
+    result = None  # the identity, never multiplied out
     while e:
         if e & 1:
-            result = group_mul(result, base)
+            result = a if result is None else walk_mul(result, a, recipe, ring)
         e >>= 1
         if e:
-            base = group_mul(base, base)
-    return result
+            a = walk_mul(a, a, recipe, ring)
+    return [0] * len(recipe) if result is None else result
+
+
+def walk_word(word, images, recipe, ring):
+    """Entries of a group word with images[i-1] substituted for Gen(i);
+    [a, b] = a^-1 b^-1 a b."""
+    from .words import Comm, Gen, Pow, Prod  # words builds on this module
+
+    if isinstance(word, Gen):
+        return images[word.index - 1]
+    if isinstance(word, Prod):
+        if not word.factors:
+            return [0] * len(recipe)
+        out = walk_word(word.factors[0], images, recipe, ring)
+        for f in word.factors[1:]:
+            out = walk_mul(out, walk_word(f, images, recipe, ring), recipe,
+                           ring)
+        return out
+    if isinstance(word, Pow):
+        return walk_pow(walk_word(word.word, images, recipe, ring),
+                        word.exponent, recipe, ring)
+    if isinstance(word, Comm):
+        a = walk_word(word.left, images, recipe, ring)
+        b = walk_word(word.right, images, recipe, ring)
+        inv = walk_mul(walk_inv(a, recipe, ring), walk_inv(b, recipe, ring),
+                       recipe, ring)
+        return walk_mul(walk_mul(inv, a, recipe, ring), b, recipe, ring)
+    raise TypeError(f"not a group word: {word!r}")
 
 
 def proj_entry(a: UniMatrix, i: int, j: int) -> FpScalar:

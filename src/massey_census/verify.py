@@ -10,6 +10,7 @@ from .census import (
     GroupModel,
     cp_count,
     epi_count,
+    model_presentation,
     nu_extensions,
     nu_local_closed,
     preset_model,
@@ -20,6 +21,7 @@ from .census import (
 )
 from .fp import FpVector
 from .oracle import (
+    CHUNK,
     ORACLE_BUDGET_EXTENDED,
     count_epi_bruteforce,
     count_lifts_bruteforce,
@@ -203,10 +205,13 @@ def _determinism(threads):
     serial = count_epi_bruteforce(pres, 4, 2)
     threaded = count_epi_bruteforce(pres, 4, 2, threads=max(threads, 2),
                                     chunk=2 ** 14)
-    tmp1 = tmp_enumerate(GroupModel.demushkin(4, 3), 3, threads=1)[0]
-    tmp2 = tmp_enumerate(GroupModel.demushkin(4, 3), 3, threads=2)[0]
-    ok = serial == threaded == 6144 and tmp1 == tmp2 == 34560
-    return ok, f"oracle {serial}/{threaded}, scan {tmp1}/{tmp2}"
+    # odd p, in process: blocks of 3^9, 3^6 and 3^4 assignments
+    odd = {count_epi_bruteforce(free_presentation(3), 3, 3, chunk=chunk)
+           for chunk in (CHUNK, 1000, 3 ** 4)}
+    scan = tmp_enumerate(GroupModel.demushkin(4, 3), 3)[0]
+    ok = serial == threaded == 6144 and odd == {16848} and scan == 34560
+    return ok, (f"oracle {serial}/{threaded}, odd-p chunks "
+                f"{'/'.join(map(str, sorted(odd)))}, scan {scan}")
 
 
 def _d1_oracle(threads):
@@ -252,8 +257,6 @@ def _sum_identity_d3():
 def _df_oracle(threads):
     model = GroupModel.df(3, 2, 1)
     formula = epi_count(model, 2).epi
-    from .census import model_presentation
-
     brute = count_epi_bruteforce(model_presentation(model, 2), 4, 2,
                                  threads=threads)
     ok = formula == brute == 1327104
@@ -263,8 +266,6 @@ def _df_oracle(threads):
 def _dd_exploratory(threads):
     model = GroupModel.dd(2, 4, 2, 4)
     formula = epi_count(model, 2).epi
-    from .census import model_presentation
-
     brute = count_epi_bruteforce(model_presentation(model, 2), 4, 2,
                                  threads=threads)
     verdict = "match" if formula == brute else "MISMATCH"
@@ -280,6 +281,14 @@ def _free_rank2_u4_vanishes():
                                  budget=ORACLE_BUDGET_EXTENDED)
     ok = formula == brute == 0
     return ok, f"rank 2 onto U_4(F_3): formula {formula}, oracle {brute}"
+
+
+def _rank5_oracle(model, frozen, threads):
+    formula = epi_count(model, 2).epi
+    brute = count_epi_bruteforce(model_presentation(model, 2), 4, 2,
+                                 budget=ORACLE_BUDGET_EXTENDED,
+                                 threads=threads)
+    return _check_eq("formula = oracle = frozen", formula, brute, frozen)
 
 
 def run_suite(suite: str = "desk", threads: int = 1) -> list:
@@ -313,6 +322,15 @@ def run_suite(suite: str = "desk", threads: int = 1) -> list:
              lambda: _dd_exploratory(threads), exploratory=True)
         _run(rows, "rank 2 has no U_4 surjections (formula = oracle = 0)",
              _free_rank2_u4_vanishes)
+        # rank 5: 2^30-assignment spaces, within the extended budget
+        for model, frozen in (
+            (GroupModel.free(5), 853278720),
+            (GroupModel.demushkin(5, 2), 96337920),
+            (GroupModel.df(3, 2, 2), 132120576),
+            (GroupModel.df(4, 4, 1), 96337920),
+        ):
+            _run(rows, f"rank 5 {model.describe()}: epi {frozen}",
+                 lambda m=model, v=frozen: _rank5_oracle(m, v, threads))
     return rows
 
 

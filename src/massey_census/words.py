@@ -5,7 +5,14 @@ from __future__ import annotations
 
 import json
 
-from .unipotent import ExponentToken, P_INFINITY, group_inv, group_mul, group_pow
+from .unipotent import (
+    ExponentToken,
+    P_INFINITY,
+    check_same_group,
+    fp_ring,
+    mul_recipe,
+    walk_word,
+)
 
 
 class Gen:
@@ -128,24 +135,17 @@ def evaluate_word(w, images):
     images = list(images)
     if not images:
         raise ValueError("need at least one image to fix the target group")
-    if isinstance(w, Gen):
-        if w.index > len(images):
-            raise ValueError(
-                f"word uses generator {w.index} but only {len(images)} images given"
-            )
-        return images[w.index - 1]
-    if isinstance(w, Prod):
-        acc = type(images[0])(images[0].n, images[0].p)  # identity
-        for f in w.factors:
-            acc = group_mul(acc, evaluate_word(f, images))
-        return acc
-    if isinstance(w, Pow):
-        return group_pow(evaluate_word(w.word, images), w.exponent)
-    if isinstance(w, Comm):
-        a = evaluate_word(w.left, images)
-        b = evaluate_word(w.right, images)
-        return group_mul(group_mul(group_inv(a), group_inv(b)), group_mul(a, b))
-    raise TypeError(f"not a group word: {w!r}")
+    if max_generator(w) > len(images):
+        raise ValueError(
+            f"word uses generator {max_generator(w)} but only {len(images)} "
+            f"images given"
+        )
+    first = images[0]
+    for im in images[1:]:
+        check_same_group(first, im)
+    entries = walk_word(w, [im.entries for im in images],
+                        mul_recipe(first.n, first.bar), fp_ring(first.p))
+    return type(first)(first.n, first.p, entries)
 
 
 class QInvariant:

@@ -1,13 +1,15 @@
 """Brute-force oracle tests: frozen counts, cross-checks against the scalar
 group arithmetic, and the defining-system search."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from massey_census import fp, oracle
+from massey_census import fp, oracle, unipotent
 from massey_census.census import (
     GroupModel,
     epi_count,
@@ -29,11 +31,16 @@ from massey_census.unipotent import (
     mul_recipe,
     pair_index,
     triangle_pairs,
+    walk_inv,
+    walk_mul,
+    walk_pow,
+    walk_word,
 )
 from massey_census.words import (
     Comm,
     Gen,
     Pow,
+    Presentation,
     Prod,
     RamifiedRelatorData,
     demushkin_presentation,
@@ -61,11 +68,21 @@ def test_epi_small_target():
 
 
 def test_epi_threads_and_chunks_deterministic():
-    pres = demushkin_presentation(3, 2, 2, "D2", f="inf")
-    serial = count_epi_bruteforce(pres, 4, 2)
-    threaded = count_epi_bruteforce(pres, 4, 2, threads=2, chunk=2 ** 14)
-    rechunked = count_epi_bruteforce(pres, 4, 2, chunk=2 ** 10)
-    assert serial == threaded == rechunked == 6144
+    # p = 2 is bit-sliced: blocks run from one lane of a partial word
+    # (chunk 1) to 4096 words (CHUNK); two threads split a space of more
+    # than two blocks at a block boundary
+    cases = (
+        (demushkin_presentation(3, 2, 2, "D2", f="inf"), 3, 144,
+         (1, 16, 64, 2 ** 14)),
+        (demushkin_presentation(3, 2, 2, "D2", f="inf"), 4, 6144,
+         (64, 2 ** 10, 2 ** 14, oracle.CHUNK)),
+        (preset("ram01"), 4, 86016, (64, 2 ** 14, oracle.CHUNK)),
+    )
+    for pres, n, want, chunks in cases:
+        for chunk in chunks:
+            for threads in (1, 2):
+                assert count_epi_bruteforce(pres, n, 2, threads=threads,
+                                            chunk=chunk) == want
 
 
 def test_epi_odd_p_chunks_and_threads_deterministic():
@@ -84,6 +101,30 @@ def test_epi_odd_p_chunks_and_threads_deterministic():
         for threads in (1, 2):
             assert count_epi_bruteforce(free_presentation(2), 3, 3,
                                         threads=threads, chunk=chunk) == 432
+
+
+def test_rank5_free_onto_u4_f2_needs_extended_budget():
+    # 2^30 assignments: the default budget refuses before any work, the
+    # extended one reaches (2^5 - 1)(2^5 - 2)(2^5 - 4) 2^15
+    pres = free_presentation(5)
+    with pytest.raises(BudgetError, match=str(2 ** 30)):
+        count_epi_bruteforce(pres, 4, 2)
+    assert count_epi_bruteforce(
+        pres, 4, 2, budget=oracle.ORACLE_BUDGET_EXTENDED
+    ) == 31 * 30 * 28 * 2 ** 15
+
+
+def test_massey_exists_f2_within_one_word():
+    # a triple product on a rank-2 one-relator group: two free entries per
+    # generator, 16 lanes of one word; the verdicts are frozen from the
+    # int16 oracle
+    pres = Presentation(2, [Comm(Gen(1), Gen(2))])
+    vectors = ((1, 0), (0, 1), (1, 1))
+    found = set()
+    for chars in itertools.product(vectors, repeat=3):
+        if massey_system_exists(pres, [FpVector(c, 2) for c in chars], 2):
+            found.add(chars)
+    assert found == {(v, v, v) for v in vectors}
 
 
 def test_int16_overflow_refused():
@@ -177,6 +218,27 @@ def test_surjective_table_counts_full_rank_profiles():
                 rank += 1
     assert oracle._surjective_table(3, 7, 3).sum() == 114912
     assert oracle._surjective_table(3, 5, 4).sum() == 386880
+
+
+def test_surjective_table_built_one_slice_at_a_time():
+    # the whole (profiles, n-1, rank) int16 stack for 3^12 profiles is
+    # 12.75 MB; decoding one rank slice at a time must stay below it
+    oracle._surjective_table.cache_clear()
+    stack = 3 ** 12 * 2 * 6 * np.dtype(np.int16).itemsize
+    tracemalloc.start()
+    try:
+        table = oracle._surjective_table(3, 3, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        oracle._surjective_table.cache_clear()
+    assert peak < stack
+    assert table.sum() == (3 ** 6 - 1) * (3 ** 6 - 3)
+    # verdicts straddling slice boundaries match the literal digits' rank
+    profiles = np.arange(3 * fp._RANK_SLICE - 5, 3 * fp._RANK_SLICE + 5)
+    digits = [[[int(q) // 3 ** (11 - g * 2 - s) % 3 for g in range(6)]
+               for s in range(2)] for q in profiles]
+    assert table[profiles].tolist() == (fp.rank_mod(digits, 3) == 2).tolist()
 
 
 def test_lifts_constant_on_triples():
@@ -313,7 +375,8 @@ def test_batch_matches_scalar_arithmetic():
         for mats in (mats1, mats2)
     ]
     for w in words:
-        batch = oracle._batch_eval(w, images_batch, n, p, bar)
+        batch = walk_word(w, images_batch, mul_recipe(n, bar),
+                          unipotent.fp_ring(p))
         for s in range(size):
             scalar = evaluate_word(w, [mats1[s], mats2[s]])
             got = tuple(int(np.asarray(e)[s]) if isinstance(e, np.ndarray)
@@ -360,16 +423,41 @@ def test_progress_reporting(capsys):
     count = count_epi_bruteforce(pres, 3, 2, progress=True)
     assert count == 144
     assert "epi" in capsys.readouterr().err
+    # one report per block, ending on the whole space and a newline
+    assert count_epi_bruteforce(pres, 4, 2, progress=True,
+                                chunk=2 ** 14) == 6144
+    reports = capsys.readouterr().err.split("\r")[1:]
+    assert [r.split()[1] for r in reports] == [
+        f"{done}/{2 ** 18}" for done in range(2 ** 14, 2 ** 18 + 1, 2 ** 14)
+    ]
+    assert reports[-1].endswith("\n")
 
 
 # --- differential checks against dense integer matrices ----------------------
 
 
-def _dense(element, n, bar, k):
-    """Assignment k of a batch element as an n x n integer matrix."""
+def _lane(v, k, sliced):
+    """Assignment k of a batch entry: an int16 array or a bit-sliced uint64
+    word array, or a python int broadcast across the batch."""
+    if not sliced:
+        return int(v[k]) if isinstance(v, np.ndarray) else int(v)
+    word = int(v[k // 64]) if isinstance(v, np.ndarray) else int(v)
+    return word >> k % 64 & 1
+
+
+def _pack(bits):
+    """Bit-slice a 0/1 sequence: bit k % 64 of word k // 64 is bits[k]."""
+    words = np.zeros(-(-len(bits) // 64), dtype=np.uint64)
+    for k, bit in enumerate(bits):
+        words[k // 64] |= np.uint64(bit) << np.uint64(k % 64)
+    return words
+
+
+def _dense(entries, n, bar):
+    """Stored triangle entries as an n x n integer matrix."""
     m = np.eye(n, dtype=np.int64)
-    for (i, j), v in zip(triangle_pairs(n, bar), element):
-        m[i - 1, j - 1] = v[k] if isinstance(v, np.ndarray) else v
+    for (i, j), v in zip(triangle_pairs(n, bar), entries):
+        m[i - 1, j - 1] = v
     return m
 
 
@@ -394,33 +482,42 @@ def _dense_pow(m, e, p):
 @st.composite
 def batch_cases(draw):
     p = draw(st.sampled_from((2, 3, 5, 7)))
+    # at p = 2, also the bit-sliced ring: up to three words of lanes
+    sliced = p == 2 and draw(st.booleans())
     n = draw(st.integers(3, 6))
     bar = draw(st.booleans())
-    size = draw(st.integers(1, 5))
+    size = draw(st.integers(1, 150 if sliced else 5))
     digit = st.integers(0, p - 1)
 
     def element():
-        return [
-            np.array(draw(st.lists(digit, min_size=size, max_size=size)),
-                     dtype=np.int16)
-            if draw(st.booleans()) else draw(digit)
-            for _ in triangle_pairs(n, bar)
-        ]
+        out = []
+        for _ in triangle_pairs(n, bar):
+            if draw(st.booleans()):
+                lanes = draw(st.lists(digit, min_size=size, max_size=size))
+                out.append(_pack(lanes) if sliced
+                           else np.array(lanes, dtype=np.int16))
+            else:
+                out.append(draw(digit) * (oracle._ALL if sliced else 1))
+        return out
 
-    return p, n, bar, size, element(), element(), draw(st.integers(-9, 9))
+    e = draw(st.integers(-9, 9))
+    return p, sliced, n, bar, size, element(), element(), e
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(batch_cases())
 def test_batch_arithmetic_matches_dense_matmul(case):
-    p, n, bar, size, a, b, e = case
+    p, sliced, n, bar, size, a, b, e = case
+    recipe = mul_recipe(n, bar)
+    ring = unipotent.F2_LANES if sliced else unipotent.fp_ring(p)
     got = {
-        "mul": oracle._batch_mul(a, b, mul_recipe(n, bar), p),
-        "inv": oracle._batch_inv(a, n, p, bar),
-        "pow": oracle._batch_pow(a, e, n, p, bar),
+        "mul": walk_mul(a, b, recipe, ring),
+        "inv": walk_inv(a, recipe, ring),
+        "pow": walk_pow(a, e, recipe, ring),
     }
     for k in range(size):
-        A, B = _dense(a, n, bar, k), _dense(b, n, bar, k)
+        A = _dense([_lane(v, k, sliced) for v in a], n, bar)
+        B = _dense([_lane(v, k, sliced) for v in b], n, bar)
         want = {
             "mul": np.matmul(A, B) % p,
             "inv": _dense_inv(A, p),
@@ -428,8 +525,7 @@ def test_batch_arithmetic_matches_dense_matmul(case):
         }
         for name, element in got.items():
             # the bar corner is central, so the other entries ignore it
-            assert [int(v[k]) if isinstance(v, np.ndarray) else int(v)
-                    for v in element] == [
+            assert [_lane(v, k, sliced) for v in element] == [
                 int(want[name][i - 1, j - 1])
                 for i, j in triangle_pairs(n, bar)
             ], (name, k)
@@ -438,6 +534,7 @@ def test_batch_arithmetic_matches_dense_matmul(case):
 @st.composite
 def decode_cases(draw):
     p = draw(st.sampled_from((2, 3, 5, 7)))
+    sliced = p == 2 and draw(st.booleans())
     n = draw(st.integers(3, 5))
     bar = draw(st.booleans())
     rank = draw(st.integers(1, 3))
@@ -451,24 +548,34 @@ def decode_cases(draw):
     digits = len(free_pairs) * rank
     block = p ** oracle._block_exponent(p, chunk, digits)
     start = draw(st.integers(0, p ** digits // block - 1)) * block
-    return p, n, bar, rank, fixed or None, free_pairs, chunk, block, start
+    return (p, sliced, n, bar, rank, fixed or None, free_pairs, chunk, block,
+            start)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(decode_cases())
 def test_block_decode_matches_literal_digits(case):
-    p, n, bar, rank, fixed, free_pairs, chunk, block, start = case
+    p, sliced, n, bar, rank, fixed, free_pairs, chunk, block, start = case
     digits = len(free_pairs) * rank
     assert block <= max(chunk, 1)
     assert block == p ** digits or block * p > chunk
     k = oracle._block_exponent(p, chunk, digits)
-    images = oracle._decode_images(start, oracle._digit_planes(p, k), rank,
-                                   n, p, bar, free_pairs, fixed)
+    if sliced:
+        images = oracle._decode_images(start, oracle._lane_planes(k), rank, n,
+                                       p, bar, free_pairs, fixed, oracle._ALL)
+    else:
+        images = oracle._decode_images(start, oracle._digit_planes(p, k),
+                                       rank, n, p, bar, free_pairs, fixed)
     idx = pair_index(n, bar)
     I = range(start, start + block)
     for g in range(rank):
         for pq in triangle_pairs(n, bar):
-            entry = np.broadcast_to(images[g][idx[pq]], (block,)).tolist()
+            v = images[g][idx[pq]]
+            if sliced:
+                words = np.broadcast_to(v, (-(-block // 64),))
+                entry = [_lane(words, k, True) for k in range(block)]
+            else:
+                entry = np.broadcast_to(v, (block,)).tolist()
             if pq in free_pairs:
                 pos = (rank - 1 - g) * len(free_pairs) + free_pairs.index(pq)
                 assert entry == [(i // p ** pos) % p for i in I], (g, pq)
