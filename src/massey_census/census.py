@@ -8,6 +8,7 @@ import json
 import time
 import numpy as np
 
+from . import oracle
 from .fp import BudgetError, FpVector, check_prime, vectors_array
 from .forms import TrilinearForm, demushkin_gram, trace_tensor
 from .unipotent import aut_order
@@ -377,13 +378,12 @@ def _tmp_scan(model, p, budget, want_list, want_classes):
     return count, listing, classes
 
 
-def tmp_enumerate(model, p, budget=DEFAULT_TMP_BUDGET, want_list=False, threads=1):
+def tmp_enumerate(model, p, budget=DEFAULT_TMP_BUDGET, want_list=False):
     """Count ordered triples (x, y, z) of rank 3 satisfying the model's
     membership conditions; optionally return them in lexicographic order.
 
     The budget counts primitive form evaluations; exceeding it raises a
-    BudgetError suggesting the closed form, before any scanning.  `threads`
-    is accepted for a uniform signature: the scan runs in-process.
+    BudgetError suggesting the closed form, before any scanning.
     """
     count, listing, _ = _tmp_scan(model, p, budget, want_list, False)
     triples = None
@@ -646,43 +646,30 @@ def epi_count(model: GroupModel, p: int, target: int = 4, method="formula",
         if method != "formula":
             raise ValueError("target U_2 is counted by formula only")
         epi = p ** model.rank - 1
+    elif method == "oracle":
+        epi = oracle.count_epi_bruteforce(
+            model_presentation(model, p), target, p, threads=threads,
+            budget=oracle.ORACLE_BUDGET if oracle_budget is None
+            else oracle_budget,
+        )
     elif target == 3:
-        if method == "oracle":
-            from . import oracle
-
-            pres = model_presentation(model, p)
-            epi = oracle.count_epi_bruteforce(
-                pres, 3, p,
-                **_oracle_kwargs(oracle_budget, threads),
-            )
-        else:
-            cp_method = "closed" if method == "formula" else "enumerate"
-            pairs = cp_count(model, p, cp_method, budget)
-            epi = pairs * p ** model.rank
-    else:  # target == 4
-        if method == "formula":
-            epi, tmp = _epi_formula(model, p, budget, threads)
-        elif method == "tmp_sum":
-            count, _, classes = _tmp_scan(model, p, budget, False, True)
-            if model.kind == "demushkin":
-                assert classes.get("central", 0) == 0  # independence forbids it
-            tmp = count
-            breakdown = {}
-            epi = 0
-            for cls, n in classes.items():
-                if n == 0:
-                    continue
-                z1 = z1_closed(model, p, cls)
-                breakdown[cls] = (n, z1)
-                epi += n * z1
-        else:
-            from . import oracle
-
-            pres = model_presentation(model, p)
-            epi = oracle.count_epi_bruteforce(
-                pres, 4, p,
-                **_oracle_kwargs(oracle_budget, threads),
-            )
+        cp_method = "closed" if method == "formula" else "enumerate"
+        epi = cp_count(model, p, cp_method, budget) * p ** model.rank
+    elif method == "formula":
+        epi, tmp = _epi_formula(model, p, budget)
+    else:  # tmp_sum onto U_4
+        count, _, classes = _tmp_scan(model, p, budget, False, True)
+        if model.kind == "demushkin":
+            assert classes.get("central", 0) == 0  # independence forbids it
+        tmp = count
+        breakdown = {}
+        epi = 0
+        for cls, n in classes.items():
+            if n == 0:
+                continue
+            z1 = z1_closed(model, p, cls)
+            breakdown[cls] = (n, z1)
+            epi += n * z1
 
     ms = int((time.monotonic() - t0) * 1000)
     return CensusReport(
@@ -691,14 +678,7 @@ def epi_count(model: GroupModel, p: int, target: int = 4, method="formula",
     )
 
 
-def _oracle_kwargs(oracle_budget, threads):
-    kw = {"threads": threads}
-    if oracle_budget is not None:
-        kw["budget"] = oracle_budget
-    return kw
-
-
-def _epi_formula(model, p, budget, threads):
+def _epi_formula(model, p, budget):
     """Closed-form (or reduced-form) U_4 surjection counts per model family."""
     if model.kind == "demushkin":
         d = model.factors[0][1]
@@ -727,18 +707,21 @@ def _epi_formula(model, p, budget, threads):
         s = 3 * (d + e)
         return n * p ** (s - 2) + m * (p ** (s - 1) - p ** (s - 2)), n
     # s3: triple count times the uniform cocycle count
-    count, _ = tmp_enumerate(model, p, budget, threads=threads)
+    count, _ = tmp_enumerate(model, p, budget)
     return count * p ** (3 * model.data.n), count
 
 
 def nu_extensions(model: GroupModel, p: int, target: int = 4, method="formula",
                   budget=DEFAULT_TMP_BUDGET, threads=1, oracle_budget=None) -> CensusReport:
     """Galois-extension counts: surjections divided by target automorphisms."""
-    report = epi_count(model, p, target, method, budget, threads, oracle_budget)
-    if target == 2:
-        divisor = p - 1
-    else:
-        divisor = aut_order(target, p)
+    return attach_nu(
+        epi_count(model, p, target, method, budget, threads, oracle_budget))
+
+
+def attach_nu(report: CensusReport) -> CensusReport:
+    """Set report.nu to the surjection count over |Aut(U_target(F_p))|."""
+    p, target = report.p, report.target
+    divisor = p - 1 if target == 2 else aut_order(target, p)
     if report.epi % divisor:
         raise RuntimeError(
             f"internal consistency: surjection count {report.epi} is not "

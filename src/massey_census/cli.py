@@ -13,7 +13,7 @@ from . import census, oracle, verify
 from .census import (
     CensusReport,
     GroupModel,
-    epi_count,
+    attach_nu,
     local_field_model,
     model_presentation,
     nu_extensions,
@@ -25,7 +25,6 @@ from .census import (
 )
 from .fp import BudgetError, FpVector
 from .forms import load_input_file
-from .unipotent import aut_order
 from .words import (
     Presentation,
     RamifiedRelatorData,
@@ -143,15 +142,21 @@ def _load_config(path):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            where = f"config {path} line {ln}"
             if "=" not in line:
-                raise ValueError(f"config line {ln} is not key=value: {raw.strip()!r}")
+                raise ValueError(f"{where} is not key=value: {raw.strip()!r}")
             key, value = (s.strip() for s in line.split("=", 1))
             if key not in CONFIG_KEYS:
                 raise ValueError(
-                    f"unknown config key {key!r}; only budgets and thread "
-                    f"counts belong here: {', '.join(CONFIG_KEYS)}"
+                    f"{where}: unknown config key {key!r}; only budgets and "
+                    f"thread counts belong here: {', '.join(CONFIG_KEYS)}"
                 )
-            out[key] = int(value)
+            try:
+                out[key] = int(value)
+            except ValueError:
+                raise ValueError(
+                    f"{where}: {key} must be an integer, got {value!r}"
+                ) from None
     return out
 
 
@@ -161,7 +166,12 @@ def _settings(args):
     if threads is None:
         env = os.environ.get("MASSEY_CENSUS_THREADS")
         if env:
-            threads = int(env)
+            try:
+                threads = int(env)
+            except ValueError:
+                raise ValueError(
+                    f"MASSEY_CENSUS_THREADS must be an integer, got {env!r}"
+                ) from None
     if threads is None:
         threads = config.get("threads", 1)
     tmp_budget = getattr(args, "budget", None)
@@ -267,15 +277,7 @@ def _oracle_report(pres, label, p, target, settings, progress):
         threads=settings["threads"], progress=progress,
     )
     ms = int((time.monotonic() - t0) * 1000)
-    report = CensusReport(label, p, target, epi, "oracle", ms)
-    divisor = (p - 1) if target == 2 else aut_order(target, p)
-    if epi % divisor:
-        raise RuntimeError(
-            f"internal consistency: surjection count {epi} is not divisible "
-            f"by the automorphism count {divisor}"
-        )
-    report.nu = epi // divisor
-    return report
+    return attach_nu(CensusReport(label, p, target, epi, "oracle", ms))
 
 
 def _cmd_count_epi(args):
@@ -330,7 +332,7 @@ def _cmd_tmp(args):
         raise ValueError("triple scans need a structured model input")
     count, triples = tmp_enumerate(
         model, args.p, budget=settings["tmp_budget"],
-        want_list=args.want_list, threads=settings["threads"],
+        want_list=args.want_list,
     )
     payload = {"model": label, "p": args.p, "tmp": str(count)}
     if args.want_list:

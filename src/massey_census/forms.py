@@ -211,7 +211,9 @@ class TrilinearForm:
         return self.data.r
 
 
-def _trace_args(t, a, b, c, m):
+def trilinear_trace(t: TrilinearForm, a, b, c, m: int) -> FpScalar:
+    """sum over i<j, k<=j of (a_i b_j c_k - a_j b_i c_k + a_k b_j c_i
+    - a_k b_i c_j) e_{i,j,k,m}, mod p."""
     if not isinstance(t, TrilinearForm):
         raise TypeError("first argument must be a TrilinearForm")
     for v in (a, b, c):
@@ -221,12 +223,6 @@ def _trace_args(t, a, b, c, m):
             raise ValueError("vector/tensor modulus mismatch")
     if not 1 <= m <= t.relator_count:
         raise ValueError(f"relator index {m} outside 1..{t.relator_count}")
-
-
-def trilinear_trace(t: TrilinearForm, a, b, c, m: int) -> FpScalar:
-    """sum over i<j, k<=j of (a_i b_j c_k - a_j b_i c_k + a_k b_j c_i
-    - a_k b_i c_j) e_{i,j,k,m}, mod p."""
-    _trace_args(t, a, b, c, m)
     total = 0
     for (i, j, k, e) in t.data.terms(m):
         i, j, k = i - 1, j - 1, k - 1
@@ -236,28 +232,6 @@ def trilinear_trace(t: TrilinearForm, a, b, c, m: int) -> FpScalar:
             + a[k] * b[j] * c[i]
             - a[k] * b[i] * c[j]
         )
-    return FpScalar(total, t.p)
-
-
-def trilinear_trace_split(t: TrilinearForm, a, b, c, m: int) -> FpScalar:
-    """The same trace, via the expanded three-part sum (generic i != k < j,
-    then i = k < j, then i < j = k); must agree with trilinear_trace."""
-    _trace_args(t, a, b, c, m)
-    total = 0
-    for (i, j, k, e) in t.data.terms(m):
-        i, j, k = i - 1, j - 1, k - 1
-        if k < j and i != k:
-            v = (
-                a[i] * b[j] * c[k]
-                - a[j] * b[i] * c[k]
-                + a[k] * b[j] * c[i]
-                - a[k] * b[i] * c[j]
-            )
-        elif i == k:
-            v = 2 * a[i] * b[j] * c[k] - a[j] * b[i] * c[k] - a[k] * b[i] * c[j]
-        else:  # j == k
-            v = a[i] * b[j] * c[k] - 2 * a[j] * b[i] * c[k] + a[k] * b[j] * c[i]
-        total += e * v
     return FpScalar(total, t.p)
 
 

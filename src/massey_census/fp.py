@@ -342,48 +342,11 @@ class GramForm:
         )
 
 
-def form_eval(f: GramForm, x: FpVector, y: FpVector) -> FpScalar:
-    """Evaluate the pairing (x, y) under the Gram matrix."""
-    if x.p != f.p or y.p != f.p:
-        raise ValueError("vector/form modulus mismatch")
-    if x.dim != f.dim or y.dim != f.dim:
-        raise ValueError("vector/form dimension mismatch")
-    xa = np.array(x.entries, dtype=np.int64)
-    ya = np.array(y.entries, dtype=np.int64)
-    return FpScalar(int(xa @ f.matrix.array @ ya), f.p)
-
-
-def is_nondegenerate(f: GramForm) -> bool:
-    """True when the Gram matrix has full rank over F_p."""
-    return mat_rank(f.matrix) == f.dim
-
-
 def vector_from_index(idx: int, d: int, p: int) -> FpVector:
     """Decode 0 <= idx < p**d into the vector whose coordinates, first one
     most significant, are the base-p digits of idx."""
     entries = [(idx // p ** t) % p for t in range(d - 1, -1, -1)]
     return FpVector(entries, p)
-
-
-def index_of_vector(v: FpVector) -> int:
-    idx = 0
-    for e in v.entries:
-        idx = idx * v.p + e
-    return idx
-
-
-def enumerate_vectors(d: int, p: int, budget: int = VECTOR_BUDGET):
-    """Yield all p**d vectors of F_p^d in lexicographic digit order."""
-    p = check_prime(p)
-    if d < 1:
-        raise ValueError("dimension must be positive")
-    total = p ** d
-    if total > budget:
-        raise BudgetError(
-            f"enumerating p^d = {total} vectors exceeds the budget {budget}"
-        )
-    for idx in range(total):
-        yield vector_from_index(idx, d, p)
 
 
 def vectors_array(d: int, p: int, budget: int = VECTOR_BUDGET) -> np.ndarray:
@@ -397,26 +360,3 @@ def vectors_array(d: int, p: int, budget: int = VECTOR_BUDGET) -> np.ndarray:
     idx = np.arange(total, dtype=np.int64)
     cols = [(idx // p ** t) % p for t in range(d - 1, -1, -1)]
     return np.stack(cols, axis=1).astype(np.int8)
-
-
-# F_2 fast path: a vector is one machine word, first coordinate = highest bit.
-# The packed index coincides with index_of_vector, so both enumerations agree.
-
-def pack_bits(v: FpVector) -> int:
-    """Pack an F_2 vector into an int bitmask (first coordinate highest bit)."""
-    if v.p != 2:
-        raise ValueError("pack_bits is the p = 2 fast path")
-    return index_of_vector(v)
-
-
-def unpack_bits(word: int, d: int) -> FpVector:
-    if not 0 <= word < (1 << d):
-        raise ValueError(f"word {word} out of range for {d} bits")
-    return vector_from_index(word, d, 2)
-
-
-def enumerate_packed(d: int):
-    """All F_2^d vectors as bitmask words, in the same order as enumerate_vectors."""
-    if d > 62:
-        raise ValueError("packed enumeration supports d <= 62")
-    return range(1 << d)

@@ -18,6 +18,7 @@ from .fp import (
     FpVector,
     check_prime,
     rank_mod,
+    vector_from_index,
     vectors_array,
 )
 from .forms import gram_from_demushkin, zero_form
@@ -473,8 +474,6 @@ def cup_defining_check(pres, p, k, samples=None, include=(), seed=0,
                 return False
         return True
 
-    from .fp import vector_from_index
-
     per_tuple = p ** ((k * (k + 1) // 2 - 1 - k) * rank)
     checked = 0
     failures = []
@@ -500,8 +499,8 @@ def cup_defining_check(pres, p, k, samples=None, include=(), seed=0,
     P = p ** rank
     if exhaustive:
         # count the qualifying tuples first so the budget verdict is upfront
-        pair_ok = (vectors_array(rank, p).astype(np.int64) @ mat
-                   @ vectors_array(rank, p).astype(np.int64).T % p) == 0
+        V = vectors_array(rank, p).astype(np.int64)
+        pair_ok = (V @ mat @ V.T % p) == 0  # by vector index, both sides
         chains = np.ones(P, dtype=np.int64)
         for _ in range(k - 1):
             chains = pair_ok @ chains
@@ -511,20 +510,15 @@ def cup_defining_check(pres, p, k, samples=None, include=(), seed=0,
                 f"exhausting {n_tuples} tuples at {per_tuple} assignments "
                 f"each exceeds the budget {budget}; pass a sample count"
             )
+        vecs = [vector_from_index(i, rank, p) for i in range(P)]
         stack = [()]
         while stack:
             tup = stack.pop()
             if len(tup) == k:
-                run(tup)
+                run(tuple(vecs[i] for i in tup))
                 continue
-            for i in range(P):
-                v = vector_from_index(i, rank, p)
-                if tup and int(
-                    np.array([int(tup[-1][g]) for g in range(rank)]) @ mat
-                    @ np.array([int(v[g]) for g in range(rank)])
-                ) % p:
-                    continue
-                stack.append(tup + (v,))
+            nexts = np.flatnonzero(pair_ok[tup[-1]]) if tup else range(P)
+            stack.extend(tup + (int(i),) for i in nexts)
     else:
         rng = np.random.default_rng(seed)
         wanted = int(samples)

@@ -8,7 +8,6 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from . import fp
-from .fp import FpMatrix, FpScalar
 
 MIN_N = 3
 MAX_N = 6
@@ -84,22 +83,18 @@ def mul_recipe(n: int, bar: bool = False) -> tuple:
     return tuple(recipe)
 
 
-def _check_n(n: int, bar: bool) -> None:
-    if not MIN_N <= n <= MAX_N:
-        kind = "bar-quotient" if bar else "group"
-        raise ValueError(f"{kind} size n={n} outside supported range [{MIN_N}, {MAX_N}]")
-
-
 class UniMatrix:
     """An element of U_n(F_p), stored by its strictly-upper entries."""
 
-    bar = False
     __slots__ = ("n", "p", "entries")
 
     def __init__(self, n, p, entries=None):
-        _check_n(n, self.bar)
+        if not MIN_N <= n <= MAX_N:
+            raise ValueError(
+                f"group size n={n} outside supported range [{MIN_N}, {MAX_N}]"
+            )
         p = fp.check_prime(p)
-        pairs = triangle_pairs(n, self.bar)
+        pairs = triangle_pairs(n)
         if entries is None:
             entries = (0,) * len(pairs)
         entries = tuple(int(e) % p for e in entries)
@@ -118,7 +113,7 @@ class UniMatrix:
     @classmethod
     def from_entry_map(cls, n, p, mapping):
         """Build from a {(i, j): value} dict; unmentioned entries are 0."""
-        idx = pair_index(n, cls.bar)
+        idx = pair_index(n)
         entries = [0] * len(idx)
         for key, val in mapping.items():
             if key not in idx:
@@ -127,7 +122,7 @@ class UniMatrix:
         return cls(n, p, entries)
 
     def entry(self, i, j) -> int:
-        idx = pair_index(self.n, self.bar)
+        idx = pair_index(self.n)
         if (i, j) not in idx:
             raise ValueError(f"position ({i},{j}) is not in the stored triangle")
         return self.entries[idx[(i, j)]]
@@ -139,11 +134,11 @@ class UniMatrix:
         return all(e == 0 for e in self.entries)
 
     def to_dense(self):
-        """The full n-by-n matrix (bar variants put 0 in the dropped corner)."""
+        """The full n-by-n matrix."""
         import numpy as np
 
         a = np.eye(self.n, dtype=np.int64)
-        for (i, j), e in zip(triangle_pairs(self.n, self.bar), self.entries):
+        for (i, j), e in zip(triangle_pairs(self.n), self.entries):
             a[i - 1, j - 1] = e
         return a
 
@@ -155,51 +150,42 @@ class UniMatrix:
     def __eq__(self, other):
         if isinstance(other, UniMatrix):
             return (
-                self.bar == other.bar
-                and self.n == other.n
+                self.n == other.n
                 and self.p == other.p
                 and self.entries == other.entries
             )
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.bar, self.n, self.p, self.entries))
+        return hash((self.n, self.p, self.entries))
 
     def __repr__(self):
-        name = type(self).__name__
-        return f"{name}(n={self.n}, p={self.p}, entries={list(self.entries)})"
-
-
-class UniBarMatrix(UniMatrix):
-    """An element of the quotient of U_n(F_p) by its (1, n)-corner center."""
-
-    bar = True
-    __slots__ = ()
+        return f"UniMatrix(n={self.n}, p={self.p}, entries={list(self.entries)})"
 
 
 def check_same_group(a: UniMatrix, b: UniMatrix) -> None:
-    if type(a) is not type(b) or a.n != b.n or a.p != b.p:
+    if a.n != b.n or a.p != b.p:
         raise ValueError("group elements live in different groups")
 
 
 def group_mul(a: UniMatrix, b: UniMatrix) -> UniMatrix:
-    """Product in U_n(F_p) (or its bar quotient)."""
+    """Product in U_n(F_p)."""
     check_same_group(a, b)
-    out = walk_mul(a.entries, b.entries, mul_recipe(a.n, a.bar), fp_ring(a.p))
-    return type(a)(a.n, a.p, out)
+    out = walk_mul(a.entries, b.entries, mul_recipe(a.n), fp_ring(a.p))
+    return UniMatrix(a.n, a.p, out)
 
 
 def group_inv(a: UniMatrix) -> UniMatrix:
     """Inverse, solved band by band from the superdiagonal inward."""
-    out = walk_inv(a.entries, mul_recipe(a.n, a.bar), fp_ring(a.p))
-    return type(a)(a.n, a.p, out)
+    out = walk_inv(a.entries, mul_recipe(a.n), fp_ring(a.p))
+    return UniMatrix(a.n, a.p, out)
 
 
 def group_pow(a: UniMatrix, e) -> UniMatrix:
     """a**e by square-and-multiply; e may be an int or an ExponentToken
     (p-infinity gives the identity)."""
-    out = walk_pow(a.entries, e, mul_recipe(a.n, a.bar), fp_ring(a.p))
-    return type(a)(a.n, a.p, out)
+    out = walk_pow(a.entries, e, mul_recipe(a.n), fp_ring(a.p))
+    return UniMatrix(a.n, a.p, out)
 
 
 # --- the recipe walkers -------------------------------------------------------
@@ -314,24 +300,6 @@ def walk_word(word, images, recipe, ring):
     raise TypeError(f"not a group word: {word!r}")
 
 
-def proj_entry(a: UniMatrix, i: int, j: int) -> FpScalar:
-    """The (i, j) matrix entry as a field element (1-based, i < j)."""
-    return FpScalar(a.entry(i, j), a.p)
-
-
-def is_surjective_assignment(images, n: int, p: int) -> bool:
-    """Do the generator images generate all of U_n(F_p)?  Equivalent to the
-    (n-1) x (#images) matrix of superdiagonal entries having rank n - 1."""
-    images = list(images)
-    if not images:
-        return False
-    for im in images:
-        if not isinstance(im, UniMatrix) or im.bar or im.n != n or im.p != p:
-            raise ValueError("images must be UniMatrix elements of U_n(F_p)")
-    rows = [[im.entry(k, k + 1) for im in images] for k in range(1, n)]
-    return fp.mat_rank(FpMatrix(rows, p)) == n - 1
-
-
 def aut_order(n: int, p: int) -> int:
     """|Aut(U_n(F_p))| for n in {3, 4}."""
     p = fp.check_prime(p)
@@ -344,69 +312,3 @@ def aut_order(n: int, p: int) -> int:
             return 384
         return 2 * (p - 1) ** 3 * p ** 8
     raise ValueError(f"automorphism order only supported for n in {{3, 4}}, got {n}")
-
-
-class KernelElemM:
-    """An element of the kernel M of U_4(F_p) -> (F_p)^3, coordinates
-    (m13, m24, m14); M is elementary abelian of order p^3."""
-
-    __slots__ = ("m13", "m24", "m14", "p")
-
-    def __init__(self, m13, m24, m14, p):
-        p = fp.check_prime(p)
-        self.m13 = int(m13) % p
-        self.m24 = int(m24) % p
-        self.m14 = int(m14) % p
-        self.p = p
-
-    def as_matrix(self) -> UniMatrix:
-        return UniMatrix.from_entry_map(
-            4, self.p, {(1, 3): self.m13, (2, 4): self.m24, (1, 4): self.m14}
-        )
-
-    @classmethod
-    def from_matrix(cls, u: UniMatrix):
-        if u.bar or u.n != 4:
-            raise ValueError("kernel elements live in U_4")
-        if any(u.superdiagonal()):
-            raise ValueError("matrix is not in the kernel: nonzero superdiagonal")
-        return cls(u.entry(1, 3), u.entry(2, 4), u.entry(1, 4), u.p)
-
-    def __eq__(self, other):
-        if isinstance(other, KernelElemM):
-            return (self.m13, self.m24, self.m14, self.p) == (
-                other.m13,
-                other.m24,
-                other.m14,
-                other.p,
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.m13, self.m24, self.m14, self.p))
-
-    def __repr__(self):
-        return f"KernelElemM({self.m13}, {self.m24}, {self.m14}, p={self.p})"
-
-
-def element_count(n: int, p: int, bar: bool = False) -> int:
-    return p ** len(triangle_pairs(n, bar))
-
-
-def element_from_index(idx: int, n: int, p: int, bar: bool = False) -> UniMatrix:
-    """Decode an index into a group element: entry t is digit t of idx base p
-    (little-endian, so the superdiagonal entries are the lowest digits)."""
-    pairs = triangle_pairs(n, bar)
-    entries = [(idx // p ** t) % p for t in range(len(pairs))]
-    cls = UniBarMatrix if bar else UniMatrix
-    return cls(n, p, entries)
-
-
-def index_of_element(a: UniMatrix) -> int:
-    return sum(e * a.p ** t for t, e in enumerate(a.entries))
-
-
-def enumerate_group(n: int, p: int, bar: bool = False):
-    """Iterate the whole group in index order."""
-    for idx in range(element_count(n, p, bar)):
-        yield element_from_index(idx, n, p, bar)

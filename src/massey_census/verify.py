@@ -4,7 +4,9 @@ suite adds the multi-million-assignment oracle confirmations."""
 
 from __future__ import annotations
 
+import functools
 import time
+from typing import Callable, NamedTuple
 
 from .census import (
     GroupModel,
@@ -32,26 +34,6 @@ from .words import demushkin_presentation, free_presentation, preset
 SUITES = ("desk", "extended")
 
 
-def _row(name, ok, detail, exploratory=False, ms=0):
-    return {
-        "name": name,
-        "ok": bool(ok),
-        "exploratory": bool(exploratory),
-        "detail": detail,
-        "ms": ms,
-    }
-
-
-def _run(rows, name, fn, exploratory=False):
-    t0 = time.monotonic()
-    try:
-        ok, detail = fn()
-    except Exception as exc:  # surface, never hide, a broken check
-        ok, detail = False, f"{type(exc).__name__}: {exc}"
-    rows.append(_row(name, ok, detail, exploratory,
-                     int((time.monotonic() - t0) * 1000)))
-
-
 def _check_eq(label, *values):
     first = values[0]
     ok = all(v == first for v in values)
@@ -62,7 +44,7 @@ def _check_eq(label, *values):
 # --- individual checks --------------------------------------------------------
 
 
-def _local_q2_degree1():
+def _local_q2_degree1(_threads):
     model = GroupModel.demushkin(3, 2)
     return _check_eq(
         "nu(U_4) at degree 1, q=2",
@@ -82,7 +64,7 @@ def _oracle_d2_variants(threads):
                      counts[0], counts[1], 6144)
 
 
-def _borromean():
+def _borromean(_threads):
     model = preset_model("borromean")
     tmp = tmp_enumerate(model, 2)[0]
     formula = epi_count(model, 2).epi
@@ -92,7 +74,7 @@ def _borromean():
     return ok, f"triples {tmp}, epi {formula}/{brute}, nu {nu}"
 
 
-def _ram01():
+def _ram01(_threads):
     model = preset_model("ram01")
     nu = nu_extensions(model, 2).nu
     brute = count_epi_bruteforce(preset("ram01"), 4, 2)
@@ -100,7 +82,7 @@ def _ram01():
     return ok, f"nu {nu}, oracle epi {brute}"
 
 
-def _closed_grid():
+def _closed_grid(_threads):
     cells = [
         (GroupModel.demushkin(3, 2), 2),
         (GroupModel.demushkin(4, 2, case="D3"), 2),
@@ -130,7 +112,7 @@ def _closed_grid():
     return True, f"{len(cells)} cells closed = scan, odd-rank q!=2 vacuous"
 
 
-def _lifts_small():
+def _lifts_small(_threads):
     pres = demushkin_presentation(3, 2, 2, "D2", f="inf")
     model = GroupModel.demushkin(3, 2)
     _, triples = tmp_enumerate(model, 2, want_list=True)
@@ -159,7 +141,7 @@ def _lifts_small():
     return True, "d=3 lifts = cocycle counts; free = |M|^d; off-condition = 0"
 
 
-def _u3_pathway():
+def _u3_pathway(_threads):
     model = GroupModel.demushkin(3, 2)
     cp = cp_count(model, 2)
     nu3 = nu_extensions(model, 2, target=3).nu
@@ -172,7 +154,7 @@ def _u3_pathway():
     return ok, f"cp {cp}, nu(U_3) {nu3}={nu3_local}, oracle {brute}, nu(U_2) {nu2}"
 
 
-def _counterexample():
+def _counterexample(_threads):
     pres = preset("counterexample1")
     chars = [
         FpVector(tuple(1 if j == i else 0 for j in range(4)), 2)
@@ -184,7 +166,7 @@ def _counterexample():
     return exists is False, f"4-fold system exists: {exists}"
 
 
-def _quotient_ladder():
+def _quotient_ladder(_threads):
     model = GroupModel.demushkin(3, 2)
     ladder = [un_quotient_decision(model, n) for n in (2, 3, 4, 5, 6)]
     if ladder != [True, True, True, False, False]:
@@ -246,7 +228,7 @@ def _lifts_rank4(threads):
     return True, "; ".join(details)
 
 
-def _sum_identity_d3():
+def _sum_identity_d3(_threads):
     pres = demushkin_presentation(3, 2, 2, "D2", f="inf")
     _, triples = tmp_enumerate(GroupModel.demushkin(3, 2), 2, want_list=True)
     total = sum(count_lifts_bruteforce(pres, 2, t) for t in triples)
@@ -269,12 +251,14 @@ def _dd_exploratory(threads):
     brute = count_epi_bruteforce(model_presentation(model, 2), 4, 2,
                                  threads=threads)
     verdict = "match" if formula == brute else "MISMATCH"
-    # rank-2 factors sit outside the stated rank >= 3 hypothesis: this row
-    # reports, and a mismatch is a finding rather than a failure
-    return True, f"{verdict}: formula {formula}, oracle {brute} (exploratory)"
+    # rank-2 factors sit outside the stated rank >= 3 hypothesis: the row is
+    # exploratory, so neither a mismatch nor a moved formula value fails the
+    # suite; `ok` pins the formula's frozen value for the acceptance tests
+    return (formula == 294912,
+            f"{verdict}: formula {formula}, oracle {brute} (exploratory)")
 
 
-def _free_rank2_u4_vanishes():
+def _free_rank2_u4_vanishes(_threads):
     model = GroupModel.free(2)
     formula = epi_count(model, 3).epi
     brute = count_epi_bruteforce(free_presentation(2), 4, 3,
@@ -291,47 +275,77 @@ def _rank5_oracle(model, frozen, threads):
     return _check_eq("formula = oracle = frozen", formula, brute, frozen)
 
 
+class Check(NamedTuple):
+    """One row of the battery: check(threads) returns (ok, detail)."""
+
+    name: str
+    check: Callable
+    suite: str  # the smallest suite that runs it
+    exploratory: bool = False
+
+
+CHECKS = (
+    Check("local-field degree 1 (q=2): nu(U_4) = 16", _local_q2_degree1,
+          "desk"),
+    Check("oracle d=3 q=2 relator variants agree", _oracle_d2_variants,
+          "desk"),
+    Check("borromean preset: 6 triples, epi 3072, nu 8", _borromean, "desk"),
+    Check("three-generator free preset: nu 224", _ram01, "desk"),
+    Check("closed triple counts = scans on the grid", _closed_grid, "desk"),
+    Check("lift counts = cocycle counts (rank 3, free)", _lifts_small,
+          "desk"),
+    Check("U_3/U_2 pathway: 18 and 7", _u3_pathway, "desk"),
+    Check("4-fold system absent for the rank-4 counterexample",
+          _counterexample, "desk"),
+    Check("quotient ladder matches surjection feasibility", _quotient_ladder,
+          "desk"),
+    Check("serial = threaded counts", _determinism, "desk"),
+    Check("sum of lifts = oracle (rank 3)", _sum_identity_d3, "desk"),
+    Check("rank-4 symplectic oracle: epi 737280, nu 1920", _d1_oracle,
+          "extended"),
+    Check("rank-4 lifts constant; sums = oracle", _lifts_rank4, "extended"),
+    Check("product with free factor: formula = oracle 1327104", _df_oracle,
+          "extended"),
+    Check("rank-2 double product vs oracle", _dd_exploratory, "extended",
+          exploratory=True),
+    Check("rank 2 has no U_4 surjections (formula = oracle = 0)",
+          _free_rank2_u4_vanishes, "extended"),
+) + tuple(
+    # rank 5: 2^30-assignment spaces, within the extended budget
+    Check(f"rank 5 {model.describe()}: epi {frozen}",
+          functools.partial(_rank5_oracle, model, frozen), "extended")
+    for model, frozen in (
+        (GroupModel.free(5), 853278720),
+        (GroupModel.demushkin(5, 2), 96337920),
+        (GroupModel.df(3, 2, 2), 132120576),
+        (GroupModel.df(4, 4, 1), 96337920),
+    )
+)
+
+
+def run_check(check: Check, threads: int = 1) -> dict:
+    """Run one check and return its table row."""
+    t0 = time.monotonic()
+    try:
+        ok, detail = check.check(threads)
+    except Exception as exc:  # surface, never hide, a broken check
+        ok, detail = False, f"{type(exc).__name__}: {exc}"
+    return {
+        "name": check.name,
+        "ok": bool(ok),
+        "exploratory": check.exploratory,
+        "detail": detail,
+        "ms": int((time.monotonic() - t0) * 1000),
+    }
+
+
 def run_suite(suite: str = "desk", threads: int = 1) -> list:
     """Run the named suite and return its table rows."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
     threads = max(1, int(threads))
-    rows = []
-    _run(rows, "local-field degree 1 (q=2): nu(U_4) = 16", _local_q2_degree1)
-    _run(rows, "oracle d=3 q=2 relator variants agree",
-         lambda: _oracle_d2_variants(threads))
-    _run(rows, "borromean preset: 6 triples, epi 3072, nu 8", _borromean)
-    _run(rows, "three-generator free preset: nu 224", _ram01)
-    _run(rows, "closed triple counts = scans on the grid", _closed_grid)
-    _run(rows, "lift counts = cocycle counts (rank 3, free)", _lifts_small)
-    _run(rows, "U_3/U_2 pathway: 18 and 7", _u3_pathway)
-    _run(rows, "4-fold system absent for the rank-4 counterexample",
-         _counterexample)
-    _run(rows, "quotient ladder matches surjection feasibility",
-         _quotient_ladder)
-    _run(rows, "serial = threaded counts", lambda: _determinism(threads))
-    _run(rows, "sum of lifts = oracle (rank 3)", _sum_identity_d3)
-    if suite == "extended":
-        _run(rows, "rank-4 symplectic oracle: epi 737280, nu 1920",
-             lambda: _d1_oracle(threads))
-        _run(rows, "rank-4 lifts constant; sums = oracle",
-             lambda: _lifts_rank4(threads))
-        _run(rows, "product with free factor: formula = oracle 1327104",
-             lambda: _df_oracle(threads))
-        _run(rows, "rank-2 double product vs oracle",
-             lambda: _dd_exploratory(threads), exploratory=True)
-        _run(rows, "rank 2 has no U_4 surjections (formula = oracle = 0)",
-             _free_rank2_u4_vanishes)
-        # rank 5: 2^30-assignment spaces, within the extended budget
-        for model, frozen in (
-            (GroupModel.free(5), 853278720),
-            (GroupModel.demushkin(5, 2), 96337920),
-            (GroupModel.df(3, 2, 2), 132120576),
-            (GroupModel.df(4, 4, 1), 96337920),
-        ):
-            _run(rows, f"rank 5 {model.describe()}: epi {frozen}",
-                 lambda m=model, v=frozen: _rank5_oracle(m, v, threads))
-    return rows
+    wanted = SUITES[:SUITES.index(suite) + 1]
+    return [run_check(c, threads) for c in CHECKS if c.suite in wanted]
 
 
 def suite_passed(rows) -> bool:

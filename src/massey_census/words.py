@@ -3,8 +3,6 @@ and the preset presentations used throughout the test grid."""
 
 from __future__ import annotations
 
-import json
-
 from .unipotent import (
     ExponentToken,
     P_INFINITY,
@@ -144,55 +142,13 @@ def evaluate_word(w, images):
     for im in images[1:]:
         check_same_group(first, im)
     entries = walk_word(w, [im.entries for im in images],
-                        mul_recipe(first.n, first.bar), fp_ring(first.p))
+                        mul_recipe(first.n), fp_ring(first.p))
     return type(first)(first.n, first.p, entries)
 
 
-class QInvariant:
-    """The invariant q = p^s (s >= 1) of a one-relator group, or p-infinity.
-
-    By the usual convention p-infinity is the value 0.
-    """
-
-    __slots__ = ("s",)
-
-    def __init__(self, s):
-        if s is not None:
-            s = int(s)
-            if s < 1:
-                raise ValueError("finite q-invariant needs exponent s >= 1")
-        self.s = s
-
-    @classmethod
-    def finite(cls, s):
-        return cls(s)
-
-    @classmethod
-    def infinite(cls):
-        return cls(None)
-
-    @property
-    def is_infinite(self):
-        return self.s is None
-
-    def value(self, p) -> int:
-        return 0 if self.s is None else p ** self.s
-
-    def __eq__(self, other):
-        return isinstance(other, QInvariant) and self.s == other.s
-
-    def __hash__(self):
-        return hash(("QInvariant", self.s))
-
-    def __repr__(self):
-        return "QInvariant(inf)" if self.is_infinite else f"QInvariant(s={self.s})"
-
-
 def q_value(q, p) -> int:
-    """Normalize a q argument (QInvariant, int value, or 'inf') to an int,
-    0 meaning p-infinity; validates that finite values are powers of p >= p."""
-    if isinstance(q, QInvariant):
-        return q.value(p)
+    """Normalize a q argument (int value, or 'inf') to an int, 0 meaning
+    p-infinity; validates that finite values are powers of p >= p."""
     if isinstance(q, str):
         if q in ("inf", "p-inf", "infinity"):
             return 0
@@ -559,20 +515,3 @@ def ramified_data_from_json(obj) -> RamifiedRelatorData:
             key = (i, j, k, m)
             e[key] = e.get(key, 0) + ev
     return RamifiedRelatorData(n, e, r=max(max_m, len(relators), 1))
-
-
-def load_presentation_file(path: str):
-    """Load a presentation or relator tensor from a JSON file; returns either
-    a Presentation or a RamifiedRelatorData depending on the keys present."""
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
-            f"{exc.msg}"
-        ) from None
-    if isinstance(obj, dict) and "n" in obj and "rank" not in obj:
-        return ramified_data_from_json(obj)
-    return presentation_from_json(obj)

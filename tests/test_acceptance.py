@@ -1,37 +1,32 @@
 """Acceptance criteria, one test per criterion.
 
+Each criterion runs its rows of the self-check battery (`verify.CHECKS`) by
+name and asserts that they pass; the counts live in those rows.  What no row
+checks stays here: wall-time bounds, worker counts, and a few cells that
+compute no count a row already computes.
+
 Each test prints one `criterion N: PASS/FAIL` line (visible with -s, and on
 any failure); the test names themselves mirror the criteria so the -v run
 reads as the acceptance table.
 """
 
-import time
 from functools import lru_cache
 
 import pytest
 
+from massey_census import verify
 from massey_census.census import (
     GroupModel,
-    cp_count,
-    epi_count,
     local_field_model,
-    model_presentation,
-    nu_extensions,
     nu_local_closed,
-    preset_model,
-    tmp_closed,
-    tmp_enumerate,
     un_quotient_decision,
-    z1_closed,
 )
 from massey_census.fp import FpVector
-from massey_census.oracle import (
-    count_epi_bruteforce,
-    count_lifts_bruteforce,
-    massey_system_exists,
-)
-from massey_census.unipotent import aut_order
-from massey_census.words import demushkin_presentation, free_presentation, preset
+from massey_census.oracle import count_epi_bruteforce, massey_system_exists
+from massey_census.words import demushkin_presentation, preset
+
+D1_ORACLE = "rank-4 symplectic oracle: epi 737280, nu 1920"
+LIFTS_RANK4 = "rank-4 lifts constant; sums = oracle"
 
 
 def report(n, detail):
@@ -54,164 +49,85 @@ class Fail:
 
 
 @lru_cache(maxsize=None)
-def _d4_pres(case, q, f):
-    return demushkin_presentation(4, 2, q, case, f=f)
+def row(name, threads=1):
+    """The battery row of that name, run once per thread count."""
+    check = {c.name: c for c in verify.CHECKS}[name]
+    return verify.run_check(check, threads)
 
 
-@lru_cache(maxsize=None)
-def _d4_oracle(case, q, f, threads=1):
-    return count_epi_bruteforce(_d4_pres(case, q, f), 4, 2, threads=threads)
+def passed(name, threads=1):
+    r = row(name, threads)
+    assert r["ok"], f"{name}: {r['detail']}"
+    return r
 
 
 def test_criterion_01_local_degree1_nu16():
     with Fail(1):
-        t0 = time.monotonic()
-        assert nu_local_closed(1, 2, 2, 4) == 16
-        model = local_field_model(1, 2, 2)
-        assert nu_extensions(model, 2).nu == 16
-        counts = []
-        for f in (2, "inf"):
-            pres = demushkin_presentation(3, 2, 2, "D2", f=f)
-            counts.append(count_epi_bruteforce(pres, 4, 2))
-        assert counts == [6144, 6144]
-        elapsed = time.monotonic() - t0
+        local = passed("local-field degree 1 (q=2): nu(U_4) = 16")
+        oracle = passed("oracle d=3 q=2 relator variants agree")
+        # the row counts the model of the degree-1 field
+        assert local_field_model(1, 2, 2) == GroupModel.demushkin(3, 2)
+        elapsed = (local["ms"] + oracle["ms"]) / 1000
         assert elapsed <= 60, f"took {elapsed:.1f}s"
-    report(1, f"nu = 16 by closed form and census; oracle epi 6144 for both "
-              f"relator variants in {elapsed:.1f}s")
+    report(1, f"{local['detail']}; {oracle['detail']} in {elapsed:.1f}s")
 
 
 def test_criterion_02_rank4_symplectic_oracle():
     with Fail(2):
-        model = GroupModel.demushkin(4, 4)
-        formula = epi_count(model, 2).epi
-        t0 = time.monotonic()
-        single = _d4_oracle("D1", 4, None)
-        t_single = time.monotonic() - t0
-        assert single == formula == 737280 == 360 * 2 ** 11
+        single = passed(D1_ORACLE)
+        t_single = single["ms"] / 1000
         assert t_single <= 600, f"single-threaded took {t_single:.1f}s"
-        t0 = time.monotonic()
-        workers8 = count_epi_bruteforce(_d4_pres("D1", 4, None), 4, 2,
-                                        threads=8)
-        t_multi = time.monotonic() - t0
-        assert workers8 == 737280
+        workers8 = passed(D1_ORACLE, threads=8)
+        t_multi = workers8["ms"] / 1000
         assert t_multi <= 120, f"8 workers took {t_multi:.1f}s"
-        nu = nu_extensions(model, 2).nu
-        assert nu == 1920 == nu_local_closed(2, 2, 4, 4)
-    report(2, f"epi 737280 oracle=formula ({t_single:.1f}s single, "
-              f"{t_multi:.1f}s with 8 workers); nu 1920 = local closed form")
+    report(2, f"{single['detail']} ({t_single:.1f}s single, {t_multi:.1f}s "
+              f"with 8 workers); nu = local closed form")
 
 
 def test_criterion_03_borromean():
     with Fail(3):
-        model = preset_model("borromean")
-        tmp = tmp_enumerate(model, 2)[0]
-        formula = epi_count(model, 2).epi
-        brute = count_epi_bruteforce(preset("borromean"), 4, 2)
-        nu = nu_extensions(model, 2).nu
-        assert (tmp, formula, brute, nu) == (6, 3072, 3072, 8)
-    report(3, "6 triples; epi 3072 by reduced formula and oracle; nu 8")
+        r = passed("borromean preset: 6 triples, epi 3072, nu 8")
+    report(3, r["detail"])
 
 
 def test_criterion_04_ram01():
     with Fail(4):
-        nu = nu_extensions(preset_model("ram01"), 2).nu
-        brute = count_epi_bruteforce(preset("ram01"), 4, 2)
-        assert (nu, brute) == (224, 86016)
-    report(4, "nu 224; oracle epi 86016")
+        r = passed("three-generator free preset: nu 224")
+    report(4, r["detail"])
 
 
 def test_criterion_05_closed_equals_scan_grid():
     with Fail(5):
-        cells = [
-            (GroupModel.demushkin(3, 2), 2),
-            (GroupModel.demushkin(4, 2, case="D3"), 2),
-            (GroupModel.demushkin(4, 2, case="D4"), 2),
-            (GroupModel.demushkin(4, 4), 2),
-            (GroupModel.demushkin(4, 3), 3),
-            (GroupModel.demushkin(4, 5), 5),
-            (GroupModel.df(3, 2, 1), 2),
-            (GroupModel.df(3, 2, 2), 2),
-            (GroupModel.dd(2, 4, 2, 4), 2),
-        ]
-        for model, p in cells:
-            closed = tmp_closed(model, p)
-            scanned = tmp_enumerate(model, p, budget=10 ** 8)[0]
-            assert closed == scanned, f"{model.describe()} p={p}"
-        # rank 3 with q != 2 admits no model: those grid cells are vacuous
-        for p in (3, 5):
-            with pytest.raises(ValueError):
-                GroupModel.demushkin(3, p)
-    report(5, f"{len(cells)} cells match within the 10^8 budget; "
-              f"rank-3 cells at p in {{3,5}} are vacuous")
+        r = passed("closed triple counts = scans on the grid")
+        # rank 3 with q != 2 admits no model; the row covers p = 3
+        with pytest.raises(ValueError):
+            GroupModel.demushkin(3, 5)
+    report(5, f"{r['detail']}; rank-3 cells at p in {{3,5}} are vacuous")
 
 
 def test_criterion_06_lifts_equal_cocycle_counts():
     with Fail(6):
-        cases = [
-            ("D2", 2, "inf", GroupModel.demushkin(3, 2), 3),
-            ("D1", 4, None, GroupModel.demushkin(4, 4), 4),
-            ("D3", 2, "inf", GroupModel.demushkin(4, 2, case="D3"), 4),
-            ("D4", 2, 2, GroupModel.demushkin(4, 2, case="D4"), 4),
-        ]
-        details = []
-        for case, q, f, model, d in cases:
-            pres = demushkin_presentation(d, 2, q, case, f=f)
-            count, triples = tmp_enumerate(model, 2, want_list=True)
-            want = z1_closed(model, 2, "noncentral")
-            got = {count_lifts_bruteforce(pres, 2, t) for t in triples}
-            assert got == {want}, f"{case}: {got} != {want}"
-            details.append(f"{case}:{count}x{want}")
-        for p, expected in ((2, 512), (3, 3 ** 9)):
-            _, triples = tmp_enumerate(GroupModel.free(3), p, want_list=True)
-            got = count_lifts_bruteforce(free_presentation(3), p, triples[0])
-            assert got == expected
+        small = passed("lift counts = cocycle counts (rank 3, free)")
+        rank4 = passed(LIFTS_RANK4)
         # the p=3 one-relator cells are vacuous: no rank-3 model exists
         with pytest.raises(ValueError):
             GroupModel.demushkin(3, 3)
-    report(6, "lifts constant and equal to cocycle counts: "
-              + ", ".join(details) + "; free lifts |M|^3 over F_2 and F_3; "
-              "p=3 one-relator cell vacuous")
+    report(6, f"{small['detail']}; {rank4['detail']}; "
+              f"p=3 one-relator cell vacuous")
 
 
 def test_criterion_07_sum_of_lifts_equals_oracle():
     with Fail(7):
-        cases = [
-            ("D2", 2, "inf", GroupModel.demushkin(3, 2), 3),
-            ("D1", 4, None, GroupModel.demushkin(4, 4), 4),
-            ("D3", 2, "inf", GroupModel.demushkin(4, 2, case="D3"), 4),
-            ("D4", 2, 2, GroupModel.demushkin(4, 2, case="D4"), 4),
-        ]
-        details = []
-        for case, q, f, model, d in cases:
-            pres = demushkin_presentation(d, 2, q, case, f=f)
-            _, triples = tmp_enumerate(model, 2, want_list=True)
-            total = sum(count_lifts_bruteforce(pres, 2, t) for t in triples)
-            if d == 4:
-                brute = _d4_oracle(case, q, f)
-            else:
-                brute = count_epi_bruteforce(pres, 4, 2)
-            assert total == brute, f"{case}: {total} != {brute}"
-            details.append(f"{case}:{brute}")
-    report(7, "sum of lifts = oracle epi for " + ", ".join(details))
+        rank3 = passed("sum of lifts = oracle (rank 3)")
+        rank4 = passed(LIFTS_RANK4)
+    report(7, f"{rank3['detail']}; {rank4['detail']}")
 
 
 def test_criterion_08_u3_and_u2_pathways():
     with Fail(8):
-        model = GroupModel.demushkin(3, 2)
-        cp = cp_count(model, 2)
-        epi3 = cp * 2 ** 3
-        assert epi3 % aut_order(3, 2) == 0
-        nu3 = epi3 // aut_order(3, 2)
-        assert cp == 18 and nu3 == 18 == nu_local_closed(1, 2, 2, 3)
-        assert nu_extensions(model, 2, target=3).nu == 18
-        brute = count_epi_bruteforce(
-            demushkin_presentation(3, 2, 2, "D2", f="inf"), 3, 2
-        )
-        assert brute == 144 == epi3
-        nu2 = nu_extensions(model, 2, target=2).nu
-        assert nu2 == 7 == nu_local_closed(1, 2, 2, 2)
-    report(8, "nu(U_3) = 18 via 18 pairs x 8 / 8, oracle 144 agrees; "
-              "nu(U_2) = 7")
+        r = passed("U_3/U_2 pathway: 18 and 7")
+        assert nu_local_closed(1, 2, 2, 2) == 7
+    report(8, f"{r['detail']}; nu(U_2) local closed form 7")
 
 
 def test_criterion_09_counterexample_search():
@@ -225,10 +141,8 @@ def test_criterion_09_counterexample_search():
         # these two existence checks certify all three consecutive cups
         assert massey_system_exists(pres, chars[:3], 2) is True
         assert massey_system_exists(pres, chars[1:], 2) is True
-        t0 = time.monotonic()
-        exists = massey_system_exists(pres, chars, 2, budget=2 ** 20)
-        elapsed = time.monotonic() - t0
-        assert exists is False
+        r = passed("4-fold system absent for the rank-4 counterexample")
+        elapsed = r["ms"] / 1000
         assert elapsed <= 60, f"took {elapsed:.1f}s"
     report(9, f"consecutive cups vanish (3-fold systems exist) but no "
               f"4-fold system over all 2^20 assignments ({elapsed:.1f}s)")
@@ -236,55 +150,31 @@ def test_criterion_09_counterexample_search():
 
 def test_criterion_10_quotient_ladder():
     with Fail(10):
-        q2_model = GroupModel.demushkin(3, 2)
-        for n, expected in ((2, True), (3, True), (4, True), (5, False),
-                            (6, False)):
-            assert un_quotient_decision(q2_model, n) is expected
-        for d in (1, 2, 3, 4):
-            models = [GroupModel.free(d)]
-            if d == 3:
-                models.append(GroupModel.demushkin(3, 2))
-            if d == 4:
-                models.append(GroupModel.demushkin(4, 4))
-            for model in models:
-                for n in (2, 3, 4, 5, 6):
-                    feasible = n - 1 <= model.rank  # superdiagonal rank test
-                    assert un_quotient_decision(model, n) is feasible
-    report(10, "U_n quotients exist exactly for n <= rank + 1 "
-               "(Q_2 ladder: yes for 2,3,4; no for 5,6)")
+        r = passed("quotient ladder matches surjection feasibility")
+        d4 = GroupModel.demushkin(4, 4)
+        for n in (2, 3, 4, 5, 6):
+            assert un_quotient_decision(d4, n) is (n <= 5)
+    report(10, f"U_n quotients exist exactly for n <= rank + 1 "
+               f"(Q_2 ladder: yes for 2,3,4; no for 5,6); {r['detail']}")
 
 
 def test_criterion_11_free_product_formulas():
     with Fail(11):
-        df = GroupModel.df(3, 2, 1)
-        df_formula = epi_count(df, 2).epi
-        df_oracle = count_epi_bruteforce(model_presentation(df, 2), 4, 2)
-        assert df_formula == df_oracle == 1327104
-
-        dd = GroupModel.dd(2, 4, 2, 4)
-        dd_formula = epi_count(dd, 2).epi
-        assert dd_formula == 294912
-        dd_oracle = count_epi_bruteforce(model_presentation(dd, 2), 4, 2)
-        verdict = "agrees" if dd_formula == dd_oracle else "DISAGREES"
+        df = passed("product with free factor: formula = oracle 1327104")
         # the rank-2 product sits outside the stated rank >= 3 hypothesis:
-        # the comparison is exploratory and reported, never asserted
-    report(11, f"product-with-free formula = oracle = 1327104; exploratory "
-               f"rank-2 double product: formula {dd_formula} {verdict} with "
-               f"oracle {dd_oracle}")
+        # the row is exploratory, and its `ok` pins the formula at 294912
+        dd = passed("rank-2 double product vs oracle")
+        assert dd["exploratory"]
+    report(11, f"{df['detail']}; rank-2 double product: {dd['detail']}")
 
 
 def test_criterion_12_thread_determinism():
     with Fail(12):
+        r = passed("serial = threaded counts")
         pres = demushkin_presentation(3, 2, 2, "D2", f="inf")
-        a = count_epi_bruteforce(pres, 4, 2)
-        b = count_epi_bruteforce(pres, 4, 2, threads=2, chunk=2 ** 14)
-        c = count_epi_bruteforce(pres, 4, 2, threads=3, chunk=2 ** 12)
-        assert a == b == c == 6144
-        big_serial = _d4_oracle("D1", 4, None)
-        big_threaded = count_epi_bruteforce(_d4_pres("D1", 4, None), 4, 2,
-                                            threads=2)
-        assert big_serial == big_threaded == 737280
-        t1 = tmp_enumerate(GroupModel.demushkin(4, 3), 3, threads=1)[0]
-        t2 = tmp_enumerate(GroupModel.demushkin(4, 3), 3, threads=2)[0]
-        assert t1 == t2 == 34560
-    report(12, "oracle and scan counts identical across 1/2/3-worker runs")
+        assert count_epi_bruteforce(pres, 4, 2, threads=3,
+                                    chunk=2 ** 12) == 6144
+        passed(D1_ORACLE)
+        passed(D1_ORACLE, threads=2)
+    report(12, f"{r['detail']}; 3 workers at chunk 2^12 give 6144; "
+               f"rank-4 oracle 737280 with 1 and 2 workers")

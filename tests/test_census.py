@@ -136,15 +136,6 @@ def test_tmp_depends_only_on_form_shape():
     assert tmp_enumerate_forms(pair, 2) == 144
 
 
-def test_tmp_threads_deterministic():
-    # the scan runs in-process whatever `threads` says, so this pins only that
-    # `threads` is accepted; the oracle's thread checks are in test_oracle
-    model = GroupModel.demushkin(4, 3)
-    single = tmp_enumerate(model, 3, threads=1)[0]
-    multi = tmp_enumerate(model, 3, threads=2)[0]
-    assert single == multi == 34560
-
-
 def test_tmp_budget_error():
     with pytest.raises(BudgetError):
         tmp_enumerate(GroupModel.demushkin(4, 3), 3, budget=1000)

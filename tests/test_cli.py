@@ -110,9 +110,10 @@ def test_count_epi_csv(capsys):
 
 
 def test_tmp_list(capsys):
+    # the scan runs in-process: --threads still parses and changes nothing
     code, out, _ = run(
         capsys, "tmp", "--model", "preset", "--name", "borromean",
-        "--p", "2", "--list",
+        "--p", "2", "--list", "--threads", "2",
     )
     assert code == 0
     payload = json.loads(out)
@@ -212,6 +213,31 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     )
     assert code == 1
     assert "unknown config key" in err
+
+
+def test_config_errors_name_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "census.cfg"
+    for bad, detail in (
+        ("threads = two", "threads must be an integer, got 'two'"),
+        ("target = 4", "unknown config key 'target'"),
+        ("threads", "is not key=value"),
+    ):
+        cfg.write_text(f"# budgets\ntmp_budget = 1000000\n{bad}\n")
+        code, _, err = run(
+            capsys, "tmp", "--model", "preset", "--name", "borromean",
+            "--p", "2", "--config", str(cfg),
+        )
+        assert code == 1
+        assert f"config {cfg} line 3" in err and detail in err
+
+
+def test_env_threads_bad_value_names_variable(capsys, monkeypatch):
+    monkeypatch.setenv("MASSEY_CENSUS_THREADS", "x")
+    code, _, err = run(
+        capsys, "tmp", "--model", "preset", "--name", "borromean", "--p", "2",
+    )
+    assert code == 1
+    assert "MASSEY_CENSUS_THREADS" in err and "'x'" in err
 
 
 def test_env_threads(capsys, monkeypatch):

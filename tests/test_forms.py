@@ -7,8 +7,6 @@ from massey_census.fp import (
     FpMatrix,
     FpVector,
     GramForm,
-    form_eval,
-    is_nondegenerate,
     rank_mod,
 )
 from massey_census.forms import (
@@ -20,7 +18,6 @@ from massey_census.forms import (
     ramified_from_redei,
     trace_tensor,
     trilinear_trace,
-    trilinear_trace_split,
     zero_form,
 )
 from massey_census.words import (
@@ -37,7 +34,7 @@ def test_gram_d1_symplectic():
     assert g.matrix == FpMatrix(
         [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], 2
     )
-    assert is_nondegenerate(g)
+    assert rank_mod(g.matrix.array, 2) == g.dim
 
 
 def test_gram_d1_p3():
@@ -50,7 +47,7 @@ def test_gram_d2():
     assert g.diagonal_profile == "first_one"
     assert g.matrix == FpMatrix([[1, 0, 0], [0, 0, 1], [0, 1, 0]], 2)
     # determinant of that matrix is 1 over F_2, hence nondegenerate
-    assert is_nondegenerate(g)
+    assert rank_mod(g.matrix.array, 2) == g.dim
 
 
 def test_gram_d3_d4():
@@ -80,7 +77,7 @@ def test_gram_grid_nondegenerate():
         cells.append((d, 2, 2, "D2"))
     for d, p, q, case in cells:
         g = demushkin_gram(d, p, q, case)
-        assert is_nondegenerate(g), (d, p, q, case)
+        assert rank_mod(g.matrix.array, p) == d, (d, p, q, case)
         diag = [int(g.matrix.array[i, i]) for i in range(d)]
         if q == 2:
             assert g.diagonal_profile == "first_one" and diag[0] == 1
@@ -107,7 +104,7 @@ def check_consecutive(f, basis):
     assert len(basis) == f.dim
     assert rank_mod([list(v.entries) for v in basis], f.p) == f.dim
     for a, b in zip(basis, basis[1:]):
-        assert form_eval(f, a, b) == 0
+        assert np.array(a.entries) @ f.matrix.array @ b.entries % f.p == 0
 
 
 def test_basis_zero_form():
@@ -205,34 +202,6 @@ def test_trace_errors():
         trilinear_trace(t, v, v, v, 3)
     with pytest.raises(ValueError):
         trilinear_trace(t, v, v, FpVector([1, 0, 0], 3), 1)
-
-
-def test_trace_statement_equals_split():
-    rng = np.random.default_rng(99)
-    forms = [borromean_form()]
-    # random tensors at p = 2 and p = 3, including k = j and k = i terms
-    for p in (2, 3):
-        for _ in range(6):
-            n = int(rng.integers(3, 6))
-            e = {}
-            for _ in range(8):
-                i = int(rng.integers(1, n))
-                j = int(rng.integers(i + 1, n + 1))
-                k = int(rng.integers(1, j + 1))
-                m = int(rng.integers(1, 4))
-                e[(i, j, k, m)] = int(rng.integers(1, p))
-            forms.append(TrilinearForm(RamifiedRelatorData(n, e, r=3), p))
-    checks = 0
-    while checks < 10 ** 4:
-        t = forms[int(rng.integers(0, len(forms)))]
-        a, b, c = (
-            FpVector(rng.integers(0, t.p, size=t.n), t.p) for _ in range(3)
-        )
-        m = int(rng.integers(1, t.relator_count + 1))
-        assert trilinear_trace(t, a, b, c, m) == trilinear_trace_split(
-            t, a, b, c, m
-        )
-        checks += 1
 
 
 def test_trace_tensor_agrees():

@@ -26,7 +26,6 @@ from massey_census.oracle import (
 )
 from massey_census.unipotent import (
     UniMatrix,
-    element_from_index,
     group_mul,
     mul_recipe,
     pair_index,
@@ -364,11 +363,8 @@ def test_batch_matches_scalar_arithmetic():
         Prod(Comm(Comm(Gen(1), Gen(2)), Gen(1)), Pow(Gen(2), 9)),
     ]
     size = 64
-    N = p ** 6
-    idx1 = rng.integers(N, size=size)
-    idx2 = rng.integers(N, size=size)
-    mats1 = [element_from_index(int(i), n, p) for i in idx1]
-    mats2 = [element_from_index(int(i), n, p) for i in idx2]
+    mats1, mats2 = ([UniMatrix(n, p, e) for e in rng.integers(p, size=(size, 6))]
+                    for _ in range(2))
     images_batch = [
         [np.array([m.entries[t] for m in mats], dtype=np.int16)
          for t in range(6)]

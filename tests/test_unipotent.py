@@ -1,31 +1,33 @@
 """Tests for the unipotent group arithmetic."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
-from massey_census import unipotent as uni
 from massey_census.unipotent import (
     P_INFINITY,
     ExponentToken,
-    KernelElemM,
-    UniBarMatrix,
     UniMatrix,
     aut_order,
-    element_count,
-    element_from_index,
-    enumerate_group,
+    fp_ring,
     group_inv,
     group_mul,
     group_pow,
-    index_of_element,
-    is_surjective_assignment,
-    proj_entry,
+    mul_recipe,
     triangle_pairs,
+    walk_mul,
 )
 
 
 def dense_mul(a, b):
     return (a.to_dense() @ b.to_dense()) % a.p
+
+
+def all_elements(n, p):
+    """Every element of U_n(F_p), from every tuple of entries."""
+    return [UniMatrix(n, p, e)
+            for e in product(range(p), repeat=len(triangle_pairs(n)))]
 
 
 def test_triangle_order():
@@ -54,7 +56,7 @@ def test_mul_matches_dense():
 
 
 def test_exhaustive_u4_f2_group_laws():
-    elems = list(enumerate_group(4, 2))
+    elems = all_elements(4, 2)
     assert len(elems) == 64
     ident = UniMatrix.identity(4, 2)
     for a in elems:
@@ -72,7 +74,7 @@ def test_exhaustive_u4_f2_group_laws():
 
 
 def test_exhaustive_u3_f2_associativity():
-    elems = list(enumerate_group(3, 2))
+    elems = all_elements(3, 2)
     assert len(elems) == 8
     for a in elems:
         for b in elems:
@@ -93,7 +95,7 @@ def test_cube_in_u4_f3():
 
 def test_superdiagonal_additivity():
     # projecting to the superdiagonal is a homomorphism onto (F_p)^{n-1}
-    elems = list(enumerate_group(4, 2))
+    elems = all_elements(4, 2)
     for a in elems[::5]:
         for b in elems[::7]:
             c = group_mul(a, b)
@@ -123,17 +125,14 @@ def test_exponent_token():
     assert ExponentToken(-2) == -2  # negative exponents invert
 
 
-def test_proj_entry():
+def test_entry_lookup():
     g = UniMatrix.from_entry_map(4, 5, {(1, 3): 4, (3, 4): 2})
-    assert proj_entry(g, 1, 3) == 4
-    assert proj_entry(g, 1, 2) == 0
+    assert g.entry(1, 3) == 4
+    assert g.entry(1, 2) == 0
     with pytest.raises(ValueError):
-        proj_entry(g, 3, 1)
+        g.entry(3, 1)
     with pytest.raises(ValueError):
-        proj_entry(g, 2, 2)
-    h = UniBarMatrix(4, 2)
-    with pytest.raises(ValueError):
-        proj_entry(h, 1, 4)  # dropped corner
+        g.entry(2, 2)
 
 
 def test_bar_quotient_is_a_quotient():
@@ -144,28 +143,9 @@ def test_bar_quotient_is_a_quotient():
         ea = rng.integers(0, 2, size=tfull)
         eb = rng.integers(0, 2, size=tfull)
         a, b = UniMatrix(4, 2, ea), UniMatrix(4, 2, eb)
-        abar, bbar = UniBarMatrix(4, 2, ea[:-1]), UniBarMatrix(4, 2, eb[:-1])
-        assert group_mul(a, b).entries[:-1] == group_mul(abar, bbar).entries
-
-
-def test_is_surjective_assignment():
-    e12 = UniMatrix.from_entry_map(4, 2, {(1, 2): 1})
-    e23 = UniMatrix.from_entry_map(4, 2, {(2, 3): 1})
-    e34 = UniMatrix.from_entry_map(4, 2, {(3, 4): 1})
-    assert is_surjective_assignment([e12, e23, e34], 4, 2)
-    assert not is_surjective_assignment([e12, e23], 4, 2)
-    assert not is_surjective_assignment(
-        [UniMatrix.identity(4, 2)] * 5, 4, 2
-    )
-    # two generators can never cover a rank-3 superdiagonal
-    rng = np.random.default_rng(4)
-    t = len(triangle_pairs(4))
-    for _ in range(50):
-        pair = [UniMatrix(4, 2, rng.integers(0, 2, size=t)) for _ in range(2)]
-        assert not is_surjective_assignment(pair, 4, 2)
-    with pytest.raises(ValueError):
-        is_surjective_assignment([UniBarMatrix(4, 2)], 4, 2)
-    assert not is_surjective_assignment([], 4, 2)
+        bar = walk_mul([int(e) for e in ea[:-1]], [int(e) for e in eb[:-1]],
+                       mul_recipe(4, bar=True), fp_ring(2))
+        assert group_mul(a, b).entries[:-1] == tuple(bar)
 
 
 def test_aut_order():
@@ -183,32 +163,13 @@ def test_kernel_m_is_central_in_u4_f2():
     # M is closed under conjugation (it is normal, in fact central mod nothing:
     # u m u^{-1} stays in M for every u)
     ms = [
-        KernelElemM(a, b, c, 2).as_matrix()
+        UniMatrix.from_entry_map(4, 2, {(1, 3): a, (2, 4): b, (1, 4): c})
         for a in range(2)
         for b in range(2)
         for c in range(2)
     ]
-    for u in enumerate_group(4, 2):
+    for u in all_elements(4, 2):
         uinv = group_inv(u)
         for m in ms:
             conj = group_mul(group_mul(u, m), uinv)
             assert conj.superdiagonal() == (0, 0, 0)
-            KernelElemM.from_matrix(conj)
-    with pytest.raises(ValueError):
-        KernelElemM.from_matrix(
-            UniMatrix.from_entry_map(4, 2, {(1, 2): 1})
-        )
-
-
-def test_index_roundtrip():
-    for n, p, bar in ((4, 2, False), (4, 2, True), (3, 3, False), (5, 2, True)):
-        total = element_count(n, p, bar)
-        seen = set()
-        for idx in range(min(total, 300)):
-            g = element_from_index(idx, n, p, bar)
-            assert index_of_element(g) == idx
-            seen.add(g)
-        assert len(seen) == min(total, 300)
-    # p = 2: index is the packed bitmask of entries, low bit = first entry
-    g = element_from_index(0b10110, 4, 2, bar=True)
-    assert g.entries == (0, 1, 1, 0, 1)
