@@ -10,53 +10,21 @@ import numpy as np
 
 from . import oracle
 from .fp import BudgetError, FpVector, check_prime, vectors_array
-from .forms import TrilinearForm, demushkin_gram, trace_tensor
+from .forms import TrilinearForm, cup_blocks, trace_tensor, zero_cup_table
 from .unipotent import aut_order
 from .words import (
     RamifiedRelatorData,
+    demushkin_case,
     demushkin_presentation,
     free_presentation,
     free_product,
+    parse_q,
     preset_tensor,
     q_value,
     ramified_presentation,
 )
 
 DEFAULT_TMP_BUDGET = 10 ** 8
-
-
-def infer_case(d: int, q: int) -> str:
-    """The standard relator case forced by (d, q): q = 2 splits on parity,
-    anything else is the symplectic case (even d only)."""
-    if q == 2:
-        return "D2" if d % 2 else "D3"
-    if d % 2:
-        raise ValueError(
-            f"no standard one-relator case with q != 2 and odd rank d = {d}"
-        )
-    return "D1"
-
-
-def _check_case(d: int, q: int, case: str) -> str:
-    if case is None:
-        return infer_case(d, q)
-    if case not in ("D1", "D2", "D3", "D4"):
-        raise ValueError(f"unknown case {case!r}")
-    if case == "D1":
-        if q == 2:
-            raise ValueError("case D1 needs q != 2")
-        if d % 2:
-            raise ValueError("case D1 needs even rank d")
-    else:
-        if q != 2:
-            raise ValueError(f"case {case} needs q = 2")
-        if case == "D2" and (d % 2 == 0 or d < 3):
-            raise ValueError("case D2 needs odd rank d >= 3")
-        if case == "D3" and d % 2:
-            raise ValueError("case D3 needs even rank d")
-        if case == "D4" and (d % 2 or d < 4):
-            raise ValueError("case D4 needs even rank d >= 4")
-    return case
 
 
 class GroupModel:
@@ -73,9 +41,8 @@ class GroupModel:
 
     @classmethod
     def demushkin(cls, d, q, case=None):
-        d = int(d)
-        q = q if isinstance(q, int) else (0 if q in ("inf", None) else int(q))
-        case = _check_case(d, q, case)
+        d, q = int(d), parse_q(q)
+        case = demushkin_case(d, q, case)
         return cls("demushkin", [("demushkin", d, q, case)])
 
     @classmethod
@@ -146,32 +113,16 @@ def preset_model(name: str) -> GroupModel:
 def model_check(model: GroupModel, p: int) -> int:
     """Validate the model's q-invariants against a concrete prime."""
     p = check_prime(p)
-    for kind, d, q, case in model.factors:
-        if kind != "demushkin":
-            continue
-        q_value(q, p)  # raises unless q is 0 or a power of p
-        if q == 2 and p != 2:
-            raise ValueError(f"case {case} (q = 2) needs p = 2")
+    for kind, _d, q, _case in model.factors:
+        if kind == "demushkin":
+            q_value(q, p)  # raises unless q is 0 or a power of p
     return p
 
 
-def model_gram_blocks(model: GroupModel, p: int):
-    """Per-factor (offset, size, GramForm-or-None) blocks of the cup pairing."""
-    blocks = []
-    off = 0
-    for kind, d, q, case in model.factors:
-        if kind == "demushkin":
-            blocks.append((off, d, demushkin_gram(d, p, q, case)))
-        else:
-            blocks.append((off, d, None))
-        off += d
-    return blocks
-
-
 def model_presentation(model: GroupModel, p: int):
-    """A concrete presentation for the oracle.  q = 2 cases take f = inf
-    (f = 2 for the one case that needs a finite f); the relator kernel in the
-    supported targets does not depend on that choice."""
+    """A concrete presentation for the oracle.  D2 and D3 take f = inf, D4
+    the finite f = 2; the relator kernel in the supported targets does not
+    depend on that choice."""
     model_check(model, p)
     if model.kind == "s3":
         return ramified_presentation(model.data, p)
@@ -180,11 +131,7 @@ def model_presentation(model: GroupModel, p: int):
         if kind == "free":
             parts.append(free_presentation(d))
         else:
-            f = None
-            if case in ("D2", "D3"):
-                f = "inf"
-            elif case == "D4":
-                f = 2
+            f = {"D2": "inf", "D3": "inf", "D4": 2}.get(case)
             parts.append(demushkin_presentation(d, p, q, case, f=f))
     if len(parts) == 1:
         return parts[0]
@@ -229,24 +176,20 @@ def _spend(box, amount):
         )
 
 
-def _zero_pairing_mask(blocks, p, box):
-    """The (P, P) boolean table, rows x and columns y, true when every
-    (coordinates, Gram matrix) block pairs (x, y) to zero.  None if no block."""
-    mask = None
-    for block, gram in blocks:
-        _spend(box, len(block) ** 2)
-        t = block @ gram @ block.T % p
-        mask = (t == 0) if mask is None else mask & (t == 0)
-    return mask
+def _pair_mask(d, p, blocks, box):
+    """The (P, P) boolean table over F_p^d, rows x and columns y, true when
+    every (offset, GramForm) block pairs (x, y) to zero.  None if no block."""
+    if not blocks:
+        return None
+    V = vectors_array(d, p).astype(np.int64)
+    for _ in blocks:
+        _spend(box, len(V) ** 2)
+    return zero_cup_table(blocks, V, V, p)
 
 
-def _pair_mask(model, p, box):
-    V = vectors_array(model.rank, p).astype(np.int64)
-    return _zero_pairing_mask(
-        [(V[:, off : off + size], gram.matrix.array)
-         for off, size, gram in model_gram_blocks(model, p) if gram is not None],
-        p, box,
-    )
+def _model_pair_mask(model, p, box):
+    return _pair_mask(model.rank, p, cup_blocks(model_presentation(model, p)),
+                      box)
 
 
 def _class_types(model, p):
@@ -362,7 +305,7 @@ def _scan(d, p, mask, box, tensors=None, types=None, want_list=False,
 def _tmp_scan(model, p, budget, want_list, want_classes):
     p = model_check(model, p)
     box = [0, budget]
-    mask = _pair_mask(model, p, box)
+    mask = _model_pair_mask(model, p, box)
     tensors = None
     if model.kind == "s3":
         form = TrilinearForm(model.data, p)
@@ -407,8 +350,7 @@ def tmp_enumerate_forms(forms, p, budget=DEFAULT_TMP_BUDGET):
     if any(f.dim != d or f.p != p for f in forms):
         raise ValueError("forms must share one dimension and modulus")
     box = [0, budget]
-    V = vectors_array(d, p).astype(np.int64)
-    mask = _zero_pairing_mask([(V, f.matrix.array) for f in forms], p, box)
+    mask = _pair_mask(d, p, [(0, f) for f in forms], box)
     return _scan(d, p, mask, box)[0]
 
 
@@ -544,7 +486,8 @@ def cp_count(model: GroupModel, p: int, method="closed", budget=DEFAULT_TMP_BUDG
     if method != "enumerate":
         raise ValueError(f"unknown method {method!r}")
     box = [0, budget]
-    return _scan(model.rank, p, _pair_mask(model, p, box), box, pairs_only=True)
+    return _scan(model.rank, p, _model_pair_mask(model, p, box), box,
+                 pairs_only=True)
 
 
 def un_quotient_decision(model: GroupModel, n: int) -> bool:
@@ -737,7 +680,6 @@ def local_field_model(degree: int, p: int, q) -> GroupModel:
     degree = int(degree)
     if degree < 1:
         raise ValueError("field degree must be >= 1")
-    q = q if isinstance(q, int) else (0 if q in ("inf", None) else int(q))
     model = GroupModel.demushkin(degree + 2, q)
     model_check(model, p)
     return model

@@ -36,29 +36,17 @@ from .words import (
 CONFIG_KEYS = ("threads", "tmp_budget", "oracle_budget", "lift_budget")
 
 
-def _parse_q(text):
-    if text in ("inf", "0"):
-        return "inf"
-    return int(text)
-
-
-def _parse_f(text):
-    if text == "inf":
-        return "inf"
-    return int(text)
-
-
 def _add_model_flags(sub):
     sub.add_argument("--model", required=True,
                      choices=["demushkin", "free", "df", "dd", "preset", "file"])
     sub.add_argument("--d", type=int, help="rank of the (first) factor")
-    sub.add_argument("--q", type=_parse_q, help="q invariant (integer or 'inf')")
+    sub.add_argument("--q", help="q invariant (integer or 'inf')")
     sub.add_argument("--case", choices=["D1", "D2", "D3", "D4"])
-    sub.add_argument("--f", type=_parse_f,
+    sub.add_argument("--f",
                      help="secondary exponent for the q=2 relators (or 'inf')")
     sub.add_argument("--e", type=int, help="free-factor rank for --model df")
     sub.add_argument("--d2", type=int, help="second factor rank for --model dd")
-    sub.add_argument("--q2", type=_parse_q, help="second factor q for --model dd")
+    sub.add_argument("--q2", help="second factor q for --model dd")
     sub.add_argument("--case2", choices=["D1", "D2", "D3", "D4"])
     sub.add_argument("--name", help="preset name for --model preset")
     sub.add_argument("--file", help="input file for --model file")
@@ -103,7 +91,7 @@ def build_parser():
     cx.add_argument("--local-degree", type=int, required=True,
                     help="degree of the field over Q_p")
     _add_common_flags(cx)
-    cx.add_argument("--q", type=_parse_q, required=True)
+    cx.add_argument("--q", required=True)
     cx.add_argument("--target", type=int, default=4, choices=[2, 3, 4])
     cx.add_argument("--csv", action="store_true", help="CSV instead of JSON")
 

@@ -12,73 +12,29 @@ from .fp import FpMatrix, FpScalar, FpVector, GramForm, rank_mod
 from .words import (
     Presentation,
     RamifiedRelatorData,
+    demushkin_case,
     presentation_from_json,
+    q_value,
     ramified_data_from_json,
 )
 
 
-def zero_form(d: int, p: int) -> GramForm:
-    return GramForm(FpMatrix.zeros(d, d, p))
-
-
 def demushkin_gram(d: int, p: int, q, case: str) -> GramForm:
-    """The d x d cup-product pairing matrix of the standard relator cases.
+    """The d x d cup-product pairing matrix of a standard relator case.
 
-    D1: symplectic pairs (v1,v2), (v3,v4), ...; zero diagonal.
-    D2: (v1,v1)=1, (v2,v3)=1, then pairs (v4,v5), ...
-    D3: (v1,v1)=1, (v1,v2)=1, then pairs (v3,v4), ...
-    D4: (v1,v1)=1, (v1,v2)=1, (v3,v4)=1, then pairs (v5,v6), ...
-    Off-diagonal entries are antisymmetrized; the diagonal profile is
-    first_one exactly when q = 2.
+    D1: pairs (v1,v2), (v3,v4), ...; zero diagonal.  D2: (v1,v1) = 1 plus
+    pairs (v2,v3), (v4,v5), ...  D3 and D4: (v1,v1) = 1 plus the D1 pairs.
+    A pair (v_a, v_b) = 1 has (v_b, v_a) = -1.
     """
-    from .words import q_value
-
-    qv = q_value(q, p)
+    case = demushkin_case(d, q_value(q, p), case)
     m = [[0] * d for _ in range(d)]
-
-    def pair(a, b):  # 1-based; sets (v_a, v_b) = 1 antisymmetrically
-        m[a - 1][b - 1] = 1
-        m[b - 1][a - 1] = (-1) % p
-
+    for a in range(2 if case == "D2" else 1, d, 2):
+        m[a - 1][a] = 1
+        m[a][a - 1] = p - 1
     if case == "D1":
-        if d % 2:
-            raise ValueError("case D1 needs even d")
-        for a in range(1, d, 2):
-            pair(a, a + 1)
-        profile = "all_zero"
-    elif case == "D2":
-        if d % 2 == 0 or d < 3:
-            raise ValueError("case D2 needs odd d >= 3")
-        m[0][0] = 1
-        pair(2, 3)
-        for a in range(4, d, 2):
-            pair(a, a + 1)
-        profile = "first_one"
-    elif case == "D3":
-        if d % 2:
-            raise ValueError("case D3 needs even d")
-        m[0][0] = 1
-        pair(1, 2)
-        for a in range(3, d, 2):
-            pair(a, a + 1)
-        profile = "first_one"
-    elif case == "D4":
-        if d % 2 or d < 4:
-            raise ValueError("case D4 needs even d >= 4")
-        m[0][0] = 1
-        pair(1, 2)
-        pair(3, 4)
-        for a in range(5, d, 2):
-            pair(a, a + 1)
-        profile = "first_one"
-    else:
-        raise ValueError(f"unknown case {case!r}")
-
-    if profile == "first_one" and (p != 2 or qv != 2):
-        raise ValueError(f"case {case} needs p = 2 and q = 2")
-    if case == "D1" and qv == 2:
-        raise ValueError("case D1 needs q != 2")
-    return GramForm(FpMatrix(m, p), profile)
+        return GramForm(FpMatrix(m, p))
+    m[0][0] = 1
+    return GramForm(FpMatrix(m, p), "first_one")
 
 
 def gram_from_demushkin(pres: Presentation) -> GramForm:
@@ -87,6 +43,34 @@ def gram_from_demushkin(pres: Presentation) -> GramForm:
     if tag.get("kind") != "demushkin":
         raise ValueError("presentation is not a standard one-relator family")
     return demushkin_gram(pres.rank, tag["p"], tag["q"], tag["case"])
+
+
+def cup_blocks(pres: Presentation):
+    """The cup pairing of a presentation as (offset, GramForm) blocks, one
+    per one-relator factor.  A free product pairs two characters factor by
+    factor, so their cup product vanishes only when every block's does;
+    free factors and other relators pair to zero and get no block."""
+    tag = pres.tag
+    parts = tag["parts"] if tag.get("kind") == "free_product" else (pres,)
+    blocks, off = [], 0
+    for part in parts:
+        if part.tag.get("kind") == "demushkin":
+            blocks.append((off, gram_from_demushkin(part)))
+        off += part.rank
+    return blocks
+
+
+def zero_cup_table(blocks, U, W, p) -> np.ndarray:
+    """The (len U, len W) table of whether rows U[i] and W[j], coordinate
+    arrays over the whole presentation, have zero cup product in every
+    block of cup_blocks."""
+    ok = np.ones((len(U), len(W)), dtype=bool)
+    for off, gram in blocks:
+        s = slice(off, off + gram.dim)
+        cup = U[:, s] @ gram.matrix.array @ W[:, s].T
+        cup %= p  # in place: one int64 table alive at a time
+        ok &= cup == 0
+    return ok
 
 
 def _pairing(matrix, p):

@@ -21,7 +21,7 @@ from .fp import (
     vector_from_index,
     vectors_array,
 )
-from .forms import gram_from_demushkin, zero_form
+from .forms import cup_blocks, zero_cup_table
 from .unipotent import (
     F2_LANES,
     MAX_N,
@@ -434,26 +434,6 @@ def massey_system_exists(pres, chars, p, budget=ORACLE_BUDGET) -> bool:
     return bool(found)
 
 
-def _presentation_pairing(pres, p):
-    """The pairing matrix for the cup condition: the one-relator family's
-    Gram matrix, block sums for free products, and zero otherwise."""
-    kind = pres.tag.get("kind")
-    if kind == "demushkin":
-        return gram_from_demushkin(pres).matrix.array
-    if kind == "free_product":
-        blocks = np.zeros((pres.rank, pres.rank), dtype=np.int64)
-        off = 0
-        for part in pres.tag["parts"]:
-            if part.tag.get("kind") == "demushkin":
-                g = gram_from_demushkin(part)
-                blocks[off : off + part.rank, off : off + part.rank] = (
-                    g.matrix.array
-                )
-            off += part.rank
-        return blocks
-    return zero_form(pres.rank, p).matrix.array
-
-
 def cup_defining_check(pres, p, k, samples=None, include=(), seed=0,
                        budget=ORACLE_BUDGET) -> dict:
     """Search for character tuples with vanishing consecutive cup products
@@ -464,16 +444,7 @@ def cup_defining_check(pres, p, k, samples=None, include=(), seed=0,
     if not 2 <= k <= MAX_N - 1:
         raise ValueError(f"supported fold counts are 2..{MAX_N - 1}")
     rank = pres.rank
-    mat = _presentation_pairing(pres, p)
-
-    def cups_vanish(tup):
-        for a, b in zip(tup, tup[1:]):
-            av = np.array([int(a[g]) for g in range(rank)], dtype=np.int64)
-            bv = np.array([int(b[g]) for g in range(rank)], dtype=np.int64)
-            if int(av @ mat @ bv) % p:
-                return False
-        return True
-
+    blocks = cup_blocks(pres)
     per_tuple = p ** ((k * (k + 1) // 2 - 1 - k) * rank)
     checked = 0
     failures = []
@@ -500,7 +471,7 @@ def cup_defining_check(pres, p, k, samples=None, include=(), seed=0,
     if exhaustive:
         # count the qualifying tuples first so the budget verdict is upfront
         V = vectors_array(rank, p).astype(np.int64)
-        pair_ok = (V @ mat @ V.T % p) == 0  # by vector index, both sides
+        pair_ok = zero_cup_table(blocks, V, V, p)  # by vector index, both sides
         chains = np.ones(P, dtype=np.int64)
         for _ in range(k - 1):
             chains = pair_ok @ chains
@@ -533,7 +504,8 @@ def cup_defining_check(pres, p, k, samples=None, include=(), seed=0,
                 vector_from_index(int(rng.integers(P)), rank, p)
                 for _ in range(k)
             )
-            if cups_vanish(tup):
+            T = np.array([v.entries for v in tup], dtype=np.int64)
+            if zero_cup_table(blocks, T[:-1], T[1:], p).diagonal().all():
                 run(tup)
 
     return {"checked": checked, "failures": failures, "exhaustive": exhaustive}

@@ -212,9 +212,7 @@ def _lifts_rank4(threads):
     details = []
     for case, q in (("D1", 4), ("D3", 2), ("D4", 2)):
         model = GroupModel.demushkin(4, q, case=case)
-        pres = demushkin_presentation(4, 2, q, case,
-                                      f=None if case == "D1" else
-                                      ("inf" if case == "D3" else 2))
+        pres = model_presentation(model, 2)
         count, triples = tmp_enumerate(model, 2, want_list=True)
         want = z1_closed(model, 2, "noncentral")
         lift_counts = {count_lifts_bruteforce(pres, 2, t) for t in triples}

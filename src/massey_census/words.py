@@ -3,6 +3,7 @@ and the preset presentations used throughout the test grid."""
 
 from __future__ import annotations
 
+from .fp import check_prime
 from .unipotent import (
     ExponentToken,
     P_INFINITY,
@@ -146,14 +147,29 @@ def evaluate_word(w, images):
     return type(first)(first.n, first.p, entries)
 
 
+_INFINITE = ("inf", "p-inf", "infinity")
+
+
+def _integer(value, name) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"{name} must be an integer or 'inf', got {value!r}"
+        ) from None
+
+
+def parse_q(q) -> int:
+    """Read q ('inf' or None, an int, or a decimal string) as an int, 0
+    meaning p-infinity."""
+    if q is None or q in _INFINITE:
+        return 0
+    return _integer(q, "q")
+
+
 def q_value(q, p) -> int:
-    """Normalize a q argument (int value, or 'inf') to an int, 0 meaning
-    p-infinity; validates that finite values are powers of p >= p."""
-    if isinstance(q, str):
-        if q in ("inf", "p-inf", "infinity"):
-            return 0
-        q = int(q)
-    q = int(q)
+    """parse_q, then check that a finite q is a power of p >= p."""
+    q, p = parse_q(q), check_prime(p)
     if q == 0:
         return 0
     v = q
@@ -169,18 +185,11 @@ def _f_exponent(f, base_power: int):
     shifted by base_power (0 or 2): base_power + 2^f, with 2^inf = 0."""
     if f is None:
         raise ValueError("this relator case needs f (an integer >= 2, or 'inf')")
-    if isinstance(f, str):
-        if f in ("inf", "p-inf", "infinity"):
-            f = None
-        else:
-            f = int(f)
-    elif isinstance(f, float) and f == float("inf"):
-        f = None
-    if f is None:
+    if f in _INFINITE or f == float("inf"):
         if base_power == 0:
             return P_INFINITY, None
         return ExponentToken(base_power), None
-    f = int(f)
+    f = _integer(f, "f")
     if f < 2:
         raise ValueError(f"f must be >= 2, got {f}")
     return ExponentToken(base_power + 2 ** f), f
@@ -226,7 +235,40 @@ def free_presentation(d: int) -> Presentation:
     return Presentation(d, (), {"kind": "free"})
 
 
-DEMUSHKIN_CASES = ("D1", "D2", "D3", "D4")
+# case: (needs q = 2, rank parity, least rank), after Labute's classification
+_CASE_RULES = {
+    "D1": (False, 0, 2),
+    "D2": (True, 1, 3),
+    "D3": (True, 0, 2),
+    "D4": (True, 0, 4),
+}
+DEMUSHKIN_CASES = tuple(_CASE_RULES)
+
+
+def demushkin_case(d: int, q: int, case=None) -> str:
+    """Check rank d and q (an int, 0 meaning p-infinity) against the standard
+    one-relator case and return it; case None infers it from (d, q).
+
+    D1: q != 2, even d >= 2.  D2: q = 2, odd d >= 3.  D3: q = 2, even
+    d >= 2.  D4: q = 2, even d >= 4.  Inference picks D2 or D3 by parity
+    when q = 2, and D1 otherwise.
+    """
+    if case is None:
+        if q != 2 and d % 2:
+            raise ValueError(
+                f"no standard one-relator case with q != 2 and odd rank d = {d}"
+            )
+        case = "D1" if q != 2 else "D2" if d % 2 else "D3"
+    if case not in _CASE_RULES:
+        raise ValueError(f"unknown case {case!r}; expected one of {DEMUSHKIN_CASES}")
+    needs_q2, parity, least = _CASE_RULES[case]
+    if needs_q2 != (q == 2):
+        raise ValueError(f"case {case} needs q {'=' if needs_q2 else '!='} 2")
+    if d % 2 != parity or d < least:
+        raise ValueError(
+            f"case {case} needs {('even', 'odd')[parity]} rank d >= {least}"
+        )
+    return case
 
 
 def _comm_pairs(start: int, d: int):
@@ -235,50 +277,26 @@ def _comm_pairs(start: int, d: int):
 
 
 def demushkin_presentation(d, p, q, case, f=None) -> Presentation:
-    """The standard one-relator presentation of the given case.
-
-    Cases: D1 needs q != 2 (at p = 2 that means q >= 4 or infinite) and d even;
-    D2 needs p = 2, q = 2, d odd >= 3, f >= 2 or 'inf'; D3 needs p = 2, q = 2,
-    d even, f >= 2 or 'inf'; D4 needs p = 2, q = 2, d even >= 4, f >= 2 finite.
-    """
-    d = int(d)
-    if d < 1:
-        raise ValueError("rank d must be >= 1")
-    if case not in DEMUSHKIN_CASES:
-        raise ValueError(f"unknown case {case!r}; expected one of {DEMUSHKIN_CASES}")
-    p = int(p)
+    """The standard one-relator presentation of the case (see demushkin_case;
+    None infers it).  D2 and D3 take f >= 2 or 'inf', D4 a finite f >= 2."""
+    d, p = int(d), int(p)
     qv = q_value(q, p)
+    case = demushkin_case(d, qv, case)
     tag = {"kind": "demushkin", "case": case, "d": d, "p": p, "q": qv}
 
     if case == "D1":
-        if d % 2:
-            raise ValueError("case D1 needs even rank d")
-        if qv == 2:
-            raise ValueError("case D1 needs q != 2 (q >= 4 or 'inf' when p = 2)")
         q_token = P_INFINITY if qv == 0 else ExponentToken(qv)
         relator = Prod([Pow(Gen(1), q_token)] + _comm_pairs(1, d))
         return Presentation(d, [relator], tag)
-
-    # the remaining cases are the q = 2 families
-    if p != 2 or qv != 2:
-        raise ValueError(f"case {case} needs p = 2 and q = 2")
     if case == "D2":
-        if d % 2 == 0 or d < 3:
-            raise ValueError("case D2 needs odd rank d >= 3")
         tok, f_norm = _f_exponent(f, 0)
         relator = Prod(
             [Pow(Gen(1), 2), Pow(Gen(2), tok)] + _comm_pairs(2, d)
         )
     elif case == "D3":
-        if d % 2:
-            raise ValueError("case D3 needs even rank d")
         tok, f_norm = _f_exponent(f, 2)
         relator = Prod([Pow(Gen(1), tok)] + _comm_pairs(1, d))
     else:  # D4
-        if d % 2:
-            raise ValueError("case D4 needs even rank d")
-        if d < 4:
-            raise ValueError("case D4 needs rank d >= 4")
         tok, f_norm = _f_exponent(f, 0)
         if f_norm is None:
             raise ValueError("case D4 needs a finite f >= 2")

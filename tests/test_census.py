@@ -14,9 +14,8 @@ from massey_census.census import (
     GroupModel,
     cp_count,
     epi_count,
-    infer_case,
     local_field_model,
-    model_gram_blocks,
+    model_check,
     model_presentation,
     nu_extensions,
     nu_local_closed,
@@ -29,16 +28,29 @@ from massey_census.census import (
     z1_closed,
 )
 from massey_census.fp import BudgetError, FpMatrix, FpVector, GramForm, rank_mod
-from massey_census.forms import TrilinearForm, demushkin_gram, trilinear_trace
-from massey_census.words import Comm, Gen, Pow, Prod, RamifiedRelatorData
+from massey_census.forms import (
+    TrilinearForm,
+    cup_blocks,
+    demushkin_gram,
+    trilinear_trace,
+)
+from massey_census.words import (
+    Comm,
+    Gen,
+    Pow,
+    Prod,
+    RamifiedRelatorData,
+    demushkin_case,
+    demushkin_presentation,
+)
 
 
 def test_model_construction_and_case_inference():
-    assert infer_case(3, 2) == "D2"
-    assert infer_case(4, 2) == "D3"
-    assert infer_case(4, 4) == "D1"
+    assert demushkin_case(3, 2) == "D2"
+    assert demushkin_case(4, 2) == "D3"
+    assert demushkin_case(4, 4) == "D1"
     with pytest.raises(ValueError):
-        infer_case(3, 4)  # odd rank needs q = 2
+        demushkin_case(3, 4)  # odd rank needs q = 2
     m = GroupModel.demushkin(3, 2)
     assert m.factors[0][3] == "D2" and m.rank == 3
     assert GroupModel.demushkin(4, 4).factors[0][3] == "D1"
@@ -52,6 +64,34 @@ def test_model_construction_and_case_inference():
         GroupModel.free(0)
     assert "D2" in GroupModel.demushkin(3, 2).describe()
     assert "*" in GroupModel.df(3, 2, 1).describe()
+
+
+def test_case_rules_agree_on_a_grid():
+    # the model, the presentation and the Gram form share one validator, so
+    # each cell is accepted by all three or refused by all three
+    accepted = set()
+    for cell in itertools.product(range(-2, 10), (0, 2, 3, 4, 9), (2, 3),
+                                  (None, "D1", "D2", "D3", "D4")):
+        d, q, p, case = cell
+        verdicts = set()
+        for build in (
+            lambda: model_check(GroupModel.demushkin(d, q, case), p),
+            lambda: demushkin_presentation(d, p, q, case, f=2),
+            lambda: demushkin_gram(d, p, q, case),
+        ):
+            try:
+                build()
+                verdicts.add(True)
+            except ValueError:
+                verdicts.add(False)
+        assert len(verdicts) == 1, cell
+        if True in verdicts:
+            accepted.add(cell)
+    assert min(d for d, _q, _p, _c in accepted) == 2
+    assert {(2, 4, 2, None), (3, 2, 2, None), (4, 2, 2, "D4"),
+            (2, 9, 3, "D1")} <= accepted
+    assert not {(0, 4, 2, None), (-2, 4, 2, None), (1, 2, 2, None),
+                (2, 2, 2, "D4"), (5, 4, 2, None)} & accepted
 
 
 def test_preset_models():
@@ -193,8 +233,8 @@ def _naive_triples(d, p, pair_zero):
 
 
 def _naive_gram_triples(model, p):
-    blocks = [(off, size, gram.matrix.array)
-              for off, size, gram in model_gram_blocks(model, p) if gram is not None]
+    blocks = [(off, gram.dim, gram.matrix.array)
+              for off, gram in cup_blocks(model_presentation(model, p))]
 
     def pairs(u, v):
         return all(

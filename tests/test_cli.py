@@ -170,6 +170,17 @@ def test_validation_error_json(capsys):
     assert "--q" in json.loads(out)["error"]
 
 
+def test_bad_q_text_exit_1_names_q(capsys):
+    argv = ("count-epi", "--model", "demushkin", "--d", "4", "--q", "abc",
+            "--p", "2")
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "q must be an integer or 'inf', got 'abc'" in err
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 1
+    assert "q must be" in json.loads(out)["error"]
+
+
 def test_budget_error_exit_2(capsys):
     code, out, _ = run(
         capsys, "count-epi", "--model", "free", "--d", "3", "--p", "3",

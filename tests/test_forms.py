@@ -18,7 +18,6 @@ from massey_census.forms import (
     ramified_from_redei,
     trace_tensor,
     trilinear_trace,
-    zero_form,
 )
 from massey_census.words import (
     RamifiedRelatorData,
@@ -108,7 +107,7 @@ def check_consecutive(f, basis):
 
 
 def test_basis_zero_form():
-    f = zero_form(3, 2)
+    f = GramForm(FpMatrix.zeros(3, 3, 2))
     basis = consecutive_orthogonal_basis(f)
     assert [v.entries for v in basis] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
@@ -139,7 +138,7 @@ def test_basis_single_pair_plus_radical():
 
 def test_basis_dim_error():
     with pytest.raises(ValueError):
-        consecutive_orthogonal_basis(zero_form(2, 2))
+        consecutive_orthogonal_basis(GramForm(FpMatrix.zeros(2, 2, 2)))
 
 
 def test_basis_random_forms():

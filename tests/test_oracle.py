@@ -318,6 +318,13 @@ def test_cup_defining_demushkin_exhaustive_empty():
     assert report == {"checked": 176, "failures": [], "exhaustive": True}
 
 
+def test_cup_defining_double_product_per_factor():
+    # a free product's cup product vanishes only when every factor's does
+    pres = model_presentation(GroupModel.dd(2, 4, 2, 4), 2)
+    report = cup_defining_check(pres, 2, 3)
+    assert report == {"checked": 784, "failures": [], "exhaustive": True}
+
+
 def test_cup_defining_counterexample_flagged():
     pres = preset("counterexample1")
     chars = tuple(

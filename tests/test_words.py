@@ -105,6 +105,8 @@ def test_q_value():
         q_value(1, 2)
     with pytest.raises(ValueError):
         q_value(9, 3) and q_value(3, 2)
+    with pytest.raises(ValueError):
+        q_value(4, 1)  # p must be prime
 
 
 def test_demushkin_d1():
