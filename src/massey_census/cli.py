@@ -29,23 +29,27 @@ from .words import (
     Presentation,
     RamifiedRelatorData,
     demushkin_presentation,
+    parse_int,
     preset,
     ramified_presentation,
 )
 
 CONFIG_KEYS = ("threads", "tmp_budget", "oracle_budget", "lift_budget")
+# read as text and converted in main, so bad text exits 1 naming the flag
+_INT_FLAGS = ("d", "p", "e", "d2", "threads", "budget", "oracle_budget",
+              "local_degree", "k")
 
 
 def _add_model_flags(sub):
     sub.add_argument("--model", required=True,
                      choices=["demushkin", "free", "df", "dd", "preset", "file"])
-    sub.add_argument("--d", type=int, help="rank of the (first) factor")
+    sub.add_argument("--d", help="rank of the (first) factor")
     sub.add_argument("--q", help="q invariant (integer or 'inf')")
     sub.add_argument("--case", choices=["D1", "D2", "D3", "D4"])
     sub.add_argument("--f",
                      help="secondary exponent for the q=2 relators (or 'inf')")
-    sub.add_argument("--e", type=int, help="free-factor rank for --model df")
-    sub.add_argument("--d2", type=int, help="second factor rank for --model dd")
+    sub.add_argument("--e", help="free-factor rank for --model df")
+    sub.add_argument("--d2", help="second factor rank for --model dd")
     sub.add_argument("--q2", help="second factor q for --model dd")
     sub.add_argument("--case2", choices=["D1", "D2", "D3", "D4"])
     sub.add_argument("--name", help="preset name for --model preset")
@@ -53,14 +57,14 @@ def _add_model_flags(sub):
 
 
 def _add_common_flags(sub):
-    sub.add_argument("--p", type=int, required=True, help="the prime")
+    sub.add_argument("--p", required=True, help="the prime")
     sub.add_argument("--json", action="store_true",
                      help="machine-readable errors on stdout")
     sub.add_argument("--config", help="key=value file: budgets and threads only")
-    sub.add_argument("--threads", type=int)
-    sub.add_argument("--budget", type=int,
+    sub.add_argument("--threads")
+    sub.add_argument("--budget",
                      help="primitive-form-evaluation budget for scans")
-    sub.add_argument("--oracle-budget", type=int,
+    sub.add_argument("--oracle-budget",
                      help="assignment budget for brute-force enumeration")
     sub.add_argument("--extended", action="store_true",
                      help="raise the enumeration budget to 2^31 assignments")
@@ -88,7 +92,7 @@ def build_parser():
 
     cx = subs.add_parser("count-extensions",
                          help="count Galois U_n(F_p)-extensions of a p-adic field")
-    cx.add_argument("--local-degree", type=int, required=True,
+    cx.add_argument("--local-degree", required=True,
                     help="degree of the field over Q_p")
     _add_common_flags(cx)
     cx.add_argument("--q", required=True)
@@ -112,13 +116,13 @@ def build_parser():
     _add_common_flags(ma)
     ma.add_argument("--chars", required=True,
                     help="JSON list of characters, e.g. [[1,0,0],[0,1,0]]")
-    ma.add_argument("--k", type=int, help="expected fold count (consistency)")
+    ma.add_argument("--k", help="expected fold count (consistency)")
 
     ve = subs.add_parser("verify", help="run a self-check suite")
     ve.add_argument("--suite", default="desk", choices=["desk", "extended"])
     ve.add_argument("--json", action="store_true")
     ve.add_argument("--config")
-    ve.add_argument("--threads", type=int)
+    ve.add_argument("--threads")
 
     return parser
 
@@ -139,12 +143,7 @@ def _load_config(path):
                     f"{where}: unknown config key {key!r}; only budgets and "
                     f"thread counts belong here: {', '.join(CONFIG_KEYS)}"
                 )
-            try:
-                out[key] = int(value)
-            except ValueError:
-                raise ValueError(
-                    f"{where}: {key} must be an integer, got {value!r}"
-                ) from None
+            out[key] = parse_int(value, f"{where}: {key}")
     return out
 
 
@@ -154,12 +153,7 @@ def _settings(args):
     if threads is None:
         env = os.environ.get("MASSEY_CENSUS_THREADS")
         if env:
-            try:
-                threads = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"MASSEY_CENSUS_THREADS must be an integer, got {env!r}"
-                ) from None
+            threads = parse_int(env, "MASSEY_CENSUS_THREADS")
     if threads is None:
         threads = config.get("threads", 1)
     tmp_budget = getattr(args, "budget", None)
@@ -387,6 +381,11 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
     }
     try:
+        for name in _INT_FLAGS:
+            value = getattr(args, name, None)
+            if value is not None:
+                flag = "--" + name.replace("_", "-")
+                setattr(args, name, parse_int(value, flag))
         return handlers[args.command](args)
     except BudgetError as exc:
         _emit_error(args, str(exc))

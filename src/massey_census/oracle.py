@@ -32,7 +32,7 @@ from .unipotent import (
     triangle_pairs,
     walk_word,
 )
-from .words import Presentation
+from .words import Presentation, exponent_sums
 
 ORACLE_BUDGET = 2 ** 26
 ORACLE_BUDGET_EXTENDED = 2 ** 31
@@ -268,7 +268,7 @@ def _count_range(pres, n, p, bar, fixed, lo, hi, k, want_surjective,
     """Count the assignments in [lo, hi), both multiples of p^k, that pass
     every stage, one block of p^k assignments at a time."""
     pairs = triangle_pairs(n, bar)
-    free_pairs = [pq for pq in pairs if not (fixed and pq in fixed)]
+    free_pairs = [pq for pq in pairs if pq not in fixed]
     # with two or more relators the surjectivity stage runs first
     surj_first = want_surjective and len(pres.relators) >= 2
     stages = ["surjective"] if surj_first else []
@@ -297,10 +297,13 @@ def _range_worker(args):
     return _count_range(pres, n, p, bar, fixed, lo, hi, k, want_surjective)
 
 
-def _make_progress(space, label):
+def _make_progress(space, label, scale):
+    """Progress reports in nominal assignments: `done` enumerated ones stand
+    for done * scale."""
     t0 = time.monotonic()
 
     def report(done):
+        done *= scale
         dt = max(time.monotonic() - t0, 1e-9)
         rate = done / dt
         eta = (space - done) / rate if rate else float("inf")
@@ -312,6 +315,20 @@ def _make_progress(space, label):
         sys.stderr.flush()
 
     return report
+
+
+def _central_pins(pres, n, p, bar, free_pairs):
+    """The free entries of the central band (n-1, or n-2 in the corner-dropped
+    group) above band 1 when every exponent sum in every relator vanishes mod
+    p, else none.  Translating a generator's image by a central element then
+    leaves every relator's value unchanged, and surjectivity reads band 1
+    only, so the oracle enumerates one assignment per coset: these entries
+    pinned to 0, the count scaled by p per pinned digit."""
+    band = n - 2 if bar else n - 1
+    if band < 2 or any(s % p for r in pres.relators
+                       for s in exponent_sums(r, pres.rank)):
+        return []
+    return [pq for pq in free_pairs if pq[1] - pq[0] == band]
 
 
 def _enumerate_space(pres, n, p, bar, fixed, budget, threads=1,
@@ -331,20 +348,24 @@ def _enumerate_space(pres, n, p, bar, fixed, budget, threads=1,
         )
     rank = pres.rank
     pairs = triangle_pairs(n, bar)
-    free_pairs = [pq for pq in pairs if not (fixed and pq in fixed)]
-    digits = len(free_pairs) * rank
-    space = p ** digits
-    if space > budget:
+    fixed = dict(fixed or {})
+    free_pairs = [pq for pq in pairs if pq not in fixed]
+    nominal = p ** (len(free_pairs) * rank)
+    if nominal > budget:
         raise BudgetError(
-            f"state space has {space} assignments, over the budget {budget}"
+            f"state space has {nominal} assignments, over the budget {budget}"
         )
-    reporter = _make_progress(space, label) if progress else None
+    pins = _central_pins(pres, n, p, bar, free_pairs)
+    fixed.update((pq, [0] * rank) for pq in pins)
+    digits = (len(free_pairs) - len(pins)) * rank
+    space, scale = p ** digits, p ** (len(pins) * rank)
+    reporter = _make_progress(nominal, label, scale) if progress else None
     k = _block_exponent(p, chunk, digits)
     ranges = ([(0, space)] if exists_only
               else _plan_ranges(space, p ** k, threads))
     if len(ranges) == 1:
-        return _count_range(pres, n, p, bar, fixed, 0, space, k,
-                            want_surjective, exists_only, reporter)
+        return scale * _count_range(pres, n, p, bar, fixed, 0, space, k,
+                                    want_surjective, exists_only, reporter)
     jobs = [
         (pres, n, p, bar, fixed, lo, hi, k, want_surjective)
         for lo, hi in ranges
@@ -353,7 +374,7 @@ def _enumerate_space(pres, n, p, bar, fixed, budget, threads=1,
     with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
         for c in pool.map(_range_worker, jobs):
             total += c
-    return total
+    return scale * total
 
 
 def _plan_ranges(space, block, threads):

@@ -185,11 +185,13 @@ def _quotient_ladder(_threads):
 def _determinism(threads):
     pres = demushkin_presentation(3, 2, 2, "D2", f="inf")
     serial = count_epi_bruteforce(pres, 4, 2)
+    # 2^15 enumerated assignments in 2^11-blocks: enough blocks to split
     threaded = count_epi_bruteforce(pres, 4, 2, threads=max(threads, 2),
-                                    chunk=2 ** 14)
-    # odd p, in process: blocks of 3^9, 3^6 and 3^4 assignments
+                                    chunk=2 ** 11)
+    # odd p, in process: 3^6 enumerated assignments in blocks of 3^6, 3^4
+    # and 3^2
     odd = {count_epi_bruteforce(free_presentation(3), 3, 3, chunk=chunk)
-           for chunk in (CHUNK, 1000, 3 ** 4)}
+           for chunk in (CHUNK, 100, 3 ** 2)}
     scan = tmp_enumerate(GroupModel.demushkin(4, 3), 3)[0]
     ok = serial == threaded == 6144 and odd == {16848} and scan == 34560
     return ok, (f"oracle {serial}/{threaded}, odd-p chunks "
@@ -265,11 +267,10 @@ def _free_rank2_u4_vanishes(_threads):
     return ok, f"rank 2 onto U_4(F_3): formula {formula}, oracle {brute}"
 
 
-def _rank5_oracle(model, frozen, threads):
+def _wide_oracle(model, frozen, budget, threads):
     formula = epi_count(model, 2).epi
     brute = count_epi_bruteforce(model_presentation(model, 2), 4, 2,
-                                 budget=ORACLE_BUDGET_EXTENDED,
-                                 threads=threads)
+                                 budget=budget, threads=threads)
     return _check_eq("formula = oracle = frozen", formula, brute, frozen)
 
 
@@ -309,14 +310,17 @@ CHECKS = (
     Check("rank 2 has no U_4 surjections (formula = oracle = 0)",
           _free_rank2_u4_vanishes, "extended"),
 ) + tuple(
-    # rank 5: 2^30-assignment spaces, within the extended budget
-    Check(f"rank 5 {model.describe()}: epi {frozen}",
-          functools.partial(_rank5_oracle, model, frozen), "extended")
-    for model, frozen in (
-        (GroupModel.free(5), 853278720),
-        (GroupModel.demushkin(5, 2), 96337920),
-        (GroupModel.df(3, 2, 2), 132120576),
-        (GroupModel.df(4, 4, 1), 96337920),
+    # rank 5: 2^30 nominal assignments, within the extended budget; rank 6:
+    # 2^36, past it, so those rows name their budget (2^30 are enumerated)
+    Check(f"rank {model.rank} {model.describe()}: epi {frozen}",
+          functools.partial(_wide_oracle, model, frozen, budget), "extended")
+    for model, frozen, budget in (
+        (GroupModel.free(5), 853278720, ORACLE_BUDGET_EXTENDED),
+        (GroupModel.demushkin(5, 2), 96337920, ORACLE_BUDGET_EXTENDED),
+        (GroupModel.df(3, 2, 2), 132120576, ORACLE_BUDGET_EXTENDED),
+        (GroupModel.df(4, 4, 1), 96337920, ORACLE_BUDGET_EXTENDED),
+        (GroupModel.free(6), 61436067840, 2 ** 36),
+        (GroupModel.df(4, 4, 2), 8115978240, 2 ** 36),
     )
 )
 

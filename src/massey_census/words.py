@@ -129,6 +129,22 @@ def max_generator(w) -> int:
     raise TypeError(f"not a group word: {w!r}")
 
 
+def exponent_sums(w, rank) -> list:
+    """Exponent sum of each of x_1 .. x_rank in the word, its image in the
+    abelianization: commutators and p-infinity powers contribute 0."""
+    sums = [0] * rank
+    stack = [(w, 1)]
+    while stack:
+        w, scale = stack.pop()
+        if isinstance(w, Gen):
+            sums[w.index - 1] += scale
+        elif isinstance(w, Prod):
+            stack.extend((f, scale) for f in w.factors)
+        elif isinstance(w, Pow) and not w.exponent.is_infinite:
+            stack.append((w.word, scale * w.exponent.value))
+    return sums
+
+
 def evaluate_word(w, images):
     """Substitute images[i-1] for Gen(i) and multiply out in the image group."""
     images = list(images)
@@ -150,12 +166,13 @@ def evaluate_word(w, images):
 _INFINITE = ("inf", "p-inf", "infinity")
 
 
-def _integer(value, name) -> int:
+def parse_int(value, name, expected="an integer") -> int:
+    """int(value), or a ValueError naming `name` and what was expected."""
     try:
         return int(value)
     except (TypeError, ValueError):
         raise ValueError(
-            f"{name} must be an integer or 'inf', got {value!r}"
+            f"{name} must be {expected}, got {value!r}"
         ) from None
 
 
@@ -164,7 +181,7 @@ def parse_q(q) -> int:
     meaning p-infinity."""
     if q is None or q in _INFINITE:
         return 0
-    return _integer(q, "q")
+    return parse_int(q, "q", "an integer or 'inf'")
 
 
 def q_value(q, p) -> int:
@@ -189,7 +206,7 @@ def _f_exponent(f, base_power: int):
         if base_power == 0:
             return P_INFINITY, None
         return ExponentToken(base_power), None
-    f = _integer(f, "f")
+    f = parse_int(f, "f", "an integer or 'inf'")
     if f < 2:
         raise ValueError(f"f must be >= 2, got {f}")
     return ExponentToken(base_power + 2 ** f), f

@@ -181,6 +181,35 @@ def test_bad_q_text_exit_1_names_q(capsys):
     assert "q must be" in json.loads(out)["error"]
 
 
+def test_bad_integer_flags_exit_1_name_the_flag(capsys):
+    # exit 2 means a budget verdict, never an unreadable flag
+    base = {"--model": "demushkin", "--d": "4", "--q": "4", "--p": "2"}
+    bad = {
+        "count-epi": ("--d", "--p", "--threads", "--budget",
+                      "--oracle-budget"),
+        "tmp": ("--e", "--d2"),
+        "massey": ("--k",),
+    }
+    for command, flags in bad.items():
+        for flag in flags:
+            args = dict(base, **{flag: "abc"})
+            if command == "massey":
+                args["--chars"] = "[[1,0,0,0],[0,1,0,0],[0,0,1,0]]"
+            argv = [command] + [x for kv in args.items() for x in kv]
+            code, out, err = run(capsys, *argv, "--json")
+            assert code == 1 and err == "", flag
+            assert json.loads(out) == {
+                "error": f"{flag} must be an integer, got 'abc'"
+            }
+    code, out, err = run(capsys, "count-extensions", "--local-degree", "x",
+                         "--p", "2", "--q", "2")
+    assert code == 1 and out == ""
+    assert "--local-degree must be an integer, got 'x'" in err
+    code, out, _ = run(capsys, "verify", "--threads", "two", "--json")
+    assert code == 1
+    assert json.loads(out) == {"error": "--threads must be an integer, got 'two'"}
+
+
 def test_budget_error_exit_2(capsys):
     code, out, _ = run(
         capsys, "count-epi", "--model", "free", "--d", "3", "--p", "3",

@@ -25,6 +25,7 @@ from massey_census.oracle import (
     massey_system_exists,
 )
 from massey_census.unipotent import (
+    P_INFINITY,
     UniMatrix,
     group_mul,
     mul_recipe,
@@ -66,10 +67,26 @@ def test_epi_small_target():
     assert count_epi_bruteforce(pres, 3, 2) == 144
 
 
-def test_epi_threads_and_chunks_deterministic():
+def _record_plans(monkeypatch):
+    """With two cpus, record how many ranges each oracle call plans."""
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+    plans, plan = [], oracle._plan_ranges
+
+    def spy(*args):
+        ranges = plan(*args)
+        plans.append(len(ranges))
+        return ranges
+
+    monkeypatch.setattr(oracle, "_plan_ranges", spy)
+    return plans
+
+
+def test_epi_threads_and_chunks_deterministic(monkeypatch):
     # p = 2 is bit-sliced: blocks run from one lane of a partial word
-    # (chunk 1) to 4096 words (CHUNK); two threads split a space of more
-    # than two blocks at a block boundary
+    # (chunk 1) to the whole space (CHUNK); two threads split a space of more
+    # than two blocks at a block boundary, and at least one chunk per case
+    # must leave the reduced space enough blocks to split
+    plans = _record_plans(monkeypatch)
     cases = (
         (demushkin_presentation(3, 2, 2, "D2", f="inf"), 3, 144,
          (1, 16, 64, 2 ** 14)),
@@ -78,28 +95,35 @@ def test_epi_threads_and_chunks_deterministic():
         (preset("ram01"), 4, 86016, (64, 2 ** 14, oracle.CHUNK)),
     )
     for pres, n, want, chunks in cases:
+        plans.clear()
         for chunk in chunks:
             for threads in (1, 2):
                 assert count_epi_bruteforce(pres, n, 2, threads=threads,
                                             chunk=chunk) == want
+        assert max(plans) >= 2, (pres, n)
 
 
-def test_epi_odd_p_chunks_and_threads_deterministic():
+def test_epi_odd_p_chunks_and_threads_deterministic(monkeypatch):
     # chunks that are not powers of p: a block is the largest power of p at
     # most the chunk, and two workers split the space at a block boundary
+    plans = _record_plans(monkeypatch)
     for pres, n, p, want in (
         (demushkin_presentation(4, 3, 3, "D1"), 3, 3, 155520),
         (free_presentation(3), 3, 5, 1860000),  # (5^3-1)(5^3-5) 5^3
     ):
+        plans.clear()
         for chunk in (1000, p ** 7, oracle.CHUNK):
             for threads in (1, 2):
                 assert count_epi_bruteforce(pres, n, p, threads=threads,
                                             chunk=chunk) == want
+        assert max(plans) >= 2, (pres, n, p)
     # chunks below p: one-assignment blocks, every digit a python int
+    plans.clear()
     for chunk in (1, 2):
         for threads in (1, 2):
             assert count_epi_bruteforce(free_presentation(2), 3, 3,
                                         threads=threads, chunk=chunk) == 432
+    assert max(plans) >= 2
 
 
 def test_rank5_free_onto_u4_f2_needs_extended_budget():
@@ -426,14 +450,133 @@ def test_progress_reporting(capsys):
     count = count_epi_bruteforce(pres, 3, 2, progress=True)
     assert count == 144
     assert "epi" in capsys.readouterr().err
-    # one report per block, ending on the whole space and a newline
+    # one report per block of 2^11 enumerated assignments, each counted as
+    # the 2^3 nominal ones of its central cosets, ending on the whole
+    # nominal space and a newline
     assert count_epi_bruteforce(pres, 4, 2, progress=True,
-                                chunk=2 ** 14) == 6144
+                                chunk=2 ** 11) == 6144
     reports = capsys.readouterr().err.split("\r")[1:]
     assert [r.split()[1] for r in reports] == [
         f"{done}/{2 ** 18}" for done in range(2 ** 14, 2 ** 18 + 1, 2 ** 14)
     ]
     assert reports[-1].endswith("\n")
+
+
+def test_central_pins_rule():
+    # the free central entries are pinned only when every exponent sum of
+    # every relator vanishes mod p
+    pins = oracle._central_pins
+    u4 = triangle_pairs(4)
+    for q in (4, "inf"):  # x1^q [x1, x2]: 2 | 4, and p-infinity counts 0
+        pres = demushkin_presentation(2, 2, q, "D1")
+        assert pins(pres, 4, 2, False, u4) == [(1, 4)]
+    cubed = Presentation(2, [Prod(Pow(Gen(1), 3), Comm(Gen(1), Gen(2)))])
+    assert pins(cubed, 4, 2, False, u4) == []
+    assert pins(cubed, 4, 3, False, u4) == [(1, 4)]
+    free = free_presentation(2)
+    assert pins(free, 5, 2, False, triangle_pairs(5)) == [(1, 5)]
+    # the corner-dropped groups: band n-2, which for U_3-bar is the
+    # superdiagonal that surjectivity reads, so nothing is pinned there
+    assert pins(free, 4, 2, True, triangle_pairs(4, True)) == [(1, 3), (2, 4)]
+    assert pins(free, 3, 2, True, triangle_pairs(3, True)) == []
+    # entries already fixed stay as they are
+    assert pins(free, 4, 2, False, u4[:-1]) == []
+
+
+# --- differential checks against a literal loop over assignments -------------
+
+
+def _literal_count(pres, n, p, fixed=(), surjective=False, central=False):
+    """Count assignments of U_n(F_p) images, entries in `fixed` prescribed
+    and the rest free, by evaluating every relator with `evaluate_word`.  A
+    relator passes when it is the identity or, with `central`, a matrix
+    whose only nonzero entry is the corner (a relation of the
+    corner-dropped group; the generators' corners are fixed at 0)."""
+    fixed = dict(fixed)
+    if central:
+        fixed[(1, n)] = [0] * pres.rank
+    pairs = triangle_pairs(n)
+    free = [pq for pq in pairs if pq not in fixed]
+    idx = pair_index(n)
+    count = 0
+    for digits in itertools.product(range(p), repeat=len(free) * pres.rank):
+        images = []
+        for g in range(pres.rank):
+            entries = dict(zip(free, digits[g * len(free):]))
+            entries.update((pq, v[g]) for pq, v in fixed.items())
+            images.append(UniMatrix.from_entry_map(n, p, entries))
+        if surjective and fp.rank_mod(
+            [[m.entries[idx[(s, s + 1)]] for m in images]
+             for s in range(1, n)], p
+        ) < n - 1:
+            continue
+        values = [evaluate_word(r, images).entries for r in pres.relators]
+        if all(not any(v[:-1] if central else v) for v in values):
+            count += 1
+    return count
+
+
+@st.composite
+def small_presentations(draw, rank):
+    """Rank-`rank` presentations with 0-2 relators of at most five leaves:
+    q-powers with and without p | q, p-infinity powers, commutators."""
+    exponent = st.one_of(st.integers(-3, 4), st.just(P_INFINITY))
+    word = st.recursive(
+        st.integers(1, rank).map(Gen),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=3).map(Prod),
+            st.builds(Pow, inner, exponent),
+            st.builds(Comm, inner, inner),
+        ),
+        max_leaves=5,
+    )
+    return Presentation(rank, draw(st.lists(word, max_size=2)))
+
+
+def _characters(draw, count, rank, p):
+    return [FpVector(tuple(draw(st.lists(st.integers(0, p - 1),
+                                          min_size=rank, max_size=rank))), p)
+            for _ in range(count)]
+
+
+# (n, p, rank) with at most 2^12 assignments for the literal loop
+_EPI_SPACES = ((3, 2, 2), (3, 2, 3), (3, 3, 2), (4, 2, 1), (4, 2, 2),
+               (4, 3, 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_epi_matches_literal_loop(data):
+    n, p, rank = data.draw(st.sampled_from(_EPI_SPACES))
+    pres = data.draw(small_presentations(rank))
+    assert count_epi_bruteforce(pres, n, p) == _literal_count(
+        pres, n, p, surjective=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_lifts_match_literal_loop(data):
+    p, rank = data.draw(st.sampled_from(((2, 1), (2, 2), (2, 3), (3, 1),
+                                         (3, 2))))
+    pres = data.draw(small_presentations(rank))
+    sup = _characters(data.draw, 3, rank, p)
+    fixed = {(s, s + 1): [int(v[g]) for g in range(rank)]
+             for s, v in enumerate(sup, 1)}
+    assert count_lifts_bruteforce(pres, p, sup) == _literal_count(
+        pres, 4, p, fixed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_massey_exists_matches_literal_loop(data):
+    k, p, rank = data.draw(st.sampled_from(
+        ((3, 2, 2), (3, 2, 3), (3, 3, 2), (4, 2, 1), (4, 2, 2), (4, 3, 1))))
+    pres = data.draw(small_presentations(rank))
+    chars = _characters(data.draw, k, rank, p)
+    fixed = {(i, i + 1): [-int(v[g]) % p for g in range(rank)]
+             for i, v in enumerate(chars, 1)}
+    assert massey_system_exists(pres, chars, p) == (
+        _literal_count(pres, k + 1, p, fixed, central=True) > 0)
 
 
 # --- differential checks against dense integer matrices ----------------------
