@@ -4,6 +4,7 @@ Galois-extension counts."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 import numpy as np
@@ -207,16 +208,13 @@ def _class_types(model, p):
 
 
 def _classify_keys(model):
-    if model.kind in ("demushkin", "df"):
-        return ("central", "noncentral")
-    if model.kind == "dd":
-        return (
-            "central+central",
-            "central+noncentral",
-            "noncentral+central",
-            "noncentral+noncentral",
-        )
-    return ("any",)
+    """Image classes: central or noncentral on each one-relator factor, in
+    factor order and joined by '+'; 'any' when the model has none."""
+    bits = sum(kind == "demushkin" for kind, *_ in model.factors)
+    if not bits:
+        return ("any",)
+    return tuple("+".join(c) for c in
+                 itertools.product(("central", "noncentral"), repeat=bits))
 
 
 def _class_key(x_type, z_type, bits):
@@ -400,65 +398,59 @@ def tmp_closed(model: GroupModel, p: int) -> int:
     )
 
 
-def _free_triples(d: int, p: int) -> int:
-    return (p ** d - 1) * (p ** d - p) * (p ** d - p ** 2)
+def _one_central(d: int, e: int, p: int) -> int:
+    """Triples of a dd(d, e) model central on the rank-d factor only.
+
+    Central there means x = (0, x2) and z = (0, z2) with x2, z2 independent
+    in F_p^e.  Then y1 is free and y2 is B2-orthogonal to both x2 and z2, a
+    space of dimension e - 2; from those y take away the ones in span(x, z):
+    p^2 of them when B2(x2, z2) = 0, which holds for (p^e - 1)(p^(e-1) - p)
+    of the pairs, and 1 otherwise."""
+    return (p ** e - 1) * ((p ** e - p) * p ** (d + e - 2) - p ** (e + 1)
+                           + p ** 3 - p ** e + p ** (e - 1))
+
+
+def _closed_classes(model: GroupModel, p: int, budget) -> dict:
+    """Closed triple counts per image class, keyed as the scan tallies them;
+    s3 models have no closed count and are scanned."""
+    if model.kind == "s3":
+        return {"any": _tmp_scan(model, p, budget, False, False)[0]}
+    if model.kind == "free":
+        P = p ** model.rank
+        return {"any": (P - 1) * (P - p) * (P - p ** 2)}
+    n = tmp_closed(model, p)
+    if model.kind == "demushkin":
+        return {"central": 0, "noncentral": n}
+    (_k1, d, _q1, _c1), (_k2, e, _q2, _c2) = model.factors
+    if model.kind == "df":
+        # x and z in the free factor, independent; y outside span(x, z)
+        central = (p ** e - 1) * (p ** e - p) * (p ** (d + e) - p ** 2)
+        return {"central": central, "noncentral": n - central}
+    first, second = _one_central(d, e, p), _one_central(e, d, p)
+    return {"central+central": 0, "central+noncentral": first,
+            "noncentral+central": second,
+            "noncentral+noncentral": n - first - second}
 
 
 def z1_closed(model: GroupModel, p: int, image_class) -> int:
-    """Twisted-cocycle space sizes per model and image class."""
+    """Twisted-cocycle space size for an image class: p^(3 * rank), less one
+    power of p per one-relator factor on which the class is noncentral."""
     p = model_check(model, p)
     cls = _normalize_class(model, image_class)
-    if model.kind == "free":
-        _kind, d, _q, _case = model.factors[0]
-        return p ** (3 * d)
-    if model.kind == "s3":
-        return p ** (3 * model.data.n)
-    if model.kind == "demushkin":
-        d = model.factors[0][1]
-        if d < 3:
-            raise ValueError(
-                "cocycle counts are only stated for rank d >= 3; "
-                "use the oracle for smaller ranks"
-            )
-        return p ** (3 * d) if cls == "central" else p ** (3 * d - 1)
-    if model.kind == "df":
-        (_k1, d, _q, _c1), (_k2, e, _q2, _c2) = model.factors
-        if d < 3:
-            raise ValueError(
-                "cocycle counts are only stated for rank d >= 3; "
-                "use the oracle for smaller ranks"
-            )
-        total = 3 * (d + e)
-        return p ** total if cls == "central" else p ** (total - 1)
-    # dd
-    (_k1, d, _q1, _c1), (_k2, e, _q2, _c2) = model.factors
-    if d < 3 or e < 3:
-        raise ValueError(
-            "cocycle counts are only stated for rank d >= 3 factors; "
-            "use the oracle for smaller ranks"
-        )
-    total = 3 * (d + e)
-    ncentral = cls.split("+").count("central")
-    return p ** (total - (2 - ncentral))
+    return p ** (3 * model.rank - cls.split("+").count("noncentral"))
 
 
 def _normalize_class(model, image_class):
     keys = _classify_keys(model)
-    if model.kind in ("free", "s3"):
-        if image_class in ("any", "central", "noncentral", None):
-            return "any"
-        raise ValueError(f"unknown image class {image_class!r}")
-    if model.kind == "dd":
-        if isinstance(image_class, (tuple, list)):
-            image_class = "+".join(image_class)
-        if image_class not in keys:
-            raise ValueError(
-                f"image class for a double product must be a pair like "
-                f"'central+noncentral', got {image_class!r}"
-            )
-        return image_class
-    if image_class not in ("central", "noncentral"):
-        raise ValueError(f"unknown image class {image_class!r}")
+    if isinstance(image_class, (tuple, list)):
+        image_class = "+".join(image_class)
+    if keys == ("any",) and image_class in ("central", "noncentral", None):
+        return "any"
+    if image_class not in keys:
+        raise ValueError(
+            f"image class for {model.describe()} must be one of "
+            f"{', '.join(keys)}; got {image_class!r}"
+        )
     return image_class
 
 
@@ -582,8 +574,7 @@ def epi_count(model: GroupModel, p: int, target: int = 4, method="formula",
     if target not in (2, 3, 4):
         raise ValueError("supported targets are U_2, U_3, U_4")
     t0 = time.monotonic()
-    tmp = None
-    breakdown = None
+    tmp = breakdown = None
 
     if target == 2:
         if method != "formula":
@@ -598,60 +589,24 @@ def epi_count(model: GroupModel, p: int, target: int = 4, method="formula",
     elif target == 3:
         cp_method = "closed" if method == "formula" else "enumerate"
         epi = cp_count(model, p, cp_method, budget) * p ** model.rank
-    elif method == "formula":
-        epi, tmp = _epi_formula(model, p, budget)
-    else:  # tmp_sum onto U_4
-        count, _, classes = _tmp_scan(model, p, budget, False, True)
-        if model.kind == "demushkin":
-            assert classes.get("central", 0) == 0  # independence forbids it
-        tmp = count
-        breakdown = {}
-        epi = 0
-        for cls, n in classes.items():
-            if n == 0:
-                continue
-            z1 = z1_closed(model, p, cls)
-            breakdown[cls] = (n, z1)
-            epi += n * z1
+    else:  # U_4: triples per image class times each class's cocycle count
+        if method == "formula":
+            classes = _closed_classes(model, p, budget)
+        else:
+            _, _, classes = _tmp_scan(model, p, budget, False, True)
+            if model.kind == "demushkin":
+                assert classes["central"] == 0  # independence forbids it
+        tmp = sum(classes.values())
+        breakdown = {cls: (n, z1_closed(model, p, cls))
+                     for cls, n in classes.items() if n}
+        epi = sum(n * z1 for n, z1 in breakdown.values())
 
     ms = int((time.monotonic() - t0) * 1000)
     return CensusReport(
         model.describe(), p, target, epi, method, ms, tmp=tmp,
-        z1_breakdown=breakdown,
+        # formula reports carry no z1 key
+        z1_breakdown=breakdown if method == "tmp_sum" else None,
     )
-
-
-def _epi_formula(model, p, budget):
-    """Closed-form (or reduced-form) U_4 surjection counts per model family."""
-    if model.kind == "demushkin":
-        d = model.factors[0][1]
-        n = tmp_closed(model, p)
-        return n * p ** (3 * d - 1), n
-    if model.kind == "free":
-        d = model.factors[0][1]
-        return _free_triples(d, p) * p ** (3 * d), _free_triples(d, p)
-    if model.kind == "df":
-        (_k1, d, _q, _c1), (_k2, e, _q2, _c2) = model.factors
-        n = tmp_closed(model, p)
-        m = p ** d * (p ** e - 1) * (p ** e - p) * (p ** e - p ** 2) + (
-            p ** d - 1
-        ) * p ** 2 * (p ** e - 1) * (p ** e - p)
-        s = 3 * (d + e)
-        return n * p ** (s - 1) + m * (p ** s - p ** (s - 1)), n
-    if model.kind == "dd":
-        (_k1, d, _q1, _c1), (_k2, e, _q2, _c2) = model.factors
-        n = tmp_closed(model, p)
-        m = (
-            p ** d * (p ** e - 1) * (p ** e - p) * (p ** e - p ** 2)
-            + p ** e * (p ** d - 1) * (p ** d - p) * (p ** d - p ** 2)
-            + p ** 2 * (p ** d - 1) * (p ** e - 1) * (p ** e - p)
-            + p ** 2 * (p ** e - 1) * (p ** d - 1) * (p ** d - p)
-        )
-        s = 3 * (d + e)
-        return n * p ** (s - 2) + m * (p ** (s - 1) - p ** (s - 2)), n
-    # s3: triple count times the uniform cocycle count
-    count, _ = tmp_enumerate(model, p, budget)
-    return count * p ** (3 * model.data.n), count
 
 
 def nu_extensions(model: GroupModel, p: int, target: int = 4, method="formula",

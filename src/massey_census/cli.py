@@ -70,8 +70,15 @@ def _add_common_flags(sub):
                      help="raise the enumeration budget to 2^31 assignments")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError, so they exit 1 like any bad input."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="massey-census",
         description="Count surjections onto unitriangular groups and the "
                     "Galois extensions they classify.",
@@ -174,26 +181,6 @@ def _settings(args):
     }
 
 
-def _model_from_tag(pres):
-    tag = pres.tag
-    kind = tag.get("kind")
-    if kind == "demushkin":
-        return GroupModel.demushkin(tag["d"], tag["q"], tag["case"])
-    if kind == "free":
-        return GroupModel.free(pres.rank)
-    if kind == "free_product":
-        parts = tag["parts"]
-        kinds = [p.tag.get("kind") for p in parts]
-        if len(parts) == 2 and kinds == ["demushkin", "free"]:
-            t = parts[0].tag
-            return GroupModel.df(t["d"], t["q"], parts[1].rank, t["case"])
-        if len(parts) == 2 and kinds == ["demushkin", "demushkin"]:
-            t1, t2 = parts[0].tag, parts[1].tag
-            return GroupModel.dd(t1["d"], t1["q"], t2["d"], t2["q"],
-                                 t1["case"], t2["case"])
-    return None
-
-
 def _build_model(args, p):
     """Resolve the model flags to (model, presentation, label); either of the
     first two may be None when the input only supports one pathway."""
@@ -235,7 +222,9 @@ def _build_model(args, p):
         model = GroupModel.s3(loaded, name=os.path.basename(args.file))
         return model, ramified_presentation(loaded, p), model.describe()
     if isinstance(loaded, Presentation):
-        model = _model_from_tag(loaded)
+        # a file yields a custom tag, or the free tag of the ram01 preset
+        free = loaded.tag.get("kind") == "free"
+        model = GroupModel.free(loaded.rank) if free else None
         label = model.describe() if model else f"file({os.path.basename(args.file)})"
         return model, loaded, label
     raise ValueError(f"unsupported input file content: {type(loaded).__name__}")
@@ -370,8 +359,9 @@ def _cmd_verify(args):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # until parsing succeeds, errors honour a --json anywhere in argv
+    args = argparse.Namespace(json="--json" in argv)
     handlers = {
         "count-epi": _cmd_count_epi,
         "count-extensions": _cmd_count_extensions,
@@ -381,6 +371,7 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
     }
     try:
+        args = build_parser().parse_args(argv)
         for name in _INT_FLAGS:
             value = getattr(args, name, None)
             if value is not None:

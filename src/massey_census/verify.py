@@ -245,17 +245,21 @@ def _df_oracle(threads):
     return ok, f"formula {formula}, oracle {brute}"
 
 
-def _dd_exploratory(threads):
+def _dd_rank2(threads):
     model = GroupModel.dd(2, 4, 2, 4)
-    formula = epi_count(model, 2).epi
-    brute = count_epi_bruteforce(model_presentation(model, 2), 4, 2,
-                                 threads=threads)
-    verdict = "match" if formula == brute else "MISMATCH"
-    # rank-2 factors sit outside the stated rank >= 3 hypothesis: the row is
-    # exploratory, so neither a mismatch nor a moved formula value fails the
-    # suite; `ok` pins the formula's frozen value for the acceptance tests
-    return (formula == 294912,
-            f"{verdict}: formula {formula}, oracle {brute} (exploratory)")
+    return _check_eq(
+        "formula = tmp_sum = oracle = frozen",
+        epi_count(model, 2).epi,
+        epi_count(model, 2, method="tmp_sum").epi,
+        count_epi_bruteforce(model_presentation(model, 2), 4, 2,
+                             threads=threads),
+        184320,
+    )
+
+
+def _formula_vs_scan(model, p, frozen, _threads):
+    return _check_eq("formula = tmp_sum = frozen", epi_count(model, p).epi,
+                     epi_count(model, p, method="tmp_sum").epi, frozen)
 
 
 def _free_rank2_u4_vanishes(_threads):
@@ -305,8 +309,8 @@ CHECKS = (
     Check("rank-4 lifts constant; sums = oracle", _lifts_rank4, "extended"),
     Check("product with free factor: formula = oracle 1327104", _df_oracle,
           "extended"),
-    Check("rank-2 double product vs oracle", _dd_exploratory, "extended",
-          exploratory=True),
+    Check("rank-2 double product: formula = tmp_sum = oracle 184320",
+          _dd_rank2, "extended"),
     Check("rank 2 has no U_4 surjections (formula = oracle = 0)",
           _free_rank2_u4_vanishes, "extended"),
 ) + tuple(
@@ -321,6 +325,14 @@ CHECKS = (
         (GroupModel.df(4, 4, 1), 96337920, ORACLE_BUDGET_EXTENDED),
         (GroupModel.free(6), 61436067840, 2 ** 36),
         (GroupModel.df(4, 4, 2), 8115978240, 2 ** 36),
+        (GroupModel.dd(2, 4, 4, 4), 1680998400, 2 ** 36),
+    )
+) + tuple(
+    Check(f"{model.describe()} p={p}: formula = tmp_sum {frozen}",
+          functools.partial(_formula_vs_scan, model, p, frozen), "extended")
+    for model, p, frozen in (
+        (GroupModel.dd(4, 4, 4, 4), 2, 5585302978560),
+        (GroupModel.dd(2, 3, 2, 3), 3, 498845952),
     )
 )
 

@@ -161,10 +161,7 @@ def test_criterion_10_quotient_ladder():
 def test_criterion_11_free_product_formulas():
     with Fail(11):
         df = passed("product with free factor: formula = oracle 1327104")
-        # the rank-2 product sits outside the stated rank >= 3 hypothesis:
-        # the row is exploratory, and its `ok` pins the formula at 294912
-        dd = passed("rank-2 double product vs oracle")
-        assert dd["exploratory"]
+        dd = passed("rank-2 double product: formula = tmp_sum = oracle 184320")
     report(11, f"{df['detail']}; rank-2 double product: {dd['detail']}")
 
 

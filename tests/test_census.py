@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 from collections import Counter
 
 import numpy as np
@@ -34,6 +35,7 @@ from massey_census.forms import (
     demushkin_gram,
     trilinear_trace,
 )
+from massey_census.oracle import count_lifts_bruteforce
 from massey_census.words import (
     Comm,
     Gen,
@@ -368,8 +370,8 @@ def test_z1_closed_values():
     assert z1_closed(dd, 2, ("central", "central")) == 2 ** 24
     assert z1_closed(dd, 2, "central+noncentral") == 2 ** 23
     assert z1_closed(dd, 2, "noncentral+noncentral") == 2 ** 22
-    with pytest.raises(ValueError):
-        z1_closed(GroupModel.demushkin(2, 4), 2, "noncentral")
+    # rank 2 is inside the cocycle rule: demushkin_case sets the least rank
+    assert z1_closed(GroupModel.demushkin(2, 4), 2, "noncentral") == 2 ** 5
     with pytest.raises(ValueError):
         z1_closed(GroupModel.demushkin(3, 2), 2, "sideways")
 
@@ -379,7 +381,7 @@ def test_epi_formula_values():
     assert epi_count(GroupModel.demushkin(4, 4), 2).epi == 360 * 2 ** 11
     assert epi_count(GroupModel.free(3), 2).epi == 86016
     assert epi_count(GroupModel.df(3, 2, 1), 2).epi == 1327104
-    assert epi_count(GroupModel.dd(2, 4, 2, 4), 2).epi == 294912
+    assert epi_count(GroupModel.dd(2, 4, 2, 4), 2).epi == 184320  # = oracle
     assert epi_count(preset_model("borromean"), 2).epi == 3072
 
 
@@ -397,6 +399,62 @@ def test_epi_tmp_sum_matches_formula():
     # breakdown records the noncentral-only structure for one-relator models
     rep = epi_count(GroupModel.demushkin(3, 2), 2, method="tmp_sum")
     assert rep.z1_breakdown == {"noncentral": (24, 256)}
+
+
+# dd and df cells at p = 2, 3, 5, rank-2 factors included
+IDENTITY_CELLS = (
+    (GroupModel.dd(4, 4, 4, 4), 2),
+    (GroupModel.dd(2, 4, 2, 4), 2),
+    (GroupModel.dd(2, 4, 4, 4), 2),
+    (GroupModel.dd(4, 8, 4, 4), 2),
+    (GroupModel.dd(6, 4, 2, 4), 2),
+    (GroupModel.dd(2, 3, 2, 3), 3),
+    (GroupModel.dd(2, 3, 4, 3), 3),
+    (GroupModel.dd(2, 5, 2, 5), 5),
+    (GroupModel.df(3, 2, 1), 2),
+    (GroupModel.df(2, 4, 2), 2),
+    (GroupModel.df(2, 2, 2), 2),
+    (GroupModel.df(4, 4, 2), 2),
+    (GroupModel.df(4, 3, 1), 3),
+    (GroupModel.df(2, 5, 1), 5),
+)
+
+
+def test_closed_classes_match_scan_tally():
+    for model, p in IDENTITY_CELLS:
+        where = (model.describe(), p)
+        _, _, tally = census._tmp_scan(model, p, 10 ** 10, False, True)
+        assert census._closed_classes(model, p, 10 ** 10) == tally, where
+        formula = epi_count(model, p)
+        assert formula.tmp == sum(tally.values()), where
+        assert formula.epi == epi_count(model, p, method="tmp_sum",
+                                        budget=10 ** 10).epi, where
+
+
+def test_rank2_lifts_equal_z1():
+    """Every triple's oracle lift count is the cocycle count of its class:
+    all triples at p = 2 on rank-2 cells, seeded samples per class beyond."""
+    rng = random.Random(20140809)
+    for model, p, per_class in (
+        (GroupModel.dd(2, 4, 2, 4), 2, None),
+        (GroupModel.df(2, 4, 1), 2, None),
+        (GroupModel.df(2, 4, 2), 2, None),
+        (GroupModel.df(2, 2, 1), 2, None),  # D3
+        (GroupModel.df(2, 2, 2), 2, None),
+        (GroupModel.dd(2, 4, 4, 4), 2, 6),
+        (GroupModel.dd(2, 3, 2, 3), 3, 4),
+        (GroupModel.df(2, 3, 1), 3, 8),
+    ):
+        pres = model_presentation(model, p)
+        by_class = {}
+        for t in tmp_enumerate(model, p, want_list=True)[1]:
+            by_class.setdefault(_naive_class(model, t.x, t.z), []).append(t)
+        for cls, triples in by_class.items():
+            if per_class is not None and len(triples) > per_class:
+                triples = rng.sample(triples, per_class)
+            want = z1_closed(model, p, cls)
+            lifts = {count_lifts_bruteforce(pres, p, t) for t in triples}
+            assert lifts == {want}, (model.describe(), p, cls)
 
 
 def test_epi_small_targets():

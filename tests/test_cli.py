@@ -81,7 +81,13 @@ def test_count_epi_dd_flags(capsys):
         "--d2", "2", "--q2", "4", "--p", "2",
     )
     assert code == 0
-    assert json.loads(out)["epi"] == "294912"
+    assert json.loads(out)["epi"] == "184320"  # = oracle
+    code, out, _ = run(
+        capsys, "count-epi", "--model", "dd", "--d", "2", "--q", "4",
+        "--d2", "2", "--q2", "4", "--p", "2", "--method", "tmp-sum",
+    )
+    assert code == 0
+    assert json.loads(out)["epi"] == "184320"
 
 
 def test_count_epi_json_schema_golden(capsys):
@@ -129,6 +135,13 @@ def test_z1_class(capsys):
     )
     assert code == 0
     assert json.loads(out)["z1"] == "256"
+    # rank-2 factors are inside the cocycle rule
+    code, out, _ = run(
+        capsys, "z1", "--model", "df", "--d", "2", "--q", "4", "--e", "1",
+        "--p", "2", "--class", "noncentral",
+    )
+    assert code == 0
+    assert json.loads(out)["z1"] == str(2 ** 8)
 
 
 def test_massey_counterexample(capsys):
@@ -208,6 +221,26 @@ def test_bad_integer_flags_exit_1_name_the_flag(capsys):
     code, out, _ = run(capsys, "verify", "--threads", "two", "--json")
     assert code == 1
     assert json.loads(out) == {"error": "--threads must be an integer, got 'two'"}
+
+
+def test_usage_errors_exit_1(capsys):
+    # argparse's own errors are bad input too, not the budget code 2
+    base = ["count-epi", "--model", "free", "--d", "3"]
+    for argv, named in (
+        (base + ["--p", "2", "--target", "x"], "--target"),
+        (base + ["--p", "2", "--target", "5"], "--target"),
+        (base, "--p"),
+    ):
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 1 and err == "", argv
+        assert named in json.loads(out)["error"]
+    code, out, err = run(capsys, *base, "--target", "x")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "--target" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["count-epi", "--help"])
+    assert exc.value.code == 0
+    assert "--target" in capsys.readouterr().out
 
 
 def test_budget_error_exit_2(capsys):
@@ -327,6 +360,19 @@ def test_file_input_custom_presentation_needs_oracle(tmp_path, capsys):
     )
     assert code == 0
     assert int(json.loads(out)["epi"]) > 0
+
+
+def test_file_input_free_preset_has_formula(tmp_path, capsys):
+    path = tmp_path / "ram01.json"
+    path.write_text(json.dumps({"preset": "ram01"}))
+    code, out, _ = run(
+        capsys, "count-epi", "--model", "file", "--file", str(path),
+        "--p", "2",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["model"] == "free(d=3)"
+    assert (payload["method"], payload["epi"]) == ("formula", "86016")
 
 
 def test_verify_desk_exit_zero(capsys):
