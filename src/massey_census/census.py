@@ -9,7 +9,6 @@ import json
 import time
 import numpy as np
 
-from . import oracle
 from .fp import BudgetError, FpVector, check_prime, vectors_array
 from .forms import TrilinearForm, cup_blocks, trace_tensor, zero_cup_table
 from .unipotent import aut_order
@@ -561,11 +560,11 @@ def reports_to_csv(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-METHODS = ("formula", "tmp_sum", "oracle")
+METHODS = ("formula", "tmp_sum")
 
 
 def epi_count(model: GroupModel, p: int, target: int = 4, method="formula",
-              budget=DEFAULT_TMP_BUDGET, threads=1, oracle_budget=None) -> CensusReport:
+              budget=DEFAULT_TMP_BUDGET) -> CensusReport:
     """Count surjections onto U_target(F_p) by the chosen pathway."""
     method = method.replace("-", "_")
     if method not in METHODS:
@@ -580,12 +579,6 @@ def epi_count(model: GroupModel, p: int, target: int = 4, method="formula",
         if method != "formula":
             raise ValueError("target U_2 is counted by formula only")
         epi = p ** model.rank - 1
-    elif method == "oracle":
-        epi = oracle.count_epi_bruteforce(
-            model_presentation(model, p), target, p, threads=threads,
-            budget=oracle.ORACLE_BUDGET if oracle_budget is None
-            else oracle_budget,
-        )
     elif target == 3:
         cp_method = "closed" if method == "formula" else "enumerate"
         epi = cp_count(model, p, cp_method, budget) * p ** model.rank
@@ -610,10 +603,9 @@ def epi_count(model: GroupModel, p: int, target: int = 4, method="formula",
 
 
 def nu_extensions(model: GroupModel, p: int, target: int = 4, method="formula",
-                  budget=DEFAULT_TMP_BUDGET, threads=1, oracle_budget=None) -> CensusReport:
+                  budget=DEFAULT_TMP_BUDGET) -> CensusReport:
     """Galois-extension counts: surjections divided by target automorphisms."""
-    return attach_nu(
-        epi_count(model, p, target, method, budget, threads, oracle_budget))
+    return attach_nu(epi_count(model, p, target, method, budget))
 
 
 def attach_nu(report: CensusReport) -> CensusReport:

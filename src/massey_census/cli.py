@@ -34,7 +34,7 @@ from .words import (
     ramified_presentation,
 )
 
-CONFIG_KEYS = ("threads", "tmp_budget", "oracle_budget", "lift_budget")
+CONFIG_KEYS = ("threads", "tmp_budget", "oracle_budget")
 # read as text and converted in main, so bad text exits 1 naming the flag
 _INT_FLAGS = ("d", "p", "e", "d2", "threads", "budget", "oracle_budget",
               "local_degree", "k")
@@ -56,18 +56,25 @@ def _add_model_flags(sub):
     sub.add_argument("--file", help="input file for --model file")
 
 
-def _add_common_flags(sub):
-    sub.add_argument("--p", required=True, help="the prime")
-    sub.add_argument("--json", action="store_true",
-                     help="machine-readable errors on stdout")
-    sub.add_argument("--config", help="key=value file: budgets and threads only")
-    sub.add_argument("--threads")
-    sub.add_argument("--budget",
-                     help="primitive-form-evaluation budget for scans")
-    sub.add_argument("--oracle-budget",
-                     help="assignment budget for brute-force enumeration")
-    sub.add_argument("--extended", action="store_true",
-                     help="raise the enumeration budget to 2^31 assignments")
+# the settings flags; each command takes only those it reads
+_FLAGS = {
+    "--p": dict(required=True, help="the prime"),
+    "--json": dict(action="store_true",
+                   help="machine-readable errors on stdout"),
+    "--config": dict(help="key=value file: budgets and threads only"),
+    "--threads": dict(help="worker processes for the oracle"),
+    "--budget": dict(help="primitive-form-evaluation budget for scans"),
+    "--oracle-budget": dict(
+        help="assignment budget for brute-force enumeration"),
+    "--extended": dict(
+        action="store_true",
+        help="raise the enumeration budget to 2^31 assignments"),
+}
+
+
+def _add_flags(sub, *names):
+    for name in names:
+        sub.add_argument(name, **_FLAGS[name])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,7 +94,7 @@ def build_parser():
 
     ce = subs.add_parser("count-epi", help="count surjections onto U_n(F_p)")
     _add_model_flags(ce)
-    _add_common_flags(ce)
+    _add_flags(ce, *_FLAGS)
     ce.add_argument("--target", type=int, default=4, choices=[2, 3, 4])
     ce.add_argument("--method", default="formula",
                     choices=["formula", "oracle", "tmp-sum", "tmp_sum"])
@@ -101,35 +108,35 @@ def build_parser():
                          help="count Galois U_n(F_p)-extensions of a p-adic field")
     cx.add_argument("--local-degree", required=True,
                     help="degree of the field over Q_p")
-    _add_common_flags(cx)
+    _add_flags(cx, "--p", "--json")
     cx.add_argument("--q", required=True)
     cx.add_argument("--target", type=int, default=4, choices=[2, 3, 4])
     cx.add_argument("--csv", action="store_true", help="CSV instead of JSON")
 
     tm = subs.add_parser("tmp", help="count (and list) the census triples")
     _add_model_flags(tm)
-    _add_common_flags(tm)
+    _add_flags(tm, "--p", "--json", "--config", "--budget")
     tm.add_argument("--list", action="store_true", dest="want_list")
 
     zz = subs.add_parser("z1", help="twisted-cocycle count for an image class")
     _add_model_flags(zz)
-    _add_common_flags(zz)
+    _add_flags(zz, "--p", "--json")
     zz.add_argument("--class", dest="image_class", required=True,
                     help="central, noncentral, any, or a +-joined pair")
 
     ma = subs.add_parser("massey",
                          help="decide whether a defining system exists")
     _add_model_flags(ma)
-    _add_common_flags(ma)
+    _add_flags(ma, "--p", "--json", "--config", "--oracle-budget",
+               "--extended")
     ma.add_argument("--chars", required=True,
                     help="JSON list of characters, e.g. [[1,0,0],[0,1,0]]")
     ma.add_argument("--k", help="expected fold count (consistency)")
 
     ve = subs.add_parser("verify", help="run a self-check suite")
     ve.add_argument("--suite", default="desk", choices=["desk", "extended"])
-    ve.add_argument("--json", action="store_true")
-    ve.add_argument("--config")
-    ve.add_argument("--threads")
+    ve.add_argument("--json", action="store_true", help="rows as JSON")
+    _add_flags(ve, "--config", "--threads")
 
     return parser
 
@@ -154,31 +161,30 @@ def _load_config(path):
     return out
 
 
+def _first(*values):
+    return next(v for v in values if v is not None)
+
+
 def _settings(args):
-    config = _load_config(args.config) if getattr(args, "config", None) else {}
-    threads = getattr(args, "threads", None)
-    if threads is None:
-        env = os.environ.get("MASSEY_CENSUS_THREADS")
-        if env:
+    """The thread count and budgets of the flags the command takes.  A flag
+    wins over MASSEY_CENSUS_THREADS (threads only), then the config file,
+    then the default."""
+    config = _load_config(args.config) if args.config else {}
+    settings = {}
+    if "threads" in args:
+        threads, env = args.threads, os.environ.get("MASSEY_CENSUS_THREADS")
+        if threads is None and env:
             threads = parse_int(env, "MASSEY_CENSUS_THREADS")
-    if threads is None:
-        threads = config.get("threads", 1)
-    tmp_budget = getattr(args, "budget", None)
-    if tmp_budget is None:
-        tmp_budget = config.get("tmp_budget", census.DEFAULT_TMP_BUDGET)
-    oracle_budget = getattr(args, "oracle_budget", None)
-    if oracle_budget is None:
-        oracle_budget = config.get("oracle_budget", None)
-    if oracle_budget is None:
-        oracle_budget = (oracle.ORACLE_BUDGET_EXTENDED
-                         if getattr(args, "extended", False)
-                         else oracle.ORACLE_BUDGET)
-    return {
-        "threads": max(1, int(threads)),
-        "tmp_budget": int(tmp_budget),
-        "oracle_budget": int(oracle_budget),
-        "lift_budget": int(config.get("lift_budget", oracle.LIFT_BUDGET)),
-    }
+        settings["threads"] = max(1, _first(threads, config.get("threads"), 1))
+    if "budget" in args:
+        settings["tmp_budget"] = _first(args.budget, config.get("tmp_budget"),
+                                        census.DEFAULT_TMP_BUDGET)
+    if "oracle_budget" in args:
+        settings["oracle_budget"] = _first(
+            args.oracle_budget, config.get("oracle_budget"),
+            oracle.ORACLE_BUDGET_EXTENDED if args.extended
+            else oracle.ORACLE_BUDGET)
+    return settings
 
 
 def _build_model(args, p):
@@ -266,10 +272,8 @@ def _cmd_count_epi(args):
             raise ValueError(
                 "this input has no structured model; use --method oracle"
             )
-        report = nu_extensions(
-            model, p, target=args.target, method=method,
-            budget=settings["tmp_budget"], threads=settings["threads"],
-        )
+        report = nu_extensions(model, p, target=args.target, method=method,
+                               budget=settings["tmp_budget"])
     if args.csv:
         print(reports_to_csv([report]), end="")
     else:
@@ -278,11 +282,8 @@ def _cmd_count_epi(args):
 
 
 def _cmd_count_extensions(args):
-    settings = _settings(args)
     model = local_field_model(args.local_degree, args.p, args.q)
-    report = nu_extensions(model, args.p, target=args.target,
-                           budget=settings["tmp_budget"],
-                           threads=settings["threads"])
+    report = nu_extensions(model, args.p, target=args.target)
     closed = nu_local_closed(args.local_degree, args.p, args.q, args.target)
     if report.nu != closed:
         raise RuntimeError(
@@ -336,6 +337,10 @@ def _cmd_massey(args):
         raise ValueError(f"--chars is not valid JSON: {exc}") from exc
     if not isinstance(raw, list) or not all(isinstance(c, list) for c in raw):
         raise ValueError("--chars must be a JSON list of coordinate lists")
+    for x in (x for c in raw for x in c):
+        if type(x) is not int:  # refuse, never truncate, 1.7 or true
+            raise ValueError(
+                f"--chars coordinates must be integers, got {json.dumps(x)}")
     chars = [FpVector(c, p) for c in raw]
     if args.k is not None and args.k != len(chars):
         raise ValueError(

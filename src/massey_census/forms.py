@@ -8,7 +8,7 @@ import json
 
 import numpy as np
 
-from .fp import FpMatrix, FpScalar, FpVector, GramForm, rank_mod
+from .fp import FpMatrix, FpVector, GramForm, rank_mod
 from .words import (
     Presentation,
     RamifiedRelatorData,
@@ -195,9 +195,9 @@ class TrilinearForm:
         return self.data.r
 
 
-def trilinear_trace(t: TrilinearForm, a, b, c, m: int) -> FpScalar:
+def trilinear_trace(t: TrilinearForm, a, b, c, m: int) -> int:
     """sum over i<j, k<=j of (a_i b_j c_k - a_j b_i c_k + a_k b_j c_i
-    - a_k b_i c_j) e_{i,j,k,m}, mod p."""
+    - a_k b_i c_j) e_{i,j,k,m}, as an int in [0, p)."""
     if not isinstance(t, TrilinearForm):
         raise TypeError("first argument must be a TrilinearForm")
     for v in (a, b, c):
@@ -216,7 +216,7 @@ def trilinear_trace(t: TrilinearForm, a, b, c, m: int) -> FpScalar:
             + a[k] * b[j] * c[i]
             - a[k] * b[i] * c[j]
         )
-    return FpScalar(total, t.p)
+    return total % t.p
 
 
 def trace_tensor(t: TrilinearForm, m: int) -> np.ndarray:

@@ -36,79 +36,6 @@ def check_prime(p) -> int:
     return p
 
 
-def _inv_mod(a: int, p: int) -> int:
-    # p is prime, so Fermat does the job
-    return pow(a, p - 2, p)
-
-
-class FpScalar:
-    """A residue in F_p."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value, p):
-        p = check_prime(p)
-        self.value = int(value) % p
-        self.p = p
-
-    def _coerce(self, other) -> "FpScalar":
-        if isinstance(other, FpScalar):
-            if other.p != self.p:
-                raise ValueError(f"modulus mismatch: {self.p} vs {other.p}")
-            return other
-        if isinstance(other, (int, np.integer)):
-            return FpScalar(int(other), self.p)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpScalar(self.value + other.value, self.p)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpScalar(self.value - other.value, self.p)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpScalar(self.value * other.value, self.p)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FpScalar(-self.value, self.p)
-
-    def inverse(self) -> "FpScalar":
-        if self.value == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return FpScalar(_inv_mod(self.value, self.p), self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, FpScalar):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, (int, np.integer)):
-            return self.value == int(other) % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __int__(self):
-        return self.value
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"FpScalar({self.value}, p={self.p})"
-
-
 class FpVector:
     """A coordinate vector over F_p."""
 
@@ -206,9 +133,6 @@ class FpMatrix:
     def cols(self) -> int:
         return self.array.shape[1]
 
-    def entry(self, i, j) -> FpScalar:
-        return FpScalar(int(self.array[i, j]), self.p)
-
     def row(self, i) -> FpVector:
         return FpVector(self.array[i], self.p)
 
@@ -273,13 +197,6 @@ def _echelon_rank(s, p):
         s = (s * scale[:, None, None]
              - s[:, :, j:j + 1] * prow[:, None, :]) % p
     return ranks
-
-
-def mat_rank(m) -> int:
-    """Rank of an FpMatrix (or (array, p) pair is handled by rank_mod)."""
-    if not isinstance(m, FpMatrix):
-        raise TypeError("mat_rank expects an FpMatrix; use rank_mod for raw arrays")
-    return rank_mod(m.array, m.p)
 
 
 DIAGONAL_PROFILES = ("all_zero", "first_one")
@@ -349,13 +266,14 @@ def vector_from_index(idx: int, d: int, p: int) -> FpVector:
     return FpVector(entries, p)
 
 
-def vectors_array(d: int, p: int, budget: int = VECTOR_BUDGET) -> np.ndarray:
+def vectors_array(d: int, p: int) -> np.ndarray:
     """All of F_p^d as an int8 array of shape (p**d, d); row i decodes index i."""
     p = check_prime(p)
     total = p ** d
-    if total > budget:
+    if total > VECTOR_BUDGET:
         raise BudgetError(
-            f"materializing p^d = {total} vectors exceeds the budget {budget}"
+            f"materializing p^d = {total} vectors exceeds the budget "
+            f"{VECTOR_BUDGET}"
         )
     idx = np.arange(total, dtype=np.int64)
     cols = [(idx // p ** t) % p for t in range(d - 1, -1, -1)]

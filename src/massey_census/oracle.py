@@ -401,12 +401,9 @@ def count_epi_bruteforce(pres, n, p, budget=ORACLE_BUDGET, threads=1,
     )
 
 
-def count_lifts_bruteforce(pres, p, superdiagonal, n=4,
-                           budget=LIFT_BUDGET) -> int:
+def count_lifts_bruteforce(pres, p, superdiagonal, budget=LIFT_BUDGET) -> int:
     """Count homomorphisms to U_4(F_p) whose generator images carry the
     prescribed (1,2),(2,3),(3,4) entries; the remaining entries range freely."""
-    if n != 4:
-        raise ValueError("lift counting is defined for the n = 4 target")
     p = check_prime(p)
     x, y, z = superdiagonal
     rank = pres.rank

@@ -27,10 +27,6 @@ class ExponentToken:
             value = int(value)
         self.value = value
 
-    @classmethod
-    def finite(cls, e):
-        return cls(e)
-
     @property
     def is_infinite(self):
         return self.value is None
@@ -129,9 +125,6 @@ class UniMatrix:
 
     def superdiagonal(self) -> tuple:
         return tuple(self.entries[: self.n - 1])
-
-    def is_identity(self) -> bool:
-        return all(e == 0 for e in self.entries)
 
     def to_dense(self):
         """The full n-by-n matrix."""

@@ -284,7 +284,6 @@ class Check(NamedTuple):
     name: str
     check: Callable
     suite: str  # the smallest suite that runs it
-    exploratory: bool = False
 
 
 CHECKS = (
@@ -347,7 +346,7 @@ def run_check(check: Check, threads: int = 1) -> dict:
     return {
         "name": check.name,
         "ok": bool(ok),
-        "exploratory": check.exploratory,
+        "exploratory": False,  # kept in the JSON schema; every row asserts
         "detail": detail,
         "ms": int((time.monotonic() - t0) * 1000),
     }
@@ -363,24 +362,16 @@ def run_suite(suite: str = "desk", threads: int = 1) -> list:
 
 
 def suite_passed(rows) -> bool:
-    return all(r["ok"] for r in rows if not r["exploratory"])
+    return all(r["ok"] for r in rows)
 
 
 def format_table(rows) -> str:
-    lines = []
     width = max(len(r["name"]) for r in rows)
-    for r in rows:
-        mark = "ok " if r["ok"] else "FAIL"
-        if r["exploratory"]:
-            mark = "expl"
-        lines.append(
-            f"[{mark}] {r['name']:<{width}}  {r['detail']} ({r['ms']} ms)"
-        )
-    good = sum(1 for r in rows if r["ok"] and not r["exploratory"])
-    total = sum(1 for r in rows if not r["exploratory"])
-    expl = sum(1 for r in rows if r["exploratory"])
-    summary = f"{good}/{total} checks passed"
-    if expl:
-        summary += f", {expl} exploratory"
-    lines.append(summary)
+    lines = [
+        f"[{'ok ' if r['ok'] else 'FAIL'}] {r['name']:<{width}}  {r['detail']} "
+        f"({r['ms']} ms)"
+        for r in rows
+    ]
+    good = sum(1 for r in rows if r["ok"])
+    lines.append(f"{good}/{len(rows)} checks passed")
     return "\n".join(lines)

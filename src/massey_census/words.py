@@ -463,8 +463,9 @@ def word_from_json(obj, path="word"):
         raise ValueError(f"{path}: expected a non-empty array")
     kind = obj[0]
     if kind == "gen":
-        if len(obj) != 2 or not isinstance(obj[1], int):
-            raise ValueError(f"{path}: \"gen\" takes one integer index")
+        if len(obj) != 2 or type(obj[1]) is not int:  # true is no index
+            raise ValueError(
+                f"{path}: \"gen\" takes one integer index, got {obj[1:]!r}")
         if obj[1] < 1:
             raise ValueError(f"{path}: generator index must be >= 1")
         return Gen(obj[1])

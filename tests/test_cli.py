@@ -116,16 +116,45 @@ def test_count_epi_csv(capsys):
 
 
 def test_tmp_list(capsys):
-    # the scan runs in-process: --threads still parses and changes nothing
-    code, out, _ = run(
-        capsys, "tmp", "--model", "preset", "--name", "borromean",
-        "--p", "2", "--list", "--threads", "2",
-    )
+    argv = ("tmp", "--model", "preset", "--name", "borromean", "--p", "2",
+            "--list")
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     payload = json.loads(out)
     assert payload["tmp"] == "6"
     assert len(payload["triples"]) == 6
     assert all(len(t) == 3 and len(t[0]) == 3 for t in payload["triples"])
+    # the scan runs in-process, so tmp takes no --threads
+    code, out, err = run(capsys, *argv, "--threads", "2")
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --threads 2" in err
+
+
+def test_commands_take_only_the_flags_they_read(capsys):
+    model = ["--model", "demushkin", "--d", "4", "--q", "4", "--p", "2"]
+    commands = {
+        "count-extensions": ["--local-degree", "2", "--p", "2", "--q", "4"],
+        "tmp": model,
+        "z1": model + ["--class", "noncentral"],
+        "massey": model + ["--chars", "[[1,0,0,0],[0,1,0,0]]"],
+    }
+    dropped = {
+        "count-extensions": ("--config", "--threads", "--budget",
+                             "--oracle-budget", "--extended"),
+        "tmp": ("--threads", "--oracle-budget", "--extended"),
+        "z1": ("--config", "--threads", "--budget", "--oracle-budget",
+               "--extended"),
+        "massey": ("--threads", "--budget"),
+    }
+    for command, flags in dropped.items():
+        code, out, _ = run(capsys, command, *commands[command], "--json")
+        assert code == 0, command
+        for flag in flags:
+            extra = [flag] if flag == "--extended" else [flag, "1"]
+            code, out, err = run(capsys, command, *commands[command], *extra,
+                                 "--json")
+            assert code == 1 and err == "", (command, flag)
+            assert "unrecognized arguments: " + flag in json.loads(out)["error"]
 
 
 def test_z1_class(capsys):
@@ -252,6 +281,19 @@ def test_budget_error_exit_2(capsys):
     assert str(3 ** 18) in json.loads(out)["error"]
 
 
+def test_massey_chars_must_be_integers(capsys):
+    for chars, named in (("[[1.7,0,0],[0,1,0]]", "1.7"),
+                         ("[[true,0,0],[0,1,0]]", "true")):
+        code, out, err = run(
+            capsys, "massey", "--model", "free", "--d", "3", "--p", "2",
+            "--chars", chars, "--json",
+        )
+        assert code == 1 and err == "", chars
+        assert json.loads(out) == {
+            "error": f"--chars coordinates must be integers, got {named}"
+        }
+
+
 def test_k_mismatch(capsys):
     code, _, err = run(
         capsys, "massey", "--model", "free", "--d", "3", "--p", "2",
@@ -307,7 +349,8 @@ def test_config_errors_name_file_and_line(tmp_path, capsys):
 def test_env_threads_bad_value_names_variable(capsys, monkeypatch):
     monkeypatch.setenv("MASSEY_CENSUS_THREADS", "x")
     code, _, err = run(
-        capsys, "tmp", "--model", "preset", "--name", "borromean", "--p", "2",
+        capsys, "count-epi", "--model", "preset", "--name", "borromean",
+        "--p", "2",
     )
     assert code == 1
     assert "MASSEY_CENSUS_THREADS" in err and "'x'" in err
@@ -360,6 +403,17 @@ def test_file_input_custom_presentation_needs_oracle(tmp_path, capsys):
     )
     assert code == 0
     assert int(json.loads(out)["epi"]) > 0
+
+
+def test_file_input_bool_generator_refused(tmp_path, capsys):
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps({"rank": 2, "relators": [["gen", True]]}))
+    code, out, err = run(
+        capsys, "count-epi", "--model", "file", "--file", str(path),
+        "--p", "2", "--method", "oracle",
+    )
+    assert code == 1 and out == ""
+    assert "relators[0]" in err and "got [True]" in err
 
 
 def test_file_input_free_preset_has_formula(tmp_path, capsys):

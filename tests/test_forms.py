@@ -57,8 +57,8 @@ def test_gram_d3_d4():
     g4 = demushkin_gram(4, 2, 2, "D4")
     assert g4.matrix == g3.matrix  # the patterns coincide at d = 4
     g4b = demushkin_gram(6, 2, 2, "D4")
-    assert g4b.matrix.entry(2, 3) == 1  # (v3,v4) pair
-    assert g4b.matrix.entry(4, 5) == 1  # (v5,v6) pair
+    assert g4b.matrix.array[2, 3] == 1  # (v3,v4) pair
+    assert g4b.matrix.array[4, 5] == 1  # (v5,v6) pair
 
 
 def test_gram_grid_nondegenerate():
@@ -225,7 +225,7 @@ def test_trace_tensor_agrees():
                     FpVector(c, t.p),
                     m,
                 )
-                assert via_tensor == int(direct)
+                assert via_tensor == direct
 
 
 def proper_borromean_table():

@@ -295,8 +295,6 @@ def test_lifts_validation():
     pres = demushkin_presentation(3, 2, 2, "D2", f="inf")
     good = (FpVector((1, 0, 0), 2),) * 3
     with pytest.raises(ValueError):
-        count_lifts_bruteforce(pres, 2, good, n=5)
-    with pytest.raises(ValueError):
         count_lifts_bruteforce(pres, 2, (FpVector((1, 0), 2),) * 3)
     with pytest.raises(BudgetError):
         count_lifts_bruteforce(pres, 2, good, budget=1)

@@ -268,6 +268,9 @@ def test_word_json_roundtrip():
 def test_word_json_errors():
     with pytest.raises(ValueError, match="gen"):
         word_from_json(["gen", "one"])
+    # a bool is no generator index, although Python counts True as 1
+    with pytest.raises(ValueError, match=r"integer index, got \[True\]"):
+        word_from_json(["gen", True])
     with pytest.raises(ValueError, match=r"relator\b|word"):
         word_from_json([])
     with pytest.raises(ValueError, match=r"word\.comm\[1\]"):
