@@ -1,124 +1,92 @@
-"""Counting surjections of pro-p groups onto unipotent groups, two ways."""
+"""Counting surjections of pro-p groups onto unipotent groups, two ways.
 
-from .census import (
-    CensusReport,
-    GroupModel,
-    cp_count,
-    epi_count,
-    local_field_model,
-    model_presentation,
-    nu_extensions,
-    nu_local_closed,
-    preset_model,
-    reports_to_csv,
-    tmp_closed,
-    tmp_enumerate,
-    tmp_enumerate_forms,
-    un_quotient_decision,
-    z1_closed,
-)
-from .fp import BudgetError, FpMatrix, FpVector, GramForm
-from .forms import (
-    TrilinearForm,
-    consecutive_orthogonal_basis,
-    demushkin_gram,
-    gram_from_demushkin,
-    load_input_file,
-    ramified_from_redei,
-    trace_tensor,
-    trilinear_trace,
-)
-from .oracle import (
-    LIFT_BUDGET,
-    ORACLE_BUDGET,
-    ORACLE_BUDGET_EXTENDED,
-    count_epi_bruteforce,
-    count_lifts_bruteforce,
-    cup_defining_check,
-    massey_system_exists,
-)
-from .unipotent import (
-    ExponentToken,
-    P_INFINITY,
-    UniMatrix,
-    aut_order,
-    group_mul,
-    triangle_pairs,
-)
-from .verify import format_table, run_suite, suite_passed
-from .words import (
-    Comm,
-    Gen,
-    Pow,
-    Presentation,
-    Prod,
-    RamifiedRelatorData,
-    demushkin_presentation,
-    evaluate_word,
-    free_presentation,
-    free_product,
-    preset,
-    preset_tensor,
-    ramified_presentation,
-)
+The names below load with their submodule on first access (PEP 562), so a
+closed-form count never imports numpy or the brute-force engines."""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetError",
-    "CensusReport",
-    "Comm",
-    "ExponentToken",
-    "FpMatrix",
-    "FpVector",
-    "Gen",
-    "GramForm",
-    "GroupModel",
-    "LIFT_BUDGET",
-    "ORACLE_BUDGET",
-    "ORACLE_BUDGET_EXTENDED",
-    "P_INFINITY",
-    "Pow",
-    "Presentation",
-    "Prod",
-    "RamifiedRelatorData",
-    "TrilinearForm",
-    "UniMatrix",
-    "aut_order",
-    "consecutive_orthogonal_basis",
-    "count_epi_bruteforce",
-    "count_lifts_bruteforce",
-    "cp_count",
-    "cup_defining_check",
-    "demushkin_gram",
-    "demushkin_presentation",
-    "epi_count",
-    "evaluate_word",
-    "format_table",
-    "free_presentation",
-    "free_product",
-    "gram_from_demushkin",
-    "group_mul",
-    "load_input_file",
-    "local_field_model",
-    "massey_system_exists",
-    "model_presentation",
-    "nu_extensions",
-    "nu_local_closed",
-    "preset",
-    "preset_model",
-    "preset_tensor",
-    "ramified_from_redei",
-    "ramified_presentation",
-    "reports_to_csv",
-    "run_suite",
-    "suite_passed",
-    "tmp_closed",
-    "tmp_enumerate",
-    "tmp_enumerate_forms",
-    "trace_tensor",
-    "triangle_pairs",
-    "trilinear_trace",
-    "un_quotient_decision",
-    "z1_closed",
-]
+_EXPORTS = {
+    "census": (
+        "CensusReport",
+        "GroupModel",
+        "cp_count",
+        "epi_count",
+        "local_field_model",
+        "model_presentation",
+        "nu_extensions",
+        "nu_local_closed",
+        "preset_model",
+        "reports_to_csv",
+        "tmp_closed",
+        "tmp_enumerate",
+        "tmp_enumerate_forms",
+        "un_quotient_decision",
+        "z1_closed",
+    ),
+    "fp": ("BudgetError", "FpMatrix", "FpVector", "GramForm"),
+    "forms": (
+        "TrilinearForm",
+        "consecutive_orthogonal_basis",
+        "demushkin_gram",
+        "gram_from_demushkin",
+        "load_input_file",
+        "ramified_from_redei",
+        "trace_tensor",
+        "trilinear_trace",
+    ),
+    "oracle": (
+        "LIFT_BUDGET",
+        "ORACLE_BUDGET",
+        "ORACLE_BUDGET_EXTENDED",
+        "count_epi_bruteforce",
+        "count_lifts_bruteforce",
+        "cup_defining_check",
+        "massey_system_exists",
+    ),
+    "unipotent": (
+        "ExponentToken",
+        "P_INFINITY",
+        "UniMatrix",
+        "aut_order",
+        "group_mul",
+        "triangle_pairs",
+    ),
+    "verify": ("format_table", "run_suite", "suite_passed"),
+    "words": (
+        "Comm",
+        "Gen",
+        "Pow",
+        "Presentation",
+        "Prod",
+        "RamifiedRelatorData",
+        "demushkin_presentation",
+        "evaluate_word",
+        "free_presentation",
+        "free_product",
+        "preset",
+        "preset_tensor",
+        "ramified_presentation",
+    ),
+}
+
+_SOURCE = {name: module for module, names in _EXPORTS.items()
+           for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCE[name]}", __name__),
+                    name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *_SOURCE})

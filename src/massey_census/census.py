@@ -7,10 +7,8 @@ from __future__ import annotations
 import itertools
 import json
 import time
-import numpy as np
 
 from .fp import BudgetError, FpVector, check_prime, vectors_array
-from .forms import TrilinearForm, cup_blocks, trace_tensor, zero_cup_table
 from .unipotent import aut_order
 from .words import (
     RamifiedRelatorData,
@@ -164,7 +162,9 @@ class TmpTriple:
 # admissible y for that x are taken at once, and z is counted per y as the
 # row sum of the pair mask minus its hits on span(x, y).  The budget counts
 # primitive form evaluations (P per admissible pair and relator, P * P per
-# pair-mask block) and is charged in full before any scanning.
+# pair-mask block) and is charged in full before any scanning.  The scan's
+# functions import numpy and `forms` where they run, so a closed-form count
+# loads neither.
 
 
 def _spend(box, amount):
@@ -179,6 +179,10 @@ def _spend(box, amount):
 def _pair_mask(d, p, blocks, box):
     """The (P, P) boolean table over F_p^d, rows x and columns y, true when
     every (offset, GramForm) block pairs (x, y) to zero.  None if no block."""
+    import numpy as np
+
+    from .forms import zero_cup_table
+
     if not blocks:
         return None
     V = vectors_array(d, p).astype(np.int64)
@@ -188,6 +192,8 @@ def _pair_mask(d, p, blocks, box):
 
 
 def _model_pair_mask(model, p, box):
+    from .forms import cup_blocks
+
     return _pair_mask(model.rank, p, cup_blocks(model_presentation(model, p)),
                       box)
 
@@ -195,6 +201,8 @@ def _model_pair_mask(model, p, box):
 def _class_types(model, p):
     """Per vector, bit i set when its block of the i-th Demushkin factor is
     zero; and the number of such factors."""
+    import numpy as np
+
     V = vectors_array(model.rank, p)
     types = np.zeros(len(V), dtype=np.int64)
     bits = off = 0
@@ -226,6 +234,8 @@ def _class_key(x_type, z_type, bits):
 
 def _admissible_pairs(mask, lines):
     """Pairs (x, y) with mask[x, y] and y outside span(x), x nonzero."""
+    import numpy as np
+
     P, p = lines.shape
     if mask is None:
         return (P - 1) * (P - p)
@@ -235,6 +245,8 @@ def _admissible_pairs(mask, lines):
 
 def _type_sums(mask, types, T):
     """(P, T): per y, the z of each type with mask[y, z]."""
+    import numpy as np
+
     if mask is None:
         return np.broadcast_to(np.bincount(types, minlength=T), (len(types), T))
     if T == 1:
@@ -251,6 +263,8 @@ def _scan(d, p, mask, box, tensors=None, types=None, want_list=False,
     triples in lexicographic order when `want_list`, and a (T, T) tally of
     triples by (type of x, type of z) for the int `types` of each vector.
     With `pairs_only`, charges and returns the admissible (x, y) pair count."""
+    import numpy as np
+
     P = p ** d
     V = vectors_array(d, p).astype(np.int64)
     powers = p ** np.arange(d - 1, -1, -1, dtype=np.int64)
@@ -300,6 +314,10 @@ def _scan(d, p, mask, box, tensors=None, types=None, want_list=False,
 
 
 def _tmp_scan(model, p, budget, want_list, want_classes):
+    import numpy as np
+
+    from .forms import TrilinearForm, trace_tensor
+
     p = model_check(model, p)
     box = [0, budget]
     mask = _model_pair_mask(model, p, box)
@@ -482,7 +500,10 @@ def cp_count(model: GroupModel, p: int, method="closed", budget=DEFAULT_TMP_BUDG
 
 
 def un_quotient_decision(model: GroupModel, n: int) -> bool:
-    """Whether the group maps onto U_n(F_p): exactly when n <= rank + 1."""
+    """Whether the group maps onto U_n(F_p): exactly when n <= rank + 1,
+    except that a lone rank-2 D1 factor stops at n = 2.  Its cup form is one
+    hyperbolic plane, so no two independent characters have a zero cup and
+    nothing maps onto U_3."""
     if model.kind == "s3":
         raise ValueError(
             "quotient decision is stated for free products of one-relator "
@@ -491,6 +512,9 @@ def un_quotient_decision(model: GroupModel, n: int) -> bool:
     n = int(n)
     if n < 2:
         raise ValueError("target size n must be >= 2")
+    _kind, d, _q, case = model.factors[0]
+    if model.kind == "demushkin" and (d, case) == (2, "D1"):
+        return n <= 2
     return n <= model.rank + 1
 
 

@@ -9,7 +9,7 @@ import os
 import sys
 import time
 
-from . import census, oracle, verify
+from . import census
 from .census import (
     CensusReport,
     GroupModel,
@@ -24,7 +24,6 @@ from .census import (
     z1_closed,
 )
 from .fp import BudgetError, FpVector
-from .forms import load_input_file
 from .words import (
     Presentation,
     RamifiedRelatorData,
@@ -34,7 +33,10 @@ from .words import (
     ramified_presentation,
 )
 
-CONFIG_KEYS = ("threads", "tmp_budget", "oracle_budget")
+# each config key stands in for one flag; a command reads the keys of the
+# flags it takes
+CONFIG_KEYS = {"threads": "threads", "tmp_budget": "budget",
+               "oracle_budget": "oracle_budget"}
 # read as text and converted in main, so bad text exits 1 naming the flag
 _INT_FLAGS = ("d", "p", "e", "d2", "threads", "budget", "oracle_budget",
               "local_degree", "k")
@@ -141,7 +143,7 @@ def build_parser():
     return parser
 
 
-def _load_config(path):
+def _load_config(path, args):
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for ln, raw in enumerate(fh, 1):
@@ -158,6 +160,12 @@ def _load_config(path):
                     f"thread counts belong here: {', '.join(CONFIG_KEYS)}"
                 )
             out[key] = parse_int(value, f"{where}: {key}")
+            if CONFIG_KEYS[key] not in args:
+                raise ValueError(
+                    f"{where}: {args.command} does not read config key "
+                    f"{key!r}; it reads only: "
+                    + ", ".join(k for k, flag in CONFIG_KEYS.items()
+                                if flag in args))
     return out
 
 
@@ -169,7 +177,7 @@ def _settings(args):
     """The thread count and budgets of the flags the command takes.  A flag
     wins over MASSEY_CENSUS_THREADS (threads only), then the config file,
     then the default."""
-    config = _load_config(args.config) if args.config else {}
+    config = _load_config(args.config, args) if args.config else {}
     settings = {}
     if "threads" in args:
         threads, env = args.threads, os.environ.get("MASSEY_CENSUS_THREADS")
@@ -179,7 +187,12 @@ def _settings(args):
     if "budget" in args:
         settings["tmp_budget"] = _first(args.budget, config.get("tmp_budget"),
                                         census.DEFAULT_TMP_BUDGET)
-    if "oracle_budget" in args:
+    # massey always runs the oracle, count-epi only with --method oracle; the
+    # default budget lives in the oracle, so only those runs load it
+    if ("oracle_budget" in args
+            and getattr(args, "method", "oracle") == "oracle"):
+        from . import oracle
+
         settings["oracle_budget"] = _first(
             args.oracle_budget, config.get("oracle_budget"),
             oracle.ORACLE_BUDGET_EXTENDED if args.extended
@@ -223,6 +236,8 @@ def _build_model(args, p):
     # file input: a presentation, a relator tensor, or an arithmetic table
     if not args.file:
         raise ValueError("--model file needs --file")
+    from .forms import load_input_file
+
     loaded = load_input_file(args.file)
     if isinstance(loaded, RamifiedRelatorData):
         model = GroupModel.s3(loaded, name=os.path.basename(args.file))
@@ -248,6 +263,8 @@ def _emit_error(args, message):
 
 
 def _oracle_report(pres, label, p, target, settings, progress):
+    from . import oracle
+
     t0 = time.monotonic()
     epi = oracle.count_epi_bruteforce(
         pres, target, p, budget=settings["oracle_budget"],
@@ -346,6 +363,8 @@ def _cmd_massey(args):
         raise ValueError(
             f"--k {args.k} does not match the {len(chars)} characters given"
         )
+    from . import oracle
+
     exists = oracle.massey_system_exists(
         pres, chars, p, budget=settings["oracle_budget"]
     )
@@ -354,6 +373,8 @@ def _cmd_massey(args):
 
 
 def _cmd_verify(args):
+    from . import verify
+
     settings = _settings(args)
     rows = verify.run_suite(args.suite, threads=settings["threads"])
     if args.json:

@@ -6,8 +6,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
-
 from .fp import FpMatrix, FpVector, GramForm, rank_mod
 from .words import (
     Presentation,
@@ -64,6 +62,8 @@ def zero_cup_table(blocks, U, W, p) -> np.ndarray:
     """The (len U, len W) table of whether rows U[i] and W[j], coordinate
     arrays over the whole presentation, have zero cup product in every
     block of cup_blocks."""
+    import numpy as np
+
     ok = np.ones((len(U), len(W)), dtype=bool)
     for off, gram in blocks:
         s = slice(off, off + gram.dim)
@@ -223,6 +223,8 @@ def trace_tensor(t: TrilinearForm, m: int) -> np.ndarray:
     """Coefficient array T with trace(a,b,c) = sum T[i,j,k] a_i b_j c_k mod p."""
     if not 1 <= m <= t.relator_count:
         raise ValueError(f"relator index {m} outside 1..{t.relator_count}")
+    import numpy as np
+
     n = t.n
     T = np.zeros((n, n, n), dtype=np.int64)
     for (i, j, k, e) in t.data.terms(m):
@@ -263,13 +265,13 @@ def ramified_from_redei(table) -> RamifiedRelatorData:
         if (
             not isinstance(triple, list)
             or len(triple) != 3
-            or not all(isinstance(x, int) and 1 <= x <= n for x in triple)
+            or not all(type(x) is int and 1 <= x <= n for x in triple)
         ):
             raise ValueError(
                 f"{where}: \"triple\" must be three 1-based indices <= {n}"
             )
         value = entry["value"]
-        if value not in (1, -1):
+        if type(value) is not int or value not in (1, -1):
             raise ValueError(f"{where}: \"value\" must be +1 or -1")
         symbols[tuple(triple)] = value
 

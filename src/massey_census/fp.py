@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 VECTOR_BUDGET = 10 ** 8
 
 _MAX_PRIME = 7
@@ -109,6 +107,8 @@ class FpMatrix:
     __slots__ = ("array", "p")
 
     def __init__(self, rows, p):
+        import numpy as np
+
         p = check_prime(p)
         a = np.array(rows, dtype=np.int64) % p
         if a.ndim != 2:
@@ -119,10 +119,14 @@ class FpMatrix:
 
     @classmethod
     def identity(cls, n, p):
+        import numpy as np
+
         return cls(np.eye(n, dtype=np.int64), p)
 
     @classmethod
     def zeros(cls, rows, cols, p):
+        import numpy as np
+
         return cls(np.zeros((rows, cols), dtype=np.int64), p)
 
     @property
@@ -137,6 +141,8 @@ class FpMatrix:
         return FpVector(self.array[i], self.p)
 
     def __eq__(self, other):
+        import numpy as np
+
         if isinstance(other, FpMatrix):
             return (
                 self.p == other.p
@@ -163,6 +169,8 @@ def rank_mod(a, p: int):
     Gaussian elimination runs over _RANK_SLICE matrices at a time.
     Intermediate entries reach (p-1)^2 in magnitude, so int32 is exact for
     p < 46341; larger primes eliminate over python ints."""
+    import numpy as np
+
     a = np.asarray(a)
     if a.ndim < 2:
         raise ValueError("rank needs an array of at least 2 dimensions")
@@ -186,6 +194,8 @@ def _echelon_rank(s, p):
     by column, each matrix picks a row with a nonzero entry as pivot and
     clears that column from every row by cross-multiplying, so no inverse is
     needed.  The pivot row clears itself to zero and stays zero."""
+    import numpy as np
+
     ranks = np.zeros(len(s), dtype=np.int64)
     every = np.arange(len(s))
     for j in range(s.shape[2]):
@@ -268,6 +278,8 @@ def vector_from_index(idx: int, d: int, p: int) -> FpVector:
 
 def vectors_array(d: int, p: int) -> np.ndarray:
     """All of F_p^d as an int8 array of shape (p**d, d); row i decodes index i."""
+    import numpy as np
+
     p = check_prime(p)
     total = p ** d
     if total > VECTOR_BUDGET:

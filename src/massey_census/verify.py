@@ -176,10 +176,21 @@ def _quotient_ladder(_threads):
         for n in (2, 3, 4, 5, 6):
             if un_quotient_decision(free, n) != (n <= d + 1):
                 return False, f"free({d}) vs n={n} inconsistent"
-    none = count_epi_bruteforce(free_presentation(1), 3, 2)
-    some = count_epi_bruteforce(free_presentation(2), 3, 2)
-    ok = none == 0 and some > 0
-    return ok, f"rank-1 has 0 U_3 images, rank-2 has {some}"
+    # rank 2 onto U_3: a D1 cup form is one hyperbolic plane, so no
+    # surjection exists; the D3 diagonal leaves room for some
+    counts = []
+    for model, p in ((GroupModel.free(1), 2), (GroupModel.free(2), 2),
+                     (GroupModel.demushkin(2, 4), 2),
+                     (GroupModel.demushkin(2, 3), 3),
+                     (GroupModel.demushkin(2, "inf"), 3),
+                     (GroupModel.demushkin(2, 2, case="D3"), 2)):
+        epi = count_epi_bruteforce(model_presentation(model, p), 3, p)
+        if un_quotient_decision(model, 3) != (epi > 0):
+            return False, f"{model.describe()} p={p}: oracle {epi} U_3 images"
+        counts.append(epi)
+    return counts[0] == 0 and counts[-1] == 8, (
+        "U_3 images by oracle, free(1), free(2), rank-2 D1 at (4,2), (3,3), "
+        f"(inf,3), rank-2 D3: {', '.join(map(str, counts))}")
 
 
 def _determinism(threads):
@@ -245,15 +256,14 @@ def _df_oracle(threads):
     return ok, f"formula {formula}, oracle {brute}"
 
 
-def _dd_rank2(threads):
-    model = GroupModel.dd(2, 4, 2, 4)
+def _three_engines(model, p, frozen, threads):
     return _check_eq(
         "formula = tmp_sum = oracle = frozen",
-        epi_count(model, 2).epi,
-        epi_count(model, 2, method="tmp_sum").epi,
-        count_epi_bruteforce(model_presentation(model, 2), 4, 2,
-                             threads=threads),
-        184320,
+        epi_count(model, p).epi,
+        epi_count(model, p, method="tmp_sum").epi,
+        count_epi_bruteforce(model_presentation(model, p), 4, p,
+                             budget=ORACLE_BUDGET_EXTENDED, threads=threads),
+        frozen,
     )
 
 
@@ -309,7 +319,8 @@ CHECKS = (
     Check("product with free factor: formula = oracle 1327104", _df_oracle,
           "extended"),
     Check("rank-2 double product: formula = tmp_sum = oracle 184320",
-          _dd_rank2, "extended"),
+          functools.partial(_three_engines, GroupModel.dd(2, 4, 2, 4), 2,
+                            184320), "extended"),
     Check("rank 2 has no U_4 surjections (formula = oracle = 0)",
           _free_rank2_u4_vanishes, "extended"),
 ) + tuple(
@@ -332,6 +343,16 @@ CHECKS = (
     for model, p, frozen in (
         (GroupModel.dd(4, 4, 4, 4), 2, 5585302978560),
         (GroupModel.dd(2, 3, 2, 3), 3, 498845952),
+    )
+) + tuple(
+    # odd p against the oracle: rank 3 at p = 3 is 3^18 nominal assignments,
+    # within the extended budget
+    Check(f"{model.describe()} p=3: formula = tmp_sum = oracle {frozen}",
+          functools.partial(_three_engines, model, 3, frozen), "extended")
+    for model, frozen in (
+        (GroupModel.free(3), 221079456),
+        (GroupModel.df(2, 3, 1), 5668704),
+        (preset_model("borromean"), 21730032),
     )
 )
 

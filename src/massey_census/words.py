@@ -511,6 +511,14 @@ def word_to_json(w):
     raise TypeError(f"not a group word: {w!r}")
 
 
+def _json_int(value, where) -> int:
+    """An integer field of an input file: refuse, never truncate, 1.5 or
+    true."""
+    if type(value) is not int:
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
 def presentation_from_json(obj) -> Presentation:
     if not isinstance(obj, dict):
         raise ValueError("presentation file must be a JSON object")
@@ -519,7 +527,7 @@ def presentation_from_json(obj) -> Presentation:
     if "rank" not in obj:
         raise ValueError("presentation object needs \"rank\" (or \"preset\")")
     rank = obj["rank"]
-    if not isinstance(rank, int) or rank < 1:
+    if type(rank) is not int or rank < 1:
         raise ValueError(f"\"rank\" must be a positive integer, got {rank!r}")
     relators = obj.get("relators", [])
     if not isinstance(relators, list):
@@ -533,19 +541,20 @@ def presentation_from_json(obj) -> Presentation:
 def ramified_data_from_json(obj) -> RamifiedRelatorData:
     if not isinstance(obj, dict) or "n" not in obj:
         raise ValueError("relator-tensor file must be an object with \"n\"")
-    n = obj["n"]
+    n = _json_int(obj["n"], "\"n\"")
     relators = obj.get("relators", [])
     e = {}
     max_m = 0
     for ri, rel in enumerate(relators):
         if not isinstance(rel, dict) or "m" not in rel:
             raise ValueError(f"relators[{ri}]: expected an object with \"m\"")
-        m = rel["m"]
+        m = _json_int(rel["m"], f"relators[{ri}].m")
         max_m = max(max_m, m)
         for ti, term in enumerate(rel.get("terms", [])):
             where = f"relators[{ri}].terms[{ti}]"
             try:
-                i, j, k, ev = term["i"], term["j"], term["k"], term["e"]
+                i, j, k, ev = (_json_int(term[name], f"{where}.{name}")
+                               for name in "ijke")
             except (TypeError, KeyError) as exc:
                 raise ValueError(f"{where}: needs keys i, j, k, e") from exc
             key = (i, j, k, m)

@@ -175,3 +175,12 @@ def test_criterion_12_thread_determinism():
         passed(D1_ORACLE, threads=2)
     report(12, f"{r['detail']}; 3 workers at chunk 2^12 give 6144; "
                f"rank-4 oracle 737280 with 1 and 2 workers")
+
+
+def test_odd_p_u4_oracle_rows():
+    # the first nonzero U_4 counts at an odd prime checked against the oracle
+    for name in ("free(d=3) p=3: formula = tmp_sum = oracle 221079456",
+                 "demushkin(d=2,q=3,D1) * free(d=1) p=3: formula = tmp_sum "
+                 "= oracle 5668704",
+                 "s3(borromean) p=3: formula = tmp_sum = oracle 21730032"):
+        passed(name)

@@ -35,7 +35,7 @@ from massey_census.forms import (
     demushkin_gram,
     trilinear_trace,
 )
-from massey_census.oracle import count_lifts_bruteforce
+from massey_census.oracle import count_epi_bruteforce, count_lifts_bruteforce
 from massey_census.words import (
     Comm,
     Gen,
@@ -523,6 +523,14 @@ def test_un_quotient_decision():
     assert un_quotient_decision(GroupModel.demushkin(3, 2), 5) is False
     assert un_quotient_decision(GroupModel.free(1), 2) is True
     assert un_quotient_decision(GroupModel.df(3, 2, 2), 6) is True
+    # rank 2 onto U_3: none from a D1 form (one hyperbolic plane), 8 from D3
+    for model, p, epi in ((GroupModel.demushkin(2, 4), 2, 0),
+                          (GroupModel.demushkin(2, 3), 3, 0),
+                          (GroupModel.demushkin(2, "inf"), 3, 0),
+                          (GroupModel.demushkin(2, 2, case="D3"), 2, 8)):
+        assert count_epi_bruteforce(model_presentation(model, p), 3, p) == epi
+        assert un_quotient_decision(model, 3) is (epi > 0), model
+        assert un_quotient_decision(model, 2) is True
     with pytest.raises(ValueError):
         un_quotient_decision(preset_model("borromean"), 4)
     with pytest.raises(ValueError):

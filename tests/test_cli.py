@@ -330,6 +330,26 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown config key" in err
 
 
+def test_config_keys_the_command_does_not_read(tmp_path, capsys):
+    cfg = tmp_path / "census.cfg"
+    model = ["--model", "demushkin", "--d", "4", "--q", "4", "--p", "2"]
+    for argv, text, key in (
+        (["tmp", *model], "threads = 7\noracle_budget = 5\n", "threads"),
+        (["tmp", *model], "oracle_budget = 5\n", "oracle_budget"),
+        (["massey", *model, "--chars", "[[1,0,0,0]]"], "tmp_budget = 5\n",
+         "tmp_budget"),
+        (["verify"], "threads = 1\ntmp_budget = 5\n", "tmp_budget"),
+    ):
+        cfg.write_text(text)
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == 1 and out == "", argv
+        assert f"{argv[0]} does not read config key {key!r}" in err
+    # count-epi takes all three flags, so it reads all three keys
+    cfg.write_text("threads = 7\ntmp_budget = 100\noracle_budget = 5\n")
+    code, out, _ = run(capsys, "count-epi", *model, "--config", str(cfg))
+    assert code == 0 and json.loads(out)["epi"] == "737280"
+
+
 def test_config_errors_name_file_and_line(tmp_path, capsys):
     cfg = tmp_path / "census.cfg"
     for bad, detail in (
@@ -382,6 +402,31 @@ def test_file_input_tensor(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["epi"] == "3072"
+
+
+def test_file_input_non_integer_fields_refused(tmp_path, capsys):
+    # int() would read both as 1 and count the borromean tensor, epi 3072
+    for value in (1.5, True):
+        data = {"n": 3, "relators": [
+            {"m": 1, "terms": [{"i": 2, "j": 3, "k": 1, "e": value}]},
+            {"m": 2, "terms": [{"i": 1, "j": 3, "k": 2, "e": 1}]},
+        ]}
+        path = tmp_path / "tensor.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(
+            capsys, "count-epi", "--model", "file", "--file", str(path),
+            "--p", "2",
+        )
+        assert code == 1 and out == ""
+        assert "relators[0].terms[0].e must be an integer" in err
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps({"rank": True, "relators": []}))
+    code, out, err = run(
+        capsys, "count-epi", "--model", "file", "--file", str(path),
+        "--p", "2", "--method", "oracle",
+    )
+    assert code == 1 and out == ""
+    assert '"rank" must be a positive integer' in err
 
 
 def test_file_input_custom_presentation_needs_oracle(tmp_path, capsys):

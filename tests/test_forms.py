@@ -283,6 +283,17 @@ def test_redei_validation():
         ramified_from_redei(
             {"primes": [3, 5], "symbols": [{"triple": [1, 4, 1], "value": 1}]}
         )
+    # Python counts true as 1; a file's true is no index and no sign
+    with pytest.raises(ValueError, match="triple"):
+        ramified_from_redei(
+            {"primes": [3, 5], "symbols": [{"triple": [1, True, 1],
+                                            "value": 1}]}
+        )
+    with pytest.raises(ValueError, match="value"):
+        ramified_from_redei(
+            {"primes": [3, 5], "symbols": [{"triple": [1, 2, 1],
+                                            "value": True}]}
+        )
 
 
 def test_load_input_file_redei(tmp_path):

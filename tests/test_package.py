@@ -1,6 +1,10 @@
 """The package's public surface."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import massey_census
@@ -33,3 +37,35 @@ def test_census_and_oracle_stay_independent():
     for module, other in (("census", "oracle"), ("oracle", "census")):
         names = _imported_names(src / f"{module}.py")
         assert not [n for n in names if n.split(".")[-1] == other], module
+
+
+_CLOSED_COMMANDS = (
+    ["count-extensions", "--local-degree", "2", "--p", "2", "--q", "4"],
+    ["count-epi", "--model", "dd", "--d", "2", "--q", "4", "--d2", "2",
+     "--q2", "4", "--p", "2"],
+    ["z1", "--model", "demushkin", "--d", "4", "--q", "4", "--p", "2",
+     "--class", "noncentral"],
+)
+_ARRAY_MODULES = ("numpy", "massey_census.oracle", "massey_census.verify",
+                  "massey_census.forms")
+
+
+def test_closed_form_commands_load_no_array_engine():
+    # a fresh interpreter: this one has loaded numpy and every engine
+    script = (
+        "import json, sys\n"
+        "from massey_census.cli import main\n"
+        f"for argv in {_CLOSED_COMMANDS!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        f"print(json.dumps([m for m in {_ARRAY_MODULES!r} "
+        "if m in sys.modules]))\n"
+    )
+    src = str(Path(massey_census.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == len(_CLOSED_COMMANDS) + 1
+    assert json.loads(lines[-1]) == []

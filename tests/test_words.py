@@ -1,6 +1,7 @@
 """Tests for words, presentations, and the standard relator families."""
 
 import json
+import re
 from itertools import product
 
 import numpy as np
@@ -28,7 +29,9 @@ from massey_census.words import (
     max_generator,
     preset,
     preset_tensor,
+    presentation_from_json,
     q_value,
+    ramified_data_from_json,
     ramified_presentation,
     word_from_json,
     word_to_json,
@@ -325,6 +328,27 @@ def test_presentation_file_loading(tmp_path):
     badrel.write_text(json.dumps({"rank": 2, "relators": [["gen", 5]]}))
     with pytest.raises(ValueError, match="beyond rank"):
         load_input_file(str(badrel))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("e", 1.5), ("e", True), ("i", 2.0), ("m", True), ("n", 3.0),
+])
+def test_tensor_fields_refuse_non_integers(field, value):
+    # int() would read 1.5 and true as 1 and count a different tensor
+    term = {"i": 2, "j": 3, "k": 1, "e": 1}
+    rel = {"m": 1, "terms": [term]}
+    obj = {"n": 3, "relators": [rel]}
+    {"n": obj, "m": rel}.get(field, term)[field] = value
+    where = {"n": '"n"', "m": "relators[0].m"}.get(
+        field, f"relators[0].terms[0].{field}")
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{where} must be an integer")):
+        ramified_data_from_json(obj)
+
+
+def test_presentation_rank_refuses_bool():
+    with pytest.raises(ValueError, match='"rank" must be a positive integer'):
+        presentation_from_json({"rank": True, "relators": []})
 
 
 def test_presentation_validation():
