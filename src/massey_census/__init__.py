@@ -25,12 +25,11 @@ _EXPORTS = {
         "un_quotient_decision",
         "z1_closed",
     ),
-    "fp": ("BudgetError", "FpMatrix", "FpVector", "GramForm"),
+    "fp": ("BudgetError", "FpVector"),
     "forms": (
         "TrilinearForm",
-        "consecutive_orthogonal_basis",
+        "cup_chain",
         "demushkin_gram",
-        "gram_from_demushkin",
         "load_input_file",
         "ramified_from_redei",
         "trace_tensor",

@@ -178,7 +178,7 @@ def _spend(box, amount):
 
 def _pair_mask(d, p, blocks, box):
     """The (P, P) boolean table over F_p^d, rows x and columns y, true when
-    every (offset, GramForm) block pairs (x, y) to zero.  None if no block."""
+    every (offset, Gram array) block pairs (x, y) to zero.  None if no block."""
     import numpy as np
 
     from .forms import zero_cup_table
@@ -354,18 +354,21 @@ def tmp_enumerate(model, p, budget=DEFAULT_TMP_BUDGET, want_list=False):
     return count, triples
 
 
-def tmp_enumerate_forms(forms, p, budget=DEFAULT_TMP_BUDGET):
-    """Triple count for an explicit list of Gram forms on one common space
-    (the conditions (x,y) = (y,z) = 0 under every form, plus rank 3); used to
-    confirm counts depend only on dimension/profile/nondegeneracy."""
-    forms = list(forms)
-    if not forms:
+def tmp_enumerate_forms(matrices, p, budget=DEFAULT_TMP_BUDGET):
+    """Triple count for an explicit list of square int Gram arrays on one
+    common space (the conditions (x,y) = (y,z) = 0 under every form, plus
+    rank 3); used to confirm counts depend only on dimension, diagonal and
+    nondegeneracy."""
+    import numpy as np
+
+    matrices = [np.asarray(m, dtype=np.int64) for m in matrices]
+    if not matrices:
         raise ValueError("need at least one form")
-    d = forms[0].dim
-    if any(f.dim != d or f.p != p for f in forms):
-        raise ValueError("forms must share one dimension and modulus")
+    d = len(matrices[0])
+    if any(m.shape != (d, d) for m in matrices):
+        raise ValueError("forms must be square arrays of one dimension")
     box = [0, budget]
-    mask = _pair_mask(d, p, [(0, f) for f in forms], box)
+    mask = _pair_mask(d, p, [(0, m) for m in matrices], box)
     return _scan(d, p, mask, box)[0]
 
 

@@ -1,12 +1,12 @@
-"""Cup-product Gram forms of the standard one-relator families,
-consecutive-orthogonal bases, and the trilinear trace form attached to
-deep-commutator relator tensors."""
+"""Cup-product Gram forms of the standard one-relator families, chains of
+characters with vanishing consecutive cups, and the trilinear trace form
+attached to deep-commutator relator tensors."""
 
 from __future__ import annotations
 
 import json
 
-from .fp import FpMatrix, FpVector, GramForm, rank_mod
+from .fp import rank_mod, vectors_array
 from .words import (
     Presentation,
     RamifiedRelatorData,
@@ -17,34 +17,28 @@ from .words import (
 )
 
 
-def demushkin_gram(d: int, p: int, q, case: str) -> GramForm:
-    """The d x d cup-product pairing matrix of a standard relator case.
+def demushkin_gram(d: int, p: int, q, case: str) -> np.ndarray:
+    """The d x d int64 cup-product pairing matrix of a standard relator case,
+    entries in [0, p).
 
     D1: pairs (v1,v2), (v3,v4), ...; zero diagonal.  D2: (v1,v1) = 1 plus
     pairs (v2,v3), (v4,v5), ...  D3 and D4: (v1,v1) = 1 plus the D1 pairs.
     A pair (v_a, v_b) = 1 has (v_b, v_a) = -1.
     """
+    import numpy as np
+
     case = demushkin_case(d, q_value(q, p), case)
-    m = [[0] * d for _ in range(d)]
+    m = np.zeros((d, d), dtype=np.int64)
     for a in range(2 if case == "D2" else 1, d, 2):
-        m[a - 1][a] = 1
-        m[a][a - 1] = p - 1
-    if case == "D1":
-        return GramForm(FpMatrix(m, p))
-    m[0][0] = 1
-    return GramForm(FpMatrix(m, p), "first_one")
-
-
-def gram_from_demushkin(pres: Presentation) -> GramForm:
-    """Read the cup-product Gram form off a standard one-relator presentation."""
-    tag = pres.tag
-    if tag.get("kind") != "demushkin":
-        raise ValueError("presentation is not a standard one-relator family")
-    return demushkin_gram(pres.rank, tag["p"], tag["q"], tag["case"])
+        m[a - 1, a] = 1
+        m[a, a - 1] = p - 1
+    if case != "D1":
+        m[0, 0] = 1
+    return m
 
 
 def cup_blocks(pres: Presentation):
-    """The cup pairing of a presentation as (offset, GramForm) blocks, one
+    """The cup pairing of a presentation as (offset, Gram array) blocks, one
     per one-relator factor.  A free product pairs two characters factor by
     factor, so their cup product vanishes only when every block's does;
     free factors and other relators pair to zero and get no block."""
@@ -52,8 +46,10 @@ def cup_blocks(pres: Presentation):
     parts = tag["parts"] if tag.get("kind") == "free_product" else (pres,)
     blocks, off = [], 0
     for part in parts:
-        if part.tag.get("kind") == "demushkin":
-            blocks.append((off, gram_from_demushkin(part)))
+        t = part.tag
+        if t.get("kind") == "demushkin":
+            blocks.append((off, demushkin_gram(part.rank, t["p"], t["q"],
+                                               t["case"])))
         off += part.rank
     return blocks
 
@@ -61,116 +57,56 @@ def cup_blocks(pres: Presentation):
 def zero_cup_table(blocks, U, W, p) -> np.ndarray:
     """The (len U, len W) table of whether rows U[i] and W[j], coordinate
     arrays over the whole presentation, have zero cup product in every
-    block of cup_blocks."""
+    (offset, Gram array) block."""
     import numpy as np
 
     ok = np.ones((len(U), len(W)), dtype=bool)
     for off, gram in blocks:
-        s = slice(off, off + gram.dim)
-        cup = U[:, s] @ gram.matrix.array @ W[:, s].T
+        s = slice(off, off + len(gram))
+        cup = U[:, s] @ gram @ W[:, s].T
         cup %= p  # in place: one int64 table alive at a time
         ok &= cup == 0
     return ok
 
 
-def _pairing(matrix, p):
-    def pairing(u, v):
-        return sum(ui * matrix[a][b] * vj
-                   for a, ui in enumerate(u) if ui
-                   for b, vj in enumerate(v) if vj) % p
+def cup_chain(blocks, d: int, p: int, length: int):
+    """The first chain, in vector-index order, of `length` linearly
+    independent vectors of F_p^d whose neighbours pair to zero in every
+    (offset, Gram array) block, as a (length, d) int64 array; None if there
+    is none.
 
-    return pairing
+    Depth-first with backtracking: each step tries, in index order, the
+    vectors that pair to zero with the chain's last vector and keep it
+    independent.  Only the last vector's cup row is built, never the full
+    (p^d, p^d) table."""
+    import numpy as np
 
+    if length < 1:
+        raise ValueError("a chain needs length >= 1")
+    if length > d:
+        return None
+    V = vectors_array(d, p).astype(np.int64)
 
-def consecutive_orthogonal_basis(f: GramForm):
-    """A basis w_1..w_d of F_p^d with (w_i, w_{i+1}) = 0 for every i.
+    def extensions(chain):
+        if not chain:
+            return range(1, len(V))  # every nonzero vector
+        ok = np.flatnonzero(zero_cup_table(blocks, V[chain[-1:]], V, p)[0])
+        stacks = np.concatenate(
+            [np.broadcast_to(V[chain], (len(ok), len(chain), d)),
+             V[ok][:, None, :]], axis=1)
+        return ok[rank_mod(stacks, p) > len(chain)].tolist()
 
-    Alternate forms get a symplectic decomposition reordered so consecutive
-    vectors never share a hyperbolic pair; non-alternate forms (p = 2 with a
-    diagonal 1) are diagonalized outright, making every pair orthogonal.
-    """
-    d = f.dim
-    if d < 3:
-        raise ValueError("need dimension >= 3")
-    p = f.p
-    matrix = [[int(x) for x in row] for row in f.matrix.array]
-    pairing = _pairing(matrix, p)
-    basis = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+    def search(chain):  # recursion depth <= length <= d
+        if len(chain) == length:
+            return chain
+        for j in extensions(chain):
+            found = search(chain + [j])
+            if found is not None:
+                return found
+        return None
 
-    if f.diagonal_profile == "all_zero":
-        us, ws, radical = [], [], []
-        pool = list(basis)
-        while pool:
-            u = pool.pop(0)
-            partner = next((w for w in pool if pairing(u, w)), None)
-            if partner is None:
-                radical.append(u)
-                continue
-            pool.remove(partner)
-            inv = pow(pairing(u, partner), p - 2, p)
-            w = [c * inv % p for c in partner]
-            projected = []
-            for v in pool:
-                cu, cw = pairing(v, w), pairing(v, u)
-                projected.append(
-                    [(vi - cu * ui + cw * wi) % p for vi, ui, wi in zip(v, u, w)]
-                )
-            pool = projected
-            us.append(u)
-            ws.append(w)
-        r = len(us)
-        if r == 0:
-            ordered = radical
-        elif r == 1:
-            ordered = [us[0]] + radical + [ws[0]]
-        else:
-            ordered = us + ws + radical
-    else:
-        # p = 2 and the quadratic map v -> (v,v) is additive, so greedy
-        # diagonalization works; leftover hyperbolic pairs are absorbed into
-        # three diagonal vectors at a time
-        ordered = []
-        pool = list(basis)
-        while pool:
-            t = next((v for v in pool if pairing(v, v)), None)
-            if t is not None:
-                pool.remove(t)
-                pool = [
-                    [(vi + pairing(v, t) * ti) % 2 for vi, ti in zip(v, t)]
-                    for v in pool
-                ]
-                ordered.append(t)
-                continue
-            hyper = None
-            for a in range(len(pool)):
-                for b in range(a + 1, len(pool)):
-                    if pairing(pool[a], pool[b]):
-                        hyper = (pool[a], pool[b])
-                        break
-                if hyper:
-                    break
-            if hyper is None:
-                ordered.extend(pool)  # fully orthogonal leftovers
-                break
-            u, w = hyper
-            pool = [
-                [
-                    (vi + pairing(v, w) * ui + pairing(v, u) * wi) % 2
-                    for vi, ui, wi in zip(v, u, w)
-                ]
-                for v in pool
-                if v is not u and v is not w
-            ]
-            t = ordered.pop()  # the first_one profile guarantees one exists
-            g1 = [(a + b) % 2 for a, b in zip(u, t)]
-            g2 = [(a + b) % 2 for a, b in zip(w, t)]
-            g3 = [(a + b + c) % 2 for a, b, c in zip(u, w, t)]
-            ordered.extend([g1, g2, g3])
-
-    assert len(ordered) == d and rank_mod(ordered, p) == d
-    for a, b in zip(ordered, ordered[1:]):
-        assert pairing(a, b) == 0
-    return [FpVector(v, p) for v in ordered]
+    found = search([])
+    return None if found is None else V[found]
 
 
 class TrilinearForm:

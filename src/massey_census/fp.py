@@ -6,17 +6,11 @@ import math
 
 VECTOR_BUDGET = 10 ** 8
 
-_MAX_PRIME = 7
+MAX_PRIME = 7
 
 
 class BudgetError(RuntimeError):
     """An enumeration would exceed its configured budget."""
-
-
-def set_max_prime(p: int) -> None:
-    """Raise (or lower) the largest modulus the library accepts; default 7."""
-    global _MAX_PRIME
-    _MAX_PRIME = int(p)
 
 
 def check_prime(p) -> int:
@@ -26,10 +20,9 @@ def check_prime(p) -> int:
         raise ValueError(f"modulus must be a prime >= 2, got {p}")
     if any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
         raise ValueError(f"modulus {p} is not prime")
-    if p > _MAX_PRIME:
+    if p > MAX_PRIME:
         raise ValueError(
-            f"modulus {p} exceeds the configured maximum {_MAX_PRIME}; "
-            f"call set_max_prime({p}) to allow it"
+            f"modulus {p} exceeds the largest supported prime {MAX_PRIME}"
         )
     return p
 
@@ -50,9 +43,6 @@ class FpVector:
     def dim(self) -> int:
         return len(self.entries)
 
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
-
     def __getitem__(self, i):
         return self.entries[i]
 
@@ -61,26 +51,6 @@ class FpVector:
 
     def __len__(self):
         return len(self.entries)
-
-    def __add__(self, other):
-        if not isinstance(other, FpVector):
-            return NotImplemented
-        _same_space(self, other)
-        return FpVector(
-            [a + b for a, b in zip(self.entries, other.entries)], self.p
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, FpVector):
-            return NotImplemented
-        _same_space(self, other)
-        return FpVector(
-            [a - b for a, b in zip(self.entries, other.entries)], self.p
-        )
-
-    def scale(self, c) -> "FpVector":
-        c = int(c) % self.p
-        return FpVector([c * e for e in self.entries], self.p)
 
     def __eq__(self, other):
         if isinstance(other, FpVector):
@@ -92,70 +62,6 @@ class FpVector:
 
     def __repr__(self):
         return f"FpVector({list(self.entries)}, p={self.p})"
-
-
-def _same_space(u: FpVector, v: FpVector) -> None:
-    if u.p != v.p:
-        raise ValueError(f"modulus mismatch: {u.p} vs {v.p}")
-    if u.dim != v.dim:
-        raise ValueError(f"dimension mismatch: {u.dim} vs {v.dim}")
-
-
-class FpMatrix:
-    """A dense matrix over F_p, stored row-major as a read-only int64 array."""
-
-    __slots__ = ("array", "p")
-
-    def __init__(self, rows, p):
-        import numpy as np
-
-        p = check_prime(p)
-        a = np.array(rows, dtype=np.int64) % p
-        if a.ndim != 2:
-            raise ValueError(f"matrix must be 2-dimensional, got shape {a.shape}")
-        a.setflags(write=False)
-        self.array = a
-        self.p = p
-
-    @classmethod
-    def identity(cls, n, p):
-        import numpy as np
-
-        return cls(np.eye(n, dtype=np.int64), p)
-
-    @classmethod
-    def zeros(cls, rows, cols, p):
-        import numpy as np
-
-        return cls(np.zeros((rows, cols), dtype=np.int64), p)
-
-    @property
-    def rows(self) -> int:
-        return self.array.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.array.shape[1]
-
-    def row(self, i) -> FpVector:
-        return FpVector(self.array[i], self.p)
-
-    def __eq__(self, other):
-        import numpy as np
-
-        if isinstance(other, FpMatrix):
-            return (
-                self.p == other.p
-                and self.array.shape == other.array.shape
-                and bool(np.array_equal(self.array, other.array))
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.array.tobytes(), self.array.shape, self.p))
-
-    def __repr__(self):
-        return f"FpMatrix({self.array.tolist()}, p={self.p})"
 
 
 _RANK_SLICE = 4096
@@ -207,66 +113,6 @@ def _echelon_rank(s, p):
         s = (s * scale[:, None, None]
              - s[:, :, j:j + 1] * prow[:, None, :]) % p
     return ranks
-
-
-DIAGONAL_PROFILES = ("all_zero", "first_one")
-
-
-class GramForm:
-    """A bilinear pairing matrix: skew off the diagonal, with a declared
-    diagonal profile ("all_zero" or, at p = 2, "first_one")."""
-
-    __slots__ = ("matrix", "diagonal_profile")
-
-    def __init__(self, matrix: FpMatrix, diagonal_profile: str = "all_zero"):
-        if not isinstance(matrix, FpMatrix):
-            raise TypeError("GramForm needs an FpMatrix")
-        if matrix.rows != matrix.cols:
-            raise ValueError("Gram matrix must be square")
-        if diagonal_profile not in DIAGONAL_PROFILES:
-            raise ValueError(f"unknown diagonal profile {diagonal_profile!r}")
-        p = matrix.p
-        a = matrix.array
-        d = matrix.rows
-        for i in range(d):
-            for j in range(i + 1, d):
-                if (a[i, j] + a[j, i]) % p != 0:
-                    raise ValueError(
-                        f"off-diagonal entries ({i},{j})/({j},{i}) are not skew"
-                    )
-        diag = [int(a[i, i]) for i in range(d)]
-        if diagonal_profile == "all_zero":
-            if any(diag):
-                raise ValueError("all_zero profile but nonzero diagonal entry")
-        else:
-            if p != 2:
-                raise ValueError("first_one profile only makes sense at p = 2")
-            if diag[0] != 1 or any(diag[1:]):
-                raise ValueError("first_one profile needs diagonal (1, 0, ..., 0)")
-        self.matrix = matrix
-        self.diagonal_profile = diagonal_profile
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.rows
-
-    @property
-    def p(self) -> int:
-        return self.matrix.p
-
-    def __eq__(self, other):
-        if isinstance(other, GramForm):
-            return (
-                self.matrix == other.matrix
-                and self.diagonal_profile == other.diagonal_profile
-            )
-        return NotImplemented
-
-    def __repr__(self):
-        return (
-            f"GramForm({self.matrix.array.tolist()}, p={self.p}, "
-            f"profile={self.diagonal_profile})"
-        )
 
 
 def vector_from_index(idx: int, d: int, p: int) -> FpVector:

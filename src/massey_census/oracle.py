@@ -297,7 +297,7 @@ def _range_worker(args):
     return _count_range(pres, n, p, bar, fixed, lo, hi, k, want_surjective)
 
 
-def _make_progress(space, label, scale):
+def _make_progress(space, scale):
     """Progress reports in nominal assignments: `done` enumerated ones stand
     for done * scale."""
     t0 = time.monotonic()
@@ -308,7 +308,7 @@ def _make_progress(space, label, scale):
         rate = done / dt
         eta = (space - done) / rate if rate else float("inf")
         sys.stderr.write(
-            f"\r{label}: {done}/{space} ({rate:,.0f}/s, eta {eta:,.0f}s)"
+            f"\repi: {done}/{space} ({rate:,.0f}/s, eta {eta:,.0f}s)"
         )
         if done >= space:
             sys.stderr.write("\n")
@@ -333,7 +333,7 @@ def _central_pins(pres, n, p, bar, free_pairs):
 
 def _enumerate_space(pres, n, p, bar, fixed, budget, threads=1,
                      progress=False, chunk=CHUNK, want_surjective=False,
-                     exists_only=False, label="scan"):
+                     exists_only=False):
     if not isinstance(pres, Presentation):
         raise TypeError("first argument must be a Presentation")
     p = check_prime(p)
@@ -359,7 +359,7 @@ def _enumerate_space(pres, n, p, bar, fixed, budget, threads=1,
     fixed.update((pq, [0] * rank) for pq in pins)
     digits = (len(free_pairs) - len(pins)) * rank
     space, scale = p ** digits, p ** (len(pins) * rank)
-    reporter = _make_progress(nominal, label, scale) if progress else None
+    reporter = _make_progress(nominal, scale) if progress else None
     k = _block_exponent(p, chunk, digits)
     ranges = ([(0, space)] if exists_only
               else _plan_ranges(space, p ** k, threads))
@@ -395,10 +395,8 @@ def _plan_ranges(space, block, threads):
 def count_epi_bruteforce(pres, n, p, budget=ORACLE_BUDGET, threads=1,
                          progress=False, chunk=CHUNK) -> int:
     """Count surjections onto U_n(F_p) by exhausting generator assignments."""
-    return _enumerate_space(
-        pres, n, p, False, None, budget, threads, progress, chunk,
-        want_surjective=True, label="epi",
-    )
+    return _enumerate_space(pres, n, p, False, None, budget, threads,
+                            progress, chunk, want_surjective=True)
 
 
 def count_lifts_bruteforce(pres, p, superdiagonal, budget=LIFT_BUDGET) -> int:
@@ -418,7 +416,7 @@ def count_lifts_bruteforce(pres, p, superdiagonal, budget=LIFT_BUDGET) -> int:
         (2, 3): [int(y[g]) for g in range(rank)],
         (3, 4): [int(z[g]) for g in range(rank)],
     }
-    return _enumerate_space(pres, 4, p, False, fixed, budget, label="lifts")
+    return _enumerate_space(pres, 4, p, False, fixed, budget)
 
 
 def massey_system_exists(pres, chars, p, budget=ORACLE_BUDGET) -> bool:
@@ -446,10 +444,8 @@ def massey_system_exists(pres, chars, p, budget=ORACLE_BUDGET) -> bool:
         (i + 1, i + 2): [(-int(chars[i][g])) % p for g in range(rank)]
         for i in range(k)
     }
-    found = _enumerate_space(
-        pres, k + 1, p, True, fixed, budget, exists_only=True, label="massey",
-    )
-    return bool(found)
+    return bool(_enumerate_space(pres, k + 1, p, True, fixed, budget,
+                                 exists_only=True))
 
 
 def cup_defining_check(pres, p, k, samples=None, include=(), seed=0,

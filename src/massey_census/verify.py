@@ -21,6 +21,7 @@ from .census import (
     un_quotient_decision,
     z1_closed,
 )
+from .forms import cup_blocks, cup_chain
 from .fp import FpVector
 from .oracle import (
     CHUNK,
@@ -167,14 +168,24 @@ def _counterexample(_threads):
 
 
 def _quotient_ladder(_threads):
+    # the closed rule must also agree with the cup chains: a surjection onto
+    # U_n carries n - 1 independent characters with vanishing neighbour cups
+    def chain_agrees(model, p, n):
+        chain = cup_chain(cup_blocks(model_presentation(model, p)),
+                          model.rank, p, n - 1)
+        return (chain is not None) == un_quotient_decision(model, n)
+
     model = GroupModel.demushkin(3, 2)
     ladder = [un_quotient_decision(model, n) for n in (2, 3, 4, 5, 6)]
     if ladder != [True, True, True, False, False]:
         return False, f"degree-1 ladder wrong: {ladder}"
+    if not all(chain_agrees(model, 2, n) for n in (2, 3, 4, 5, 6)):
+        return False, "degree-1 ladder disagrees with its cup chains"
     for d in (1, 2, 3, 4):
         free = GroupModel.free(d)
         for n in (2, 3, 4, 5, 6):
-            if un_quotient_decision(free, n) != (n <= d + 1):
+            if (un_quotient_decision(free, n) != (n <= d + 1)
+                    or not chain_agrees(free, 2, n)):
                 return False, f"free({d}) vs n={n} inconsistent"
     # rank 2 onto U_3: a D1 cup form is one hyperbolic plane, so no
     # surjection exists; the D3 diagonal leaves room for some
@@ -187,10 +198,12 @@ def _quotient_ladder(_threads):
         epi = count_epi_bruteforce(model_presentation(model, p), 3, p)
         if un_quotient_decision(model, 3) != (epi > 0):
             return False, f"{model.describe()} p={p}: oracle {epi} U_3 images"
+        if not chain_agrees(model, p, 3):
+            return False, f"{model.describe()} p={p}: cup chain disagrees"
         counts.append(epi)
     return counts[0] == 0 and counts[-1] == 8, (
         "U_3 images by oracle, free(1), free(2), rank-2 D1 at (4,2), (3,3), "
-        f"(inf,3), rank-2 D3: {', '.join(map(str, counts))}")
+        f"(inf,3), rank-2 D3: {', '.join(map(str, counts))}; cup chains agree")
 
 
 def _determinism(threads):

@@ -1,19 +1,14 @@
-"""Tests for Gram forms, consecutive-orthogonal bases, and trilinear traces."""
+"""Tests for Gram forms, cup chains, and trilinear traces."""
 
 import numpy as np
 import pytest
 
-from massey_census.fp import (
-    FpMatrix,
-    FpVector,
-    GramForm,
-    rank_mod,
-)
+from massey_census.fp import FpVector, rank_mod
 from massey_census.forms import (
     TrilinearForm,
-    consecutive_orthogonal_basis,
+    cup_blocks,
+    cup_chain,
     demushkin_gram,
-    gram_from_demushkin,
     load_input_file,
     ramified_from_redei,
     trace_tensor,
@@ -22,48 +17,47 @@ from massey_census.forms import (
 from massey_census.words import (
     RamifiedRelatorData,
     demushkin_presentation,
+    free_presentation,
     preset_tensor,
 )
 
 
 def test_gram_d1_symplectic():
     pres = demushkin_presentation(4, 2, 4, "D1")
-    g = gram_from_demushkin(pres)
-    assert g.diagonal_profile == "all_zero"
-    assert g.matrix == FpMatrix(
-        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], 2
-    )
-    assert rank_mod(g.matrix.array, 2) == g.dim
+    [(off, g)] = cup_blocks(pres)
+    assert off == 0
+    assert g.tolist() == [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1],
+                          [0, 0, 1, 0]]
+    assert rank_mod(g, 2) == len(g)
 
 
 def test_gram_d1_p3():
     g = demushkin_gram(2, 3, 3, "D1")
-    assert g.matrix == FpMatrix([[0, 1], [-1, 0]], 3)
+    assert g.tolist() == [[0, 1], [2, 0]]
 
 
 def test_gram_d2():
     g = demushkin_gram(3, 2, 2, "D2")
-    assert g.diagonal_profile == "first_one"
-    assert g.matrix == FpMatrix([[1, 0, 0], [0, 0, 1], [0, 1, 0]], 2)
+    assert g.tolist() == [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
     # determinant of that matrix is 1 over F_2, hence nondegenerate
-    assert rank_mod(g.matrix.array, 2) == g.dim
+    assert rank_mod(g, 2) == len(g)
 
 
 def test_gram_d3_d4():
     g3 = demushkin_gram(4, 2, 2, "D3")
-    assert g3.matrix == FpMatrix(
-        [[1, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], 2
-    )
+    assert g3.tolist() == [[1, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1],
+                           [0, 0, 1, 0]]
     g4 = demushkin_gram(4, 2, 2, "D4")
-    assert g4.matrix == g3.matrix  # the patterns coincide at d = 4
+    assert np.array_equal(g4, g3)  # the patterns coincide at d = 4
     g4b = demushkin_gram(6, 2, 2, "D4")
-    assert g4b.matrix.array[2, 3] == 1  # (v3,v4) pair
-    assert g4b.matrix.array[4, 5] == 1  # (v5,v6) pair
+    assert g4b[2, 3] == 1  # (v3,v4) pair
+    assert g4b[4, 5] == 1  # (v5,v6) pair
 
 
 def test_gram_grid_nondegenerate():
-    # every legal case/d combination up to d = 8 gives a full-rank form with
-    # the declared diagonal
+    # every legal case/d combination up to d = 8 gives a full-rank form,
+    # skew off the diagonal, with diagonal (1, 0, ...) at q = 2 and zero
+    # otherwise
     cells = []
     for d in range(2, 9, 2):
         cells.append((d, 3, 3, "D1"))
@@ -76,12 +70,12 @@ def test_gram_grid_nondegenerate():
         cells.append((d, 2, 2, "D2"))
     for d, p, q, case in cells:
         g = demushkin_gram(d, p, q, case)
-        assert rank_mod(g.matrix.array, p) == d, (d, p, q, case)
-        diag = [int(g.matrix.array[i, i]) for i in range(d)]
-        if q == 2:
-            assert g.diagonal_profile == "first_one" and diag[0] == 1
-        else:
-            assert g.diagonal_profile == "all_zero" and not any(diag)
+        assert g.shape == (d, d) and g.dtype == np.int64
+        assert rank_mod(g, p) == d, (d, p, q, case)
+        assert ((g >= 0) & (g < p)).all()
+        off = g - np.diag(np.diag(g))
+        assert not ((off + off.T) % p).any(), (d, p, q, case)
+        assert np.diag(g).tolist() == [int(q == 2)] + [0] * (d - 1)
 
 
 def test_gram_validation():
@@ -89,56 +83,58 @@ def test_gram_validation():
         demushkin_gram(3, 2, 4, "D1")
     with pytest.raises(ValueError):
         demushkin_gram(4, 3, 3, "D2")
-    with pytest.raises(ValueError):
-        gram_from_demushkin_free()
+    assert cup_blocks(free_presentation(3)) == []  # no one-relator factor
 
 
-def gram_from_demushkin_free():
-    from massey_census.words import free_presentation
-
-    return gram_from_demushkin(free_presentation(3))
-
-
-def check_consecutive(f, basis):
-    assert len(basis) == f.dim
-    assert rank_mod([list(v.entries) for v in basis], f.p) == f.dim
-    for a, b in zip(basis, basis[1:]):
-        assert np.array(a.entries) @ f.matrix.array @ b.entries % f.p == 0
+def check_consecutive(g, p, chain):
+    d = len(g)
+    assert chain.shape == (d, d)
+    assert rank_mod(chain, p) == d
+    for a, b in zip(chain, chain[1:]):
+        assert a @ g @ b % p == 0
 
 
 def test_basis_zero_form():
-    f = GramForm(FpMatrix.zeros(3, 3, 2))
-    basis = consecutive_orthogonal_basis(f)
-    assert [v.entries for v in basis] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    chain = cup_chain([(0, np.zeros((3, 3), dtype=np.int64))], 3, 2, 3)
+    assert chain.tolist() == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
 
 
 def test_basis_standard_symplectic():
-    f = demushkin_gram(4, 2, 4, "D1")
-    basis = consecutive_orthogonal_basis(f)
-    check_consecutive(f, basis)
-    # hyperbolic-pair members end up separated: (u1, u2, w1, w2)
-    assert [v.entries for v in basis] == [
-        (1, 0, 0, 0),
-        (0, 0, 1, 0),
-        (0, 1, 0, 0),
-        (0, 0, 0, 1),
+    g = demushkin_gram(4, 2, 4, "D1")
+    chain = cup_chain([(0, g)], 4, 2, 4)
+    check_consecutive(g, 2, chain)
+    # hyperbolic-pair members end up separated: e4, e2, e3, e1
+    assert chain.tolist() == [
+        [0, 0, 0, 1],
+        [0, 1, 0, 0],
+        [0, 0, 1, 0],
+        [1, 0, 0, 0],
     ]
 
 
 def test_basis_d2():
-    f = demushkin_gram(3, 2, 2, "D2")
-    check_consecutive(f, consecutive_orthogonal_basis(f))
+    g = demushkin_gram(3, 2, 2, "D2")
+    check_consecutive(g, 2, cup_chain([(0, g)], 3, 2, 3))
 
 
 def test_basis_single_pair_plus_radical():
-    # rank-2 alternate form in dimension 3: the r = 1 ordering (u, z, w)
-    f = GramForm(FpMatrix([[0, 1, 0], [-1, 0, 0], [0, 0, 0]], 3))
-    check_consecutive(f, consecutive_orthogonal_basis(f))
+    # rank-2 alternate form in dimension 3: a chain starting in the radical
+    # dead-ends, so the search backtracks to (u, z, w) with z radical
+    g = np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+    chain = cup_chain([(0, g)], 3, 3, 3)
+    check_consecutive(g, 3, chain)
+    assert chain.tolist() == [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
 
 
 def test_basis_dim_error():
+    # a rank-2 D1 form is one hyperbolic plane: no two independent
+    # characters pair to zero, so no chain of length 2 exists
+    g = demushkin_gram(2, 2, 4, "D1")
+    assert cup_chain([(0, g)], 2, 2, 2) is None
+    assert cup_chain([(0, g)], 2, 2, 1).tolist() == [[0, 1]]
+    assert cup_chain([(0, g)], 2, 2, 3) is None  # longer than the space
     with pytest.raises(ValueError):
-        consecutive_orthogonal_basis(GramForm(FpMatrix.zeros(2, 2, 2)))
+        cup_chain([(0, g)], 2, 2, 0)
 
 
 def test_basis_random_forms():
@@ -148,16 +144,15 @@ def test_basis_random_forms():
             for _ in range(12):
                 m = np.triu(rng.integers(0, p, size=(d, d)), 1)
                 m = (m - m.T) % p
-                f = GramForm(FpMatrix(m, p))
-                check_consecutive(f, consecutive_orthogonal_basis(f))
-    # non-alternate forms at p = 2 (first_one profile), random off-diagonals
+                check_consecutive(m, p, cup_chain([(0, m)], d, p, d))
+    # non-alternate forms at p = 2 (diagonal (1, 0, ...)), random
+    # off-diagonals
     for d in (3, 4, 5, 6, 7):
         for _ in range(12):
             m = np.triu(rng.integers(0, 2, size=(d, d)), 1)
             m = (m + m.T) % 2
             m[0, 0] = 1
-            f = GramForm(FpMatrix(m, 2), "first_one")
-            check_consecutive(f, consecutive_orthogonal_basis(f))
+            check_consecutive(m, 2, cup_chain([(0, m)], d, 2, d))
 
 
 def borromean_form():

@@ -17,7 +17,7 @@ from massey_census.census import (
     tmp_enumerate,
 )
 from massey_census.fp import BudgetError, FpVector, vector_from_index
-from massey_census.forms import consecutive_orthogonal_basis, demushkin_gram
+from massey_census.forms import cup_blocks, cup_chain
 from massey_census.oracle import (
     count_epi_bruteforce,
     count_lifts_bruteforce,
@@ -150,23 +150,19 @@ def test_massey_exists_f2_within_one_word():
     assert found == {(v, v, v) for v in vectors}
 
 
-def test_int16_overflow_refused():
+def test_int16_overflow_refused(monkeypatch):
     # U_n(F_p) products reach 2(p-1) + (n-2)(p-1)^2 before reduction
-    before = fp._MAX_PRIME
-    fp.set_max_prime(131)
-    try:
-        one = free_presentation(1)
-        with pytest.raises(ValueError, match=r"34060 .*2\^15"):
-            count_lifts_bruteforce(one, 131, (FpVector((1,), 131),) * 3,
-                                   budget=1)
-        with pytest.raises(ValueError, match=r"40200 .*2\^15"):
-            count_epi_bruteforce(one, 6, 101, budget=1)
-        # 2*126 + 2*126^2 = 32004 fits: the budget decides
-        with pytest.raises(BudgetError):
-            count_lifts_bruteforce(one, 127, (FpVector((1,), 127),) * 3,
-                                   budget=1)
-    finally:
-        fp.set_max_prime(before)
+    monkeypatch.setattr(fp, "MAX_PRIME", 131)
+    one = free_presentation(1)
+    with pytest.raises(ValueError, match=r"34060 .*2\^15"):
+        count_lifts_bruteforce(one, 131, (FpVector((1,), 131),) * 3,
+                               budget=1)
+    with pytest.raises(ValueError, match=r"40200 .*2\^15"):
+        count_epi_bruteforce(one, 6, 101, budget=1)
+    # 2*126 + 2*126^2 = 32004 fits: the budget decides
+    with pytest.raises(BudgetError):
+        count_lifts_bruteforce(one, 127, (FpVector((1,), 127),) * 3,
+                               budget=1)
 
 
 def test_plan_ranges_caps_workers(monkeypatch):
@@ -315,10 +311,17 @@ def test_massey_free_always_true():
     assert massey_system_exists(free_presentation(3), chars, 3) is True
 
 
-def test_massey_demushkin_consecutive_basis_true():
-    pres = demushkin_presentation(4, 2, 4, "D1")
-    basis = consecutive_orthogonal_basis(demushkin_gram(4, 2, 4, "D1"))
-    assert massey_system_exists(pres, basis[:4], 2) is True
+@pytest.mark.parametrize("model, p, k", [
+    (GroupModel.demushkin(4, 4), 2, 4),
+    (GroupModel.dd(2, 4, 2, 4), 2, 4),
+    (GroupModel.dd(2, 3, 2, 3), 3, 3),
+], ids=["demushkin(4,4)-p2-k4", "dd(2,4,2,4)-p2-k4", "dd(2,3,2,3)-p3-k3"])
+def test_massey_cup_chain_witness(model, p, k):
+    # the first cup chain is a defining-system witness, free products too
+    pres = model_presentation(model, p)
+    chain = cup_chain(cup_blocks(pres), model.rank, p, k)
+    chars = [FpVector(row, p) for row in chain]
+    assert massey_system_exists(pres, chars, p) is True
 
 
 def test_massey_validation():

@@ -69,3 +69,37 @@ def test_closed_form_commands_load_no_array_engine():
     lines = done.stdout.splitlines()
     assert len(lines) == len(_CLOSED_COMMANDS) + 1
     assert json.loads(lines[-1]) == []
+
+
+# scalar references the tests compare the array engines against
+_TEST_REFERENCES = ("evaluate_word", "trilinear_trace")
+
+
+def _read_names(path):
+    """Every name a source file reads: loaded names, attributes, imports and
+    identifier-shaped strings (for getattr tables).  Definitions and
+    assignment targets are not reads."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            names.add(node.value)
+    return names
+
+
+def test_every_export_has_a_reader():
+    # a public name only the tests use is surface without a user
+    root = Path(__file__).resolve().parents[1]
+    files = [f for f in (root / "src" / "massey_census").glob("*.py")
+             if f.name != "__init__.py"]
+    for folder in ("perfbench", "demos"):
+        files += (root / folder).glob("*.py")
+    read = set().union(*map(_read_names, files))
+    unread = set(massey_census.__all__) - read - set(_TEST_REFERENCES)
+    assert not unread, sorted(unread)
