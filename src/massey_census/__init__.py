@@ -29,7 +29,7 @@ _EXPORTS = {
     "forms": (
         "TrilinearForm",
         "cup_chain",
-        "demushkin_gram",
+        "cup_grams",
         "load_input_file",
         "ramified_from_redei",
         "trace_tensor",

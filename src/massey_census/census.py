@@ -176,26 +176,26 @@ def _spend(box, amount):
         )
 
 
-def _pair_mask(d, p, blocks, box):
+def _pair_mask(d, p, grams, box):
     """The (P, P) boolean table over F_p^d, rows x and columns y, true when
-    every (offset, Gram array) block pairs (x, y) to zero.  None if no block."""
+    every Gram array pairs (x, y) to zero.  None if there is no array."""
     import numpy as np
 
     from .forms import zero_cup_table
 
-    if not blocks:
+    if not grams:
         return None
     V = vectors_array(d, p).astype(np.int64)
-    for _ in blocks:
+    for _ in grams:
         _spend(box, len(V) ** 2)
-    return zero_cup_table(blocks, V, V, p)
+    return zero_cup_table(grams, V, V, p)
 
 
 def _model_pair_mask(model, p, box):
-    from .forms import cup_blocks
+    from .forms import cup_grams
 
-    return _pair_mask(model.rank, p, cup_blocks(model_presentation(model, p)),
-                      box)
+    grams = cup_grams(model_presentation(model, p), p)
+    return _pair_mask(model.rank, p, grams, box)
 
 
 def _class_types(model, p):
@@ -368,7 +368,7 @@ def tmp_enumerate_forms(matrices, p, budget=DEFAULT_TMP_BUDGET):
     if any(m.shape != (d, d) for m in matrices):
         raise ValueError("forms must be square arrays of one dimension")
     box = [0, budget]
-    mask = _pair_mask(d, p, [(0, m) for m in matrices], box)
+    mask = _pair_mask(d, p, matrices, box)
     return _scan(d, p, mask, box)[0]
 
 

@@ -243,9 +243,8 @@ def _build_model(args, p):
         model = GroupModel.s3(loaded, name=os.path.basename(args.file))
         return model, ramified_presentation(loaded, p), model.describe()
     if isinstance(loaded, Presentation):
-        # a file yields a custom tag, or the free tag of the ram01 preset
-        free = loaded.tag.get("kind") == "free"
-        model = GroupModel.free(loaded.rank) if free else None
+        # only a presentation without relators is a structured model: free
+        model = None if loaded.relators else GroupModel.free(loaded.rank)
         label = model.describe() if model else f"file({os.path.basename(args.file)})"
         return model, loaded, label
     raise ValueError(f"unsupported input file content: {type(loaded).__name__}")
@@ -275,9 +274,19 @@ def _oracle_report(pres, label, p, target, settings, progress):
 
 
 def _cmd_count_epi(args):
+    method = args.method.replace("-", "_")
+    # a flag the method never reads is refused, not ignored; the thread
+    # variable and config keys are ambient defaults and stay allowed
+    unread = (("budget",) if method == "oracle"
+              else ("threads", "oracle_budget", "extended", "progress"))
+    for name in unread:
+        value = getattr(args, name)
+        if value is not None and value is not False:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(
+                f"count-epi --method {args.method} does not read {flag}")
     settings = _settings(args)
     p = args.p
-    method = args.method.replace("-", "_")
     model, pres, label = _build_model(args, p)
     if method == "oracle":
         if pres is None:

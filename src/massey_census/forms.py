@@ -1,79 +1,71 @@
-"""Cup-product Gram forms of the standard one-relator families, chains of
-characters with vanishing consecutive cups, and the trilinear trace form
+"""The cup pairing of a presentation, read off its relators; chains of
+characters with vanishing consecutive cups; and the trilinear trace form
 attached to deep-commutator relator tensors."""
 
 from __future__ import annotations
 
 import json
 
-from .fp import rank_mod, vectors_array
+from .fp import check_prime, rank_mod, vectors_array
+from .unipotent import fp_ring, mul_recipe, walk_word
 from .words import (
     Presentation,
     RamifiedRelatorData,
-    demushkin_case,
+    exponent_sums,
     presentation_from_json,
-    q_value,
     ramified_data_from_json,
 )
 
 
-def demushkin_gram(d: int, p: int, q, case: str) -> np.ndarray:
-    """The d x d int64 cup-product pairing matrix of a standard relator case,
-    entries in [0, p).
+def cup_grams(pres: Presentation, p) -> list:
+    """The cup pairing read off the relators: one d x d int64 array G per
+    relator whose pairing is nonzero, entries in [0, p).  Characters x and y
+    have zero cup product exactly when x G y^T = 0 mod p for every G.
 
-    D1: pairs (v1,v2), (v3,v4), ...; zero diagonal.  D2: (v1,v1) = 1 plus
-    pairs (v2,v3), (v4,v5), ...  D3 and D4: (v1,v1) = 1 plus the D1 pairs.
-    A pair (v_a, v_b) = 1 has (v_b, v_a) = -1.
-    """
+    Each G is one walk of the relator in U_3(F_p) with an array per entry:
+    in cell (a, b), generator g goes to the element with (1,2) entry
+    [a == g], (2,3) entry [b == g] and corner 0, and G[a, b] is the corner
+    of the relator's image.  A relator with an exponent sum nonzero mod p
+    raises ValueError: its corner would read the central entries too."""
     import numpy as np
 
-    case = demushkin_case(d, q_value(q, p), case)
-    m = np.zeros((d, d), dtype=np.int64)
-    for a in range(2 if case == "D2" else 1, d, 2):
-        m[a - 1, a] = 1
-        m[a, a - 1] = p - 1
-    if case != "D1":
-        m[0, 0] = 1
-    return m
+    p = check_prime(p)
+    d = pres.rank
+    a, b = np.indices((d, d))
+    images = [[(a == g).astype(np.int64), (b == g).astype(np.int64), 0]
+              for g in range(d)]
+    grams = []
+    for r in pres.relators:
+        if any(s % p for s in exponent_sums(r, d)):
+            raise ValueError(
+                f"relator {r!r} has an exponent sum nonzero mod p = {p}; "
+                f"its U_3 corner is no cup product"
+            )
+        corner = walk_word(r, images, mul_recipe(3), fp_ring(p))[2]
+        # a relator made of p-infinity powers walks to the plain int 0
+        gram = np.broadcast_to(corner, (d, d)).astype(np.int64)
+        if gram.any():
+            grams.append(gram)
+    return grams
 
 
-def cup_blocks(pres: Presentation):
-    """The cup pairing of a presentation as (offset, Gram array) blocks, one
-    per one-relator factor.  A free product pairs two characters factor by
-    factor, so their cup product vanishes only when every block's does;
-    free factors and other relators pair to zero and get no block."""
-    tag = pres.tag
-    parts = tag["parts"] if tag.get("kind") == "free_product" else (pres,)
-    blocks, off = [], 0
-    for part in parts:
-        t = part.tag
-        if t.get("kind") == "demushkin":
-            blocks.append((off, demushkin_gram(part.rank, t["p"], t["q"],
-                                               t["case"])))
-        off += part.rank
-    return blocks
-
-
-def zero_cup_table(blocks, U, W, p) -> np.ndarray:
-    """The (len U, len W) table of whether rows U[i] and W[j], coordinate
-    arrays over the whole presentation, have zero cup product in every
-    (offset, Gram array) block."""
+def zero_cup_table(grams, U, W, p) -> np.ndarray:
+    """The (len U, len W) table of whether rows U[i] and W[j] have zero cup
+    product under every Gram array."""
     import numpy as np
 
     ok = np.ones((len(U), len(W)), dtype=bool)
-    for off, gram in blocks:
-        s = slice(off, off + len(gram))
-        cup = U[:, s] @ gram @ W[:, s].T
+    for gram in grams:
+        cup = U @ gram @ W.T
         cup %= p  # in place: one int64 table alive at a time
         ok &= cup == 0
     return ok
 
 
-def cup_chain(blocks, d: int, p: int, length: int):
+def cup_chain(grams, d: int, p: int, length: int):
     """The first chain, in vector-index order, of `length` linearly
-    independent vectors of F_p^d whose neighbours pair to zero in every
-    (offset, Gram array) block, as a (length, d) int64 array; None if there
-    is none.
+    independent vectors of F_p^d whose neighbours pair to zero under every
+    Gram array, as a (length, d) int64 array; None if there is none.
 
     Depth-first with backtracking: each step tries, in index order, the
     vectors that pair to zero with the chain's last vector and keep it
@@ -90,7 +82,7 @@ def cup_chain(blocks, d: int, p: int, length: int):
     def extensions(chain):
         if not chain:
             return range(1, len(V))  # every nonzero vector
-        ok = np.flatnonzero(zero_cup_table(blocks, V[chain[-1:]], V, p)[0])
+        ok = np.flatnonzero(zero_cup_table(grams, V[chain[-1:]], V, p)[0])
         stacks = np.concatenate(
             [np.broadcast_to(V[chain], (len(ok), len(chain), d)),
              V[ok][:, None, :]], axis=1)
@@ -115,8 +107,6 @@ class TrilinearForm:
     __slots__ = ("data", "p")
 
     def __init__(self, data: RamifiedRelatorData, p):
-        from .fp import check_prime
-
         if not isinstance(data, RamifiedRelatorData):
             raise TypeError("TrilinearForm wraps a RamifiedRelatorData")
         self.data = data

@@ -15,13 +15,12 @@ import numpy as np
 from .fp import (
     _RANK_SLICE,
     BudgetError,
-    FpVector,
     check_prime,
     rank_mod,
     vector_from_index,
     vectors_array,
 )
-from .forms import cup_blocks, zero_cup_table
+from .forms import cup_grams, zero_cup_table
 from .unipotent import (
     F2_LANES,
     MAX_N,
@@ -448,78 +447,40 @@ def massey_system_exists(pres, chars, p, budget=ORACLE_BUDGET) -> bool:
                                  exists_only=True))
 
 
-def cup_defining_check(pres, p, k, samples=None, include=(), seed=0,
-                       budget=ORACLE_BUDGET) -> dict:
-    """Search for character tuples with vanishing consecutive cup products
-    but no defining system.  An empty failure list is evidence (never proof)
-    that every such k-fold product is defined at this scale."""
+def cup_defining_check(pres, p, k, budget=ORACLE_BUDGET) -> dict:
+    """Search every character tuple with vanishing consecutive cup products
+    for one with no defining system.  An empty failure list is evidence
+    (never proof) that every such k-fold product is defined at this scale."""
     p = check_prime(p)
     k = int(k)
     if not 2 <= k <= MAX_N - 1:
         raise ValueError(f"supported fold counts are 2..{MAX_N - 1}")
     rank = pres.rank
-    blocks = cup_blocks(pres)
     per_tuple = p ** ((k * (k + 1) // 2 - 1 - k) * rank)
-    checked = 0
-    failures = []
-
-    def run(tup):
-        nonlocal checked
-        checked += 1
-        if not massey_system_exists(pres, tup, p, budget):
-            failures.append(tuple(tuple(int(v[g]) for g in range(rank))
-                                  for v in tup))
-
-    for tup in include:
-        tup = tuple(
-            v if isinstance(v, FpVector)
-            else FpVector(tuple(int(x) % p for x in v), p)
-            for v in tup
-        )
-        if len(tup) != k:
-            raise ValueError("included tuples must have exactly k characters")
-        run(tup)
-
-    exhaustive = samples is None
     P = p ** rank
-    if exhaustive:
-        # count the qualifying tuples first so the budget verdict is upfront
-        V = vectors_array(rank, p).astype(np.int64)
-        pair_ok = zero_cup_table(blocks, V, V, p)  # by vector index, both sides
-        chains = np.ones(P, dtype=np.int64)
-        for _ in range(k - 1):
-            chains = pair_ok @ chains
-        n_tuples = int(chains.sum())
-        if n_tuples * per_tuple > budget:
-            raise BudgetError(
-                f"exhausting {n_tuples} tuples at {per_tuple} assignments "
-                f"each exceeds the budget {budget}; pass a sample count"
-            )
-        vecs = [vector_from_index(i, rank, p) for i in range(P)]
-        stack = [()]
-        while stack:
-            tup = stack.pop()
-            if len(tup) == k:
-                run(tuple(vecs[i] for i in tup))
-                continue
-            nexts = np.flatnonzero(pair_ok[tup[-1]]) if tup else range(P)
-            stack.extend(tup + (int(i),) for i in nexts)
-    else:
-        rng = np.random.default_rng(seed)
-        wanted = int(samples)
-        attempts = 0
-        while checked - len(include) < wanted:
-            attempts += 1
-            if attempts > 1000 * max(wanted, 1):
-                raise RuntimeError(
-                    "sampling failed to find enough qualifying tuples"
-                )
-            tup = tuple(
-                vector_from_index(int(rng.integers(P)), rank, p)
-                for _ in range(k)
-            )
-            T = np.array([v.entries for v in tup], dtype=np.int64)
-            if zero_cup_table(blocks, T[:-1], T[1:], p).diagonal().all():
-                run(tup)
-
-    return {"checked": checked, "failures": failures, "exhaustive": exhaustive}
+    # count the qualifying tuples first so the budget verdict is upfront
+    V = vectors_array(rank, p).astype(np.int64)
+    pair_ok = zero_cup_table(cup_grams(pres, p), V, V, p)  # by vector index
+    chains = np.ones(P, dtype=np.int64)
+    for _ in range(k - 1):
+        chains = pair_ok @ chains
+    n_tuples = int(chains.sum())
+    if n_tuples * per_tuple > budget:
+        raise BudgetError(
+            f"exhausting {n_tuples} tuples at {per_tuple} assignments "
+            f"each exceeds the budget {budget}"
+        )
+    vecs = [vector_from_index(i, rank, p) for i in range(P)]
+    failures = []
+    stack = [()]
+    while stack:
+        tup = stack.pop()
+        if len(tup) == k:
+            chars = [vecs[i] for i in tup]
+            if not massey_system_exists(pres, chars, p, budget):
+                failures.append(tuple(tuple(int(v[g]) for g in range(rank))
+                                      for v in chars))
+            continue
+        nexts = np.flatnonzero(pair_ok[tup[-1]]) if tup else range(P)
+        stack.extend(tup + (int(i),) for i in nexts)
+    return {"checked": n_tuples, "failures": failures}

@@ -21,7 +21,7 @@ from .census import (
     un_quotient_decision,
     z1_closed,
 )
-from .forms import cup_blocks, cup_chain
+from .forms import cup_chain, cup_grams
 from .fp import FpVector
 from .oracle import (
     CHUNK,
@@ -171,7 +171,7 @@ def _quotient_ladder(_threads):
     # the closed rule must also agree with the cup chains: a surjection onto
     # U_n carries n - 1 independent characters with vanishing neighbour cups
     def chain_agrees(model, p, n):
-        chain = cup_chain(cup_blocks(model_presentation(model, p)),
+        chain = cup_chain(cup_grams(model_presentation(model, p), p),
                           model.rank, p, n - 1)
         return (chain is not None) == un_quotient_decision(model, n)
 

@@ -197,27 +197,25 @@ def q_value(q, p) -> int:
     return q
 
 
-def _f_exponent(f, base_power: int):
+def _f_exponent(f, base_power: int) -> ExponentToken:
     """Turn an f argument (int >= 2, 'inf', or None) into the token for 2^f,
     shifted by base_power (0 or 2): base_power + 2^f, with 2^inf = 0."""
     if f is None:
         raise ValueError("this relator case needs f (an integer >= 2, or 'inf')")
     if f in _INFINITE or f == float("inf"):
-        if base_power == 0:
-            return P_INFINITY, None
-        return ExponentToken(base_power), None
+        return ExponentToken(base_power) if base_power else P_INFINITY
     f = parse_int(f, "f", "an integer or 'inf'")
     if f < 2:
         raise ValueError(f"f must be >= 2, got {f}")
-    return ExponentToken(base_power + 2 ** f), f
+    return ExponentToken(base_power + 2 ** f)
 
 
 class Presentation:
-    """A generator rank, relator words, and a tag recording the family."""
+    """A generator rank and relator words."""
 
-    __slots__ = ("rank", "relators", "tag")
+    __slots__ = ("rank", "relators")
 
-    def __init__(self, rank, relators=(), tag=None):
+    def __init__(self, rank, relators=()):
         rank = int(rank)
         if rank < 1:
             raise ValueError("rank must be >= 1")
@@ -230,26 +228,21 @@ class Presentation:
                 )
         self.rank = rank
         self.relators = relators
-        self.tag = dict(tag) if tag else {"kind": "custom"}
 
     def __eq__(self, other):
         return (
             isinstance(other, Presentation)
             and self.rank == other.rank
             and self.relators == other.relators
-            and self.tag == other.tag
         )
 
     def __repr__(self):
-        return (
-            f"Presentation(rank={self.rank}, relators={len(self.relators)}, "
-            f"tag={self.tag})"
-        )
+        return f"Presentation(rank={self.rank}, relators={len(self.relators)})"
 
 
 def free_presentation(d: int) -> Presentation:
     """The free pro-p presentation on d generators (no relators)."""
-    return Presentation(d, (), {"kind": "free"})
+    return Presentation(d)
 
 
 # case: (needs q = 2, rank parity, least rank), after Labute's classification
@@ -299,30 +292,26 @@ def demushkin_presentation(d, p, q, case, f=None) -> Presentation:
     d, p = int(d), int(p)
     qv = q_value(q, p)
     case = demushkin_case(d, qv, case)
-    tag = {"kind": "demushkin", "case": case, "d": d, "p": p, "q": qv}
 
     if case == "D1":
         q_token = P_INFINITY if qv == 0 else ExponentToken(qv)
         relator = Prod([Pow(Gen(1), q_token)] + _comm_pairs(1, d))
-        return Presentation(d, [relator], tag)
-    if case == "D2":
-        tok, f_norm = _f_exponent(f, 0)
+    elif case == "D2":
         relator = Prod(
-            [Pow(Gen(1), 2), Pow(Gen(2), tok)] + _comm_pairs(2, d)
+            [Pow(Gen(1), 2), Pow(Gen(2), _f_exponent(f, 0))]
+            + _comm_pairs(2, d)
         )
     elif case == "D3":
-        tok, f_norm = _f_exponent(f, 2)
-        relator = Prod([Pow(Gen(1), tok)] + _comm_pairs(1, d))
+        relator = Prod([Pow(Gen(1), _f_exponent(f, 2))] + _comm_pairs(1, d))
     else:  # D4
-        tok, f_norm = _f_exponent(f, 0)
-        if f_norm is None:
+        tok = _f_exponent(f, 0)
+        if tok.is_infinite:
             raise ValueError("case D4 needs a finite f >= 2")
         relator = Prod(
             [Pow(Gen(1), 2), Comm(Gen(1), Gen(2)), Pow(Gen(3), tok)]
             + _comm_pairs(3, d)
         )
-    tag["f"] = f_norm  # None records f = infinity
-    return Presentation(d, [relator], tag)
+    return Presentation(d, [relator])
 
 
 def free_product(parts) -> Presentation:
@@ -336,9 +325,7 @@ def free_product(parts) -> Presentation:
         for r in part.relators:
             relators.append(_shift_word(r, offset))
         offset += part.rank
-    return Presentation(
-        offset, relators, {"kind": "free_product", "parts": tuple(parts)}
-    )
+    return Presentation(offset, relators)
 
 
 def _shift_word(w, offset):
@@ -414,7 +401,7 @@ def ramified_presentation(data: RamifiedRelatorData, p) -> Presentation:
             relators.append(factors[0])
         elif factors:
             relators.append(Prod(factors))
-    return Presentation(data.n, relators, {"kind": "custom", "name": "ramified"})
+    return Presentation(data.n, relators)
 
 
 _PRESET_NAMES = ("ram01", "borromean", "counterexample1")
@@ -423,16 +410,14 @@ _PRESET_NAMES = ("ram01", "borromean", "counterexample1")
 def preset(name: str) -> Presentation:
     """Named presentations behind the worked examples and the k=4 counterexample."""
     if name == "ram01":
-        pres = free_presentation(3)
-        pres.tag["name"] = "ram01"
-        return pres
+        return free_presentation(3)
     if name == "borromean":
         r1 = Comm(Comm(Gen(2), Gen(3)), Gen(1))
         r2 = Comm(Comm(Gen(1), Gen(3)), Gen(2))
-        return Presentation(3, [r1, r2], {"kind": "custom", "name": "borromean"})
+        return Presentation(3, [r1, r2])
     if name == "counterexample1":
         r = Comm(Comm(Gen(2), Gen(3)), Gen(1))
-        return Presentation(4, [r], {"kind": "custom", "name": "counterexample1"})
+        return Presentation(4, [r])
     raise ValueError(f"unknown preset {name!r}; expected one of {_PRESET_NAMES}")
 
 
@@ -535,7 +520,7 @@ def presentation_from_json(obj) -> Presentation:
     words = [
         word_from_json(w, f"relators[{i}]") for i, w in enumerate(relators)
     ]
-    return Presentation(rank, words, {"kind": "custom", "name": obj.get("name")})
+    return Presentation(rank, words)
 
 
 def ramified_data_from_json(obj) -> RamifiedRelatorData:

@@ -29,12 +29,7 @@ from massey_census.census import (
     z1_closed,
 )
 from massey_census.fp import BudgetError, FpVector, rank_mod
-from massey_census.forms import (
-    TrilinearForm,
-    cup_blocks,
-    demushkin_gram,
-    trilinear_trace,
-)
+from massey_census.forms import TrilinearForm, cup_grams, trilinear_trace
 from massey_census.oracle import count_epi_bruteforce, count_lifts_bruteforce
 from massey_census.words import (
     Comm,
@@ -69,8 +64,8 @@ def test_model_construction_and_case_inference():
 
 
 def test_case_rules_agree_on_a_grid():
-    # the model, the presentation and the Gram form share one validator, so
-    # each cell is accepted by all three or refused by all three
+    # the model and the presentation share one validator, so each cell is
+    # accepted by both or refused by both
     accepted = set()
     for cell in itertools.product(range(-2, 10), (0, 2, 3, 4, 9), (2, 3),
                                   (None, "D1", "D2", "D3", "D4")):
@@ -79,7 +74,6 @@ def test_case_rules_agree_on_a_grid():
         for build in (
             lambda: model_check(GroupModel.demushkin(d, q, case), p),
             lambda: demushkin_presentation(d, p, q, case, f=2),
-            lambda: demushkin_gram(d, p, q, case),
         ):
             try:
                 build()
@@ -238,13 +232,10 @@ def _naive_triples(d, p, pair_zero):
 
 
 def _naive_gram_triples(model, p):
-    blocks = cup_blocks(model_presentation(model, p))
+    grams = cup_grams(model_presentation(model, p), p)
 
     def pairs(u, v):
-        return all(
-            np.array(u[o:o + len(g)]) @ g @ np.array(v[o:o + len(g)]) % p == 0
-            for o, g in blocks
-        )
+        return all(np.array(u) @ g @ np.array(v) % p == 0 for g in grams)
 
     return _naive_triples(model.rank, p, lambda x, y, z: pairs(x, y) and pairs(y, z))
 

@@ -157,6 +157,35 @@ def test_commands_take_only_the_flags_they_read(capsys):
             assert "unrecognized arguments: " + flag in json.loads(out)["error"]
 
 
+def test_count_epi_refuses_flags_its_method_does_not_read(capsys,
+                                                          monkeypatch):
+    base = ["count-epi", "--model", "demushkin", "--d", "4", "--q", "4",
+            "--p", "2"]
+    # the thread variable is an ambient default for every command
+    monkeypatch.setenv("MASSEY_CENSUS_THREADS", "2")
+    code, out, _ = run(capsys, *base, "--json")
+    assert code == 0 and json.loads(out)["epi"] == "737280"
+    oracle_only = ("--threads", "--oracle-budget", "--extended", "--progress")
+    for method, flags in (("formula", oracle_only), ("tmp-sum", oracle_only),
+                          ("oracle", ("--budget",))):
+        for flag in flags:
+            extra = [flag] if flag in ("--extended", "--progress") else [
+                flag, "1"]
+            code, out, err = run(capsys, *base, "--method", method, *extra,
+                                 "--json")
+            assert code == 1 and err == "", (method, flag)
+            assert json.loads(out) == {
+                "error": f"count-epi --method {method} does not read {flag}"}
+    code, _, err = run(capsys, *base, "--oracle-budget", "1", "--threads",
+                       "9", "--extended")
+    assert code == 1 and "does not read --threads" in err
+    # an unreadable integer is named first
+    code, out, _ = run(capsys, *base, "--threads", "abc", "--json")
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "--threads must be an integer, got 'abc'"}
+
+
 def test_z1_class(capsys):
     code, out, _ = run(
         capsys, "z1", "--model", "demushkin", "--d", "3", "--q", "2",
@@ -464,6 +493,20 @@ def test_file_input_bool_generator_refused(tmp_path, capsys):
 def test_file_input_free_preset_has_formula(tmp_path, capsys):
     path = tmp_path / "ram01.json"
     path.write_text(json.dumps({"preset": "ram01"}))
+    code, out, _ = run(
+        capsys, "count-epi", "--model", "file", "--file", str(path),
+        "--p", "2",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["model"] == "free(d=3)"
+    assert (payload["method"], payload["epi"]) == ("formula", "86016")
+
+
+def test_file_input_relator_free_has_formula(tmp_path, capsys):
+    # the relators, not the file's origin, decide: none means free
+    path = tmp_path / "free3.json"
+    path.write_text(json.dumps({"rank": 3, "relators": []}))
     code, out, _ = run(
         capsys, "count-epi", "--model", "file", "--file", str(path),
         "--p", "2",

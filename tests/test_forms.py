@@ -6,84 +6,103 @@ import pytest
 from massey_census.fp import FpVector, rank_mod
 from massey_census.forms import (
     TrilinearForm,
-    cup_blocks,
     cup_chain,
-    demushkin_gram,
+    cup_grams,
     load_input_file,
     ramified_from_redei,
     trace_tensor,
     trilinear_trace,
 )
 from massey_census.words import (
+    Comm,
+    Gen,
+    Pow,
+    Presentation,
+    Prod,
     RamifiedRelatorData,
     demushkin_presentation,
     free_presentation,
+    preset,
     preset_tensor,
 )
 
 
+def gram(d, p, q, case, f=None):
+    """The one Gram array of a standard relator."""
+    [g] = cup_grams(demushkin_presentation(d, p, q, case, f=f), p)
+    return g
+
+
 def test_gram_d1_symplectic():
-    pres = demushkin_presentation(4, 2, 4, "D1")
-    [(off, g)] = cup_blocks(pres)
-    assert off == 0
+    g = gram(4, 2, 4, "D1")
     assert g.tolist() == [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1],
                           [0, 0, 1, 0]]
     assert rank_mod(g, 2) == len(g)
 
 
 def test_gram_d1_p3():
-    g = demushkin_gram(2, 3, 3, "D1")
-    assert g.tolist() == [[0, 1], [2, 0]]
+    assert gram(2, 3, 3, "D1").tolist() == [[0, 1], [2, 0]]
 
 
 def test_gram_d2():
-    g = demushkin_gram(3, 2, 2, "D2")
+    g = gram(3, 2, 2, "D2", f=2)
     assert g.tolist() == [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
     # determinant of that matrix is 1 over F_2, hence nondegenerate
     assert rank_mod(g, 2) == len(g)
 
 
 def test_gram_d3_d4():
-    g3 = demushkin_gram(4, 2, 2, "D3")
+    g3 = gram(4, 2, 2, "D3", f="inf")
     assert g3.tolist() == [[1, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1],
                            [0, 0, 1, 0]]
-    g4 = demushkin_gram(4, 2, 2, "D4")
+    g4 = gram(4, 2, 2, "D4", f=2)
     assert np.array_equal(g4, g3)  # the patterns coincide at d = 4
-    g4b = demushkin_gram(6, 2, 2, "D4")
+    g4b = gram(6, 2, 2, "D4", f=3)
     assert g4b[2, 3] == 1  # (v3,v4) pair
     assert g4b[4, 5] == 1  # (v5,v6) pair
 
 
 def test_gram_grid_nondegenerate():
-    # every legal case/d combination up to d = 8 gives a full-rank form,
+    # every legal case/d/f combination up to d = 8 gives a full-rank form,
     # skew off the diagonal, with diagonal (1, 0, ...) at q = 2 and zero
     # otherwise
     cells = []
     for d in range(2, 9, 2):
-        cells.append((d, 3, 3, "D1"))
-        cells.append((d, 2, 4, "D1"))
-        cells.append((d, 5, 25, "D1"))
-        cells.append((d, 2, 2, "D3"))
+        cells += [(d, 3, 3, "D1", None), (d, 2, 4, "D1", None),
+                  (d, 5, 25, "D1", None), (d, 7, "inf", "D1", None)]
+        cells += [(d, 2, 2, "D3", f) for f in (2, 3, "inf")]
         if d >= 4:
-            cells.append((d, 2, 2, "D4"))
+            cells += [(d, 2, 2, "D4", f) for f in (2, 3)]
     for d in range(3, 9, 2):
-        cells.append((d, 2, 2, "D2"))
-    for d, p, q, case in cells:
-        g = demushkin_gram(d, p, q, case)
+        cells += [(d, 2, 2, "D2", f) for f in (2, 3, "inf")]
+    for cell in cells:
+        d, p, q, _case, _f = cell
+        g = gram(*cell)
         assert g.shape == (d, d) and g.dtype == np.int64
-        assert rank_mod(g, p) == d, (d, p, q, case)
+        assert rank_mod(g, p) == d, cell
         assert ((g >= 0) & (g < p)).all()
         off = g - np.diag(np.diag(g))
-        assert not ((off + off.T) % p).any(), (d, p, q, case)
+        assert not ((off + off.T) % p).any(), cell
         assert np.diag(g).tolist() == [int(q == 2)] + [0] * (d - 1)
 
 
 def test_gram_validation():
+    # relators that never reach the U_3 corner pair to zero: no array
+    assert cup_grams(free_presentation(3), 2) == []
+    for name in ("ram01", "borromean", "counterexample1"):
+        assert cup_grams(preset(name), 2) == []
+    # a relator whose exponent sums vanish mod p: one array per relator
+    pres = Presentation(3, [Prod(Pow(Gen(1), 3), Comm(Gen(2), Gen(3))),
+                            Comm(Gen(1), Gen(2))])
+    assert [g.tolist() for g in cup_grams(pres, 3)] == [
+        [[0, 0, 0], [0, 0, 1], [0, 2, 0]],
+        [[0, 1, 0], [2, 0, 0], [0, 0, 0]],
+    ]
+    # x1^3 has exponent sum 3: its corner is no cup product mod 2
+    with pytest.raises(ValueError, match="exponent sum"):
+        cup_grams(pres, 2)
     with pytest.raises(ValueError):
-        demushkin_gram(3, 2, 4, "D1")
-    with pytest.raises(ValueError):
-        demushkin_gram(4, 3, 3, "D2")
-    assert cup_blocks(free_presentation(3)) == []  # no one-relator factor
+        cup_grams(pres, 4)
 
 
 def check_consecutive(g, p, chain):
@@ -95,13 +114,13 @@ def check_consecutive(g, p, chain):
 
 
 def test_basis_zero_form():
-    chain = cup_chain([(0, np.zeros((3, 3), dtype=np.int64))], 3, 2, 3)
+    chain = cup_chain([np.zeros((3, 3), dtype=np.int64)], 3, 2, 3)
     assert chain.tolist() == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
 
 
 def test_basis_standard_symplectic():
-    g = demushkin_gram(4, 2, 4, "D1")
-    chain = cup_chain([(0, g)], 4, 2, 4)
+    g = gram(4, 2, 4, "D1")
+    chain = cup_chain([g], 4, 2, 4)
     check_consecutive(g, 2, chain)
     # hyperbolic-pair members end up separated: e4, e2, e3, e1
     assert chain.tolist() == [
@@ -113,15 +132,15 @@ def test_basis_standard_symplectic():
 
 
 def test_basis_d2():
-    g = demushkin_gram(3, 2, 2, "D2")
-    check_consecutive(g, 2, cup_chain([(0, g)], 3, 2, 3))
+    g = gram(3, 2, 2, "D2", f="inf")
+    check_consecutive(g, 2, cup_chain([g], 3, 2, 3))
 
 
 def test_basis_single_pair_plus_radical():
     # rank-2 alternate form in dimension 3: a chain starting in the radical
     # dead-ends, so the search backtracks to (u, z, w) with z radical
     g = np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
-    chain = cup_chain([(0, g)], 3, 3, 3)
+    chain = cup_chain([g], 3, 3, 3)
     check_consecutive(g, 3, chain)
     assert chain.tolist() == [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
 
@@ -129,12 +148,12 @@ def test_basis_single_pair_plus_radical():
 def test_basis_dim_error():
     # a rank-2 D1 form is one hyperbolic plane: no two independent
     # characters pair to zero, so no chain of length 2 exists
-    g = demushkin_gram(2, 2, 4, "D1")
-    assert cup_chain([(0, g)], 2, 2, 2) is None
-    assert cup_chain([(0, g)], 2, 2, 1).tolist() == [[0, 1]]
-    assert cup_chain([(0, g)], 2, 2, 3) is None  # longer than the space
+    g = gram(2, 2, 4, "D1")
+    assert cup_chain([g], 2, 2, 2) is None
+    assert cup_chain([g], 2, 2, 1).tolist() == [[0, 1]]
+    assert cup_chain([g], 2, 2, 3) is None  # longer than the space
     with pytest.raises(ValueError):
-        cup_chain([(0, g)], 2, 2, 0)
+        cup_chain([g], 2, 2, 0)
 
 
 def test_basis_random_forms():
@@ -144,7 +163,7 @@ def test_basis_random_forms():
             for _ in range(12):
                 m = np.triu(rng.integers(0, p, size=(d, d)), 1)
                 m = (m - m.T) % p
-                check_consecutive(m, p, cup_chain([(0, m)], d, p, d))
+                check_consecutive(m, p, cup_chain([m], d, p, d))
     # non-alternate forms at p = 2 (diagonal (1, 0, ...)), random
     # off-diagonals
     for d in (3, 4, 5, 6, 7):
@@ -152,7 +171,7 @@ def test_basis_random_forms():
             m = np.triu(rng.integers(0, 2, size=(d, d)), 1)
             m = (m + m.T) % 2
             m[0, 0] = 1
-            check_consecutive(m, 2, cup_chain([(0, m)], d, 2, d))
+            check_consecutive(m, 2, cup_chain([m], d, 2, d))
 
 
 def borromean_form():

@@ -16,8 +16,13 @@ from massey_census.census import (
     model_presentation,
     tmp_enumerate,
 )
-from massey_census.fp import BudgetError, FpVector, vector_from_index
-from massey_census.forms import cup_blocks, cup_chain
+from massey_census.fp import (
+    BudgetError,
+    FpVector,
+    vector_from_index,
+    vectors_array,
+)
+from massey_census.forms import cup_chain, cup_grams, zero_cup_table
 from massey_census.oracle import (
     count_epi_bruteforce,
     count_lifts_bruteforce,
@@ -45,6 +50,7 @@ from massey_census.words import (
     RamifiedRelatorData,
     demushkin_presentation,
     evaluate_word,
+    exponent_sums,
     free_presentation,
     preset,
     ramified_presentation,
@@ -319,7 +325,7 @@ def test_massey_free_always_true():
 def test_massey_cup_chain_witness(model, p, k):
     # the first cup chain is a defining-system witness, free products too
     pres = model_presentation(model, p)
-    chain = cup_chain(cup_blocks(pres), model.rank, p, k)
+    chain = cup_chain(cup_grams(pres, p), model.rank, p, k)
     chars = [FpVector(row, p) for row in chain]
     assert massey_system_exists(pres, chars, p) is True
 
@@ -340,49 +346,30 @@ def test_massey_validation():
 def test_cup_defining_demushkin_exhaustive_empty():
     pres = demushkin_presentation(3, 2, 2, "D2", f="inf")
     report = cup_defining_check(pres, 2, 3)
-    assert report == {"checked": 176, "failures": [], "exhaustive": True}
+    assert report == {"checked": 176, "failures": []}
 
 
 def test_cup_defining_double_product_per_factor():
-    # a free product's cup product vanishes only when every factor's does
-    pres = model_presentation(GroupModel.dd(2, 4, 2, 4), 2)
-    report = cup_defining_check(pres, 2, 3)
-    assert report == {"checked": 784, "failures": [], "exhaustive": True}
+    # a free product's cup product vanishes only when every factor's does;
+    # two commutator relators read off the same pairing as dd(2,4,2,4)
+    for pres in (model_presentation(GroupModel.dd(2, 4, 2, 4), 2),
+                 Presentation(4, [Comm(Gen(1), Gen(2)),
+                                  Comm(Gen(3), Gen(4))])):
+        report = cup_defining_check(pres, 2, 3)
+        assert report == {"checked": 784, "failures": []}
 
 
-def test_cup_defining_counterexample_flagged():
-    pres = preset("counterexample1")
-    chars = tuple(
-        FpVector(tuple(1 if j == i else 0 for j in range(4)), 2)
-        for i in range(4)
-    )
-    report = cup_defining_check(
-        pres, 2, 4, samples=0, include=(chars,), budget=2 ** 20
-    )
-    assert report["checked"] == 1
-    assert report["exhaustive"] is False
-    assert report["failures"] == [
-        ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    ]
-    # a reported failure can be fed straight back in as plain int tuples
-    again = cup_defining_check(
-        pres, 2, 4, samples=0, include=report["failures"], budget=2 ** 20
-    )
-    assert again["failures"] == report["failures"]
-
-
-def test_cup_defining_sampled_demushkin_d4():
-    pres = demushkin_presentation(4, 2, 4, "D1")
-    report = cup_defining_check(pres, 2, 4, samples=5, seed=7, budget=2 ** 22)
-    assert report["checked"] == 5
-    assert report["failures"] == []
-    assert report["exhaustive"] is False
+def test_cup_defining_refuses_nonzero_exponent_sum():
+    pres = Presentation(2, [Prod(Pow(Gen(1), 2), Comm(Gen(1), Gen(2)))])
+    assert cup_defining_check(pres, 2, 2)["failures"] == []
+    with pytest.raises(ValueError, match="exponent sum"):
+        cup_defining_check(pres, 3, 2)
 
 
 def test_cup_defining_budget_error():
     pres = preset("counterexample1")
     with pytest.raises(BudgetError):
-        cup_defining_check(pres, 2, 4, budget=2 ** 20)  # exhaustive over budget
+        cup_defining_check(pres, 2, 4, budget=2 ** 20)  # 2^16 tuples qualify
 
 
 def test_batch_matches_scalar_arithmetic():
@@ -517,12 +504,11 @@ def _literal_count(pres, n, p, fixed=(), surjective=False, central=False):
     return count
 
 
-@st.composite
-def small_presentations(draw, rank):
-    """Rank-`rank` presentations with 0-2 relators of at most five leaves:
-    q-powers with and without p | q, p-infinity powers, commutators."""
+def small_words(rank):
+    """Words of at most five leaves in x_1 .. x_rank: q-powers with and
+    without p | q, p-infinity powers, commutators."""
     exponent = st.one_of(st.integers(-3, 4), st.just(P_INFINITY))
-    word = st.recursive(
+    return st.recursive(
         st.integers(1, rank).map(Gen),
         lambda inner: st.one_of(
             st.lists(inner, max_size=3).map(Prod),
@@ -531,7 +517,12 @@ def small_presentations(draw, rank):
         ),
         max_leaves=5,
     )
-    return Presentation(rank, draw(st.lists(word, max_size=2)))
+
+
+@st.composite
+def small_presentations(draw, rank):
+    """Rank-`rank` presentations with 0-2 relators of `small_words`."""
+    return Presentation(rank, draw(st.lists(small_words(rank), max_size=2)))
 
 
 def _characters(draw, count, rank, p):
@@ -578,6 +569,48 @@ def test_massey_exists_matches_literal_loop(data):
              for i, v in enumerate(chars, 1)}
     assert massey_system_exists(pres, chars, p) == (
         _literal_count(pres, k + 1, p, fixed, central=True) > 0)
+
+
+@st.composite
+def cup_presentations(draw, rank, p):
+    """Rank-`rank` presentations with 1-2 relators whose exponent sums all
+    vanish mod p.  A relator is a product of commutators, p-th powers and
+    p-infinity powers, and of `small_words` with vanishing sums; it leads
+    with a commutator of two distinct generators (a square at rank 1), so
+    that most draws pair some characters nontrivially."""
+    word = small_words(rank)
+    letter = st.one_of(st.integers(1, rank).map(Gen), word)
+    part = st.one_of(
+        st.builds(Comm, letter, letter),
+        st.builds(Pow, letter, st.sampled_from((p, -p, 2 * p, P_INFINITY))),
+        word.filter(lambda w: not any(s % p for s in exponent_sums(w, rank))),
+    )
+    relators = []
+    for _ in range(draw(st.integers(1, 2))):
+        if rank == 1:
+            lead = Pow(Gen(1), p)
+        else:
+            i, j = draw(st.permutations(range(1, rank + 1)))[:2]
+            lead = Comm(Gen(i), Gen(j))
+        relators.append(Prod([lead] + draw(st.lists(part, max_size=2))))
+    return Presentation(rank, relators)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_cup_grams_match_massey_systems(data):
+    # x and y cup to zero exactly when the 3-fold system (x, y, 0) exists:
+    # its (1,3) entry is a U_3 lift of (x, y), and (y, 0) always lifts.  No
+    # rank 1 at odd p: U_3(F_p) has exponent p, so nothing would pair
+    p, rank = data.draw(st.sampled_from(((2, 1), (2, 2), (2, 3), (3, 2),
+                                         (3, 3))))
+    pres = data.draw(cup_presentations(rank, p))
+    V = vectors_array(rank, p).astype(np.int64)
+    table = zero_cup_table(cup_grams(pres, p), V, V, p)
+    vecs = [FpVector(v, p) for v in V.tolist()]
+    zero = FpVector((0,) * rank, p)
+    for (i, x), (j, y) in itertools.product(enumerate(vecs), repeat=2):
+        assert table[i, j] == massey_system_exists(pres, [x, y, zero], p)
 
 
 # --- differential checks against dense integer matrices ----------------------

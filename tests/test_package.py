@@ -103,3 +103,16 @@ def test_every_export_has_a_reader():
     read = set().union(*map(_read_names, files))
     unread = set(massey_census.__all__) - read - set(_TEST_REFERENCES)
     assert not unread, sorted(unread)
+
+
+def test_demos_run():
+    # the demos call the public API; an API change must not break them
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    demos = sorted((root / "demos").glob("*.py"))
+    assert len(demos) == 2
+    for demo in demos:
+        done = subprocess.run([sys.executable, str(demo)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, (demo.name, done.stderr)
