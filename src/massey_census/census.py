@@ -4,11 +4,12 @@ Galois-extension counts."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import time
 
-from .fp import BudgetError, FpVector, check_prime, vectors_array
+from .fp import FpVector, check_prime, vectors_array
 from .unipotent import aut_order
 from .words import (
     RamifiedRelatorData,
@@ -95,6 +96,9 @@ class GroupModel:
             and self.data == other.data
         )
 
+    def __hash__(self):
+        return hash((self.kind, self.factors, self.data))
+
     def __repr__(self):
         return f"GroupModel({self.describe()})"
 
@@ -156,46 +160,29 @@ class TmpTriple:
         return f"TmpTriple({self.x!r}, {self.y!r}, {self.z!r})"
 
 
-# --- the scan engine ---------------------------------------------------------
+# --- the triple scan on a model ----------------------------------------------
 #
-# One kernel counts every triple and pair.  It loops over x only: all
-# admissible y for that x are taken at once, and z is counted per y as the
-# row sum of the pair mask minus its hits on span(x, y).  The budget counts
-# primitive form evaluations (P per admissible pair and relator, P * P per
-# pair-mask block) and is charged in full before any scanning.  The scan's
-# functions import numpy and `forms` where they run, so a closed-form count
-# loads neither.
+# The scan itself is `scan`, imported where a scan runs, so a closed-form
+# count neither loads numpy nor compiles it.  This side gives it a model's
+# pair mask, trace tensors and vector types, and reads its tally as image
+# classes.
 
 
-def _spend(box, amount):
-    box[0] += amount
-    if box[0] > box[1]:
-        raise BudgetError(
-            f"enumeration needs ~{box[0]} primitive form evaluations, over the "
-            f"budget {box[1]}; use a closed-form method or raise the budget"
-        )
-
-
-def _pair_mask(d, p, grams, box):
-    """The (P, P) boolean table over F_p^d, rows x and columns y, true when
-    every Gram array pairs (x, y) to zero.  None if there is no array."""
-    import numpy as np
-
-    from .forms import zero_cup_table
-
-    if not grams:
-        return None
-    V = vectors_array(d, p).astype(np.int64)
-    for _ in grams:
-        _spend(box, len(V) ** 2)
-    return zero_cup_table(grams, V, V, p)
-
-
-def _model_pair_mask(model, p, box):
+@functools.lru_cache(maxsize=64)
+def _model_grams(model, p):
+    """The model's cup pairing, walked off its relators once per (model, p)."""
     from .forms import cup_grams
 
     grams = cup_grams(model_presentation(model, p), p)
-    return _pair_mask(model.rank, p, grams, box)
+    for gram in grams:
+        gram.setflags(write=False)  # shared by every later scan
+    return tuple(grams)
+
+
+def _model_pair_mask(model, p, box):
+    from .scan import pair_mask
+
+    return pair_mask(model.rank, p, _model_grams(model, p), box)
 
 
 def _class_types(model, p):
@@ -232,91 +219,11 @@ def _class_key(x_type, z_type, bits):
     ) or "any"
 
 
-def _admissible_pairs(mask, lines):
-    """Pairs (x, y) with mask[x, y] and y outside span(x), x nonzero."""
-    import numpy as np
-
-    P, p = lines.shape
-    if mask is None:
-        return (P - 1) * (P - p)
-    return int(mask[1:].sum()) - int(
-        np.take_along_axis(mask[1:], lines[1:], axis=1).sum())
-
-
-def _type_sums(mask, types, T):
-    """(P, T): per y, the z of each type with mask[y, z]."""
-    import numpy as np
-
-    if mask is None:
-        return np.broadcast_to(np.bincount(types, minlength=T), (len(types), T))
-    if T == 1:
-        return np.count_nonzero(mask, axis=1)[:, None]
-    return np.stack(
-        [np.count_nonzero(mask[:, types == t], axis=1) for t in range(T)], axis=1)
-
-
-def _scan(d, p, mask, box, tensors=None, types=None, want_list=False,
-          pairs_only=False):
-    """The triple scan over F_p^d.  `mask` is the pair mask (None: every pair
-    admissible); `tensors` are the s3 trace tensors, whose vanishing on
-    (x, y, z) replaces mask[y, z].  Returns the count, the (x, y, z) index
-    triples in lexicographic order when `want_list`, and a (T, T) tally of
-    triples by (type of x, type of z) for the int `types` of each vector.
-    With `pairs_only`, charges and returns the admissible (x, y) pair count."""
-    import numpy as np
-
-    P = p ** d
-    V = vectors_array(d, p).astype(np.int64)
-    powers = p ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    scal = np.arange(p, dtype=np.int64)
-    lines = (scal[:, None] * V[:, None, :] % p) @ powers  # (P, p): span(x)
-    if pairs_only:
-        _spend(box, (P - 1) * P)
-        return _admissible_pairs(mask, lines)
-    _spend(box, _admissible_pairs(mask, lines) * P
-           * (1 if tensors is None else len(tensors)))
-
-    if types is None:
-        types = np.zeros(P, dtype=np.int64)
-    T = int(types.max()) + 1
-    dense = want_list or tensors is not None  # build each x's (k, P) z-mask
-    type_sums = None if dense else _type_sums(mask, types, T)
-    a, b = scal.repeat(p), np.tile(scal, p)  # the p^2 coefficient pairs
-
-    tally = np.zeros((T, T), dtype=np.int64)
-    listing = [] if want_list else None
-    for ix in range(1, P):
-        x = V[ix]
-        ymask = np.ones(P, dtype=bool) if mask is None else mask[ix].copy()
-        ymask[lines[ix]] = False
-        Y = np.flatnonzero(ymask)
-        if not len(Y):
-            continue
-        span = (a[:, None] * x + b[:, None] * V[Y][:, None, :]) % p @ powers
-        if dense:
-            if tensors is not None:
-                zmask = np.ones((len(Y), P), dtype=bool)
-                for t in tensors:
-                    w = np.einsum("ijk,i,yj->yk", t, x, V[Y]) % p
-                    zmask &= w @ V.T % p == 0
-            else:
-                zmask = np.ones((len(Y), P), dtype=bool) if mask is None else mask[Y]
-            np.put_along_axis(zmask, span, False, axis=1)
-            rows, iz = np.nonzero(zmask)
-            tally[types[ix]] += np.bincount(types[iz], minlength=T)
-            if want_list:
-                listing.extend(zip([ix] * len(iz), Y[rows].tolist(), iz.tolist()))
-        else:
-            hit = types[span] if mask is None else types[span][mask[Y[:, None], span]]
-            tally[types[ix]] += type_sums[Y].sum(axis=0) - np.bincount(
-                hit.ravel(), minlength=T)
-    return int(tally.sum()), listing, tally
-
-
 def _tmp_scan(model, p, budget, want_list, want_classes):
     import numpy as np
 
     from .forms import TrilinearForm, trace_tensor
+    from .scan import count_triples
 
     p = model_check(model, p)
     box = [0, budget]
@@ -326,8 +233,8 @@ def _tmp_scan(model, p, budget, want_list, want_classes):
         form = TrilinearForm(model.data, p)
         tensors = [trace_tensor(form, m) for m in range(1, model.data.r + 1)]
     types, bits = _class_types(model, p) if want_classes else (None, 0)
-    count, listing, tally = _scan(model.rank, p, mask, box, tensors, types,
-                                  want_list)
+    count, listing, tally = count_triples(model.rank, p, mask, box, tensors,
+                                          types, want_list)
     classes = None
     if want_classes:
         classes = {k: 0 for k in _classify_keys(model)}
@@ -361,6 +268,8 @@ def tmp_enumerate_forms(matrices, p, budget=DEFAULT_TMP_BUDGET):
     nondegeneracy."""
     import numpy as np
 
+    from .scan import count_triples, pair_mask
+
     matrices = [np.asarray(m, dtype=np.int64) for m in matrices]
     if not matrices:
         raise ValueError("need at least one form")
@@ -368,8 +277,7 @@ def tmp_enumerate_forms(matrices, p, budget=DEFAULT_TMP_BUDGET):
     if any(m.shape != (d, d) for m in matrices):
         raise ValueError("forms must be square arrays of one dimension")
     box = [0, budget]
-    mask = _pair_mask(d, p, matrices, box)
-    return _scan(d, p, mask, box)[0]
+    return count_triples(d, p, pair_mask(d, p, matrices, box), box)[0]
 
 
 # --- closed forms ------------------------------------------------------------
@@ -497,9 +405,10 @@ def cp_count(model: GroupModel, p: int, method="closed", budget=DEFAULT_TMP_BUDG
         )
     if method != "enumerate":
         raise ValueError(f"unknown method {method!r}")
+    from .scan import count_pairs
+
     box = [0, budget]
-    return _scan(model.rank, p, _model_pair_mask(model, p, box), box,
-                 pairs_only=True)
+    return count_pairs(model.rank, p, _model_pair_mask(model, p, box), box)
 
 
 def un_quotient_decision(model: GroupModel, n: int) -> bool:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 
+from . import fp
 from .fp import check_prime, rank_mod, vectors_array
 from .unipotent import fp_ring, mul_recipe, walk_word
 from .words import (
@@ -49,16 +50,39 @@ def cup_grams(pres: Presentation, p) -> list:
     return grams
 
 
-def zero_cup_table(grams, U, W, p) -> np.ndarray:
-    """The (len U, len W) table of whether rows U[i] and W[j] have zero cup
-    product under every Gram array."""
+def zero_cup_table(grams, U, p) -> np.ndarray:
+    """The (len U, p^d) table of whether row U[i] and the vector of index j
+    have zero cup product under every Gram array.
+
+    Split each y into a head of d // 2 coordinates and a tail.  Then
+    x G y^T = (x G)_head . y_head + (x G)_tail . y_tail, and the cup is zero
+    exactly when the head's sum mod p equals minus the tail's.  The residues
+    of up to 31 // p.bit_length() arrays pack into one int32 code, so a run
+    of rows of the table is one broadcast comparison of head codes against
+    tail codes, built fp.BLOCK_CELLS cells at a time."""
     import numpy as np
 
-    ok = np.ones((len(U), len(W)), dtype=bool)
-    for gram in grams:
-        cup = U @ gram @ W.T
-        cup %= p  # in place: one int64 table alive at a time
-        ok &= cup == 0
+    d = U.shape[1]
+    h = d // 2
+    head = vectors_array(h, p)
+    tail = vectors_array(d - h, p)
+    ok = np.ones((len(U), len(head) * len(tail)), dtype=bool)
+    rows = max(1, fp.BLOCK_CELLS // ok.shape[1])
+    per = 31 // p.bit_length()  # p^per < 2^31
+    grams = [np.asarray(g, dtype=np.int64) % p for g in grams]
+    for lo in range(0, len(U), rows):
+        block = ok[lo:lo + rows].reshape(-1, len(head), len(tail))
+        for start in range(0, len(grams), per):
+            a = b = 0
+            for k, gram in enumerate(grams[start:start + per]):
+                xg = U[lo:lo + rows] @ gram % p
+                a = a + (xg[:, :h] @ head.T % p) * p ** k
+                b = b + (-(xg[:, h:] @ tail.T) % p) * p ** k
+            a, b = a.astype(np.int32)[:, :, None], b.astype(np.int32)[:, None, :]
+            if start:
+                block &= a == b
+            else:  # the first code: the block is still all true
+                np.equal(a, b, out=block)
     return ok
 
 
@@ -82,7 +106,7 @@ def cup_chain(grams, d: int, p: int, length: int):
     def extensions(chain):
         if not chain:
             return range(1, len(V))  # every nonzero vector
-        ok = np.flatnonzero(zero_cup_table(grams, V[chain[-1:]], V, p)[0])
+        ok = np.flatnonzero(zero_cup_table(grams, V[chain[-1:]], p)[0])
         stacks = np.concatenate(
             [np.broadcast_to(V[chain], (len(ok), len(chain), d)),
              V[ok][:, None, :]], axis=1)

@@ -6,6 +6,10 @@ import math
 
 VECTOR_BUDGET = 10 ** 8
 
+# Array cells one block of a pass over pairs of vectors holds: the census
+# scan and the pair mask build their temporaries a block of rows at a time.
+BLOCK_CELLS = 2 ** 16
+
 MAX_PRIME = 7
 
 
@@ -133,6 +137,6 @@ def vectors_array(d: int, p: int) -> np.ndarray:
             f"materializing p^d = {total} vectors exceeds the budget "
             f"{VECTOR_BUDGET}"
         )
-    idx = np.arange(total, dtype=np.int64)
-    cols = [(idx // p ** t) % p for t in range(d - 1, -1, -1)]
-    return np.stack(cols, axis=1).astype(np.int8)
+    digits = np.arange(total, dtype=np.int64)[:, None] // p ** np.arange(d - 1, -1, -1)
+    digits %= p
+    return digits.astype(np.int8)

@@ -460,7 +460,7 @@ def cup_defining_check(pres, p, k, budget=ORACLE_BUDGET) -> dict:
     P = p ** rank
     # count the qualifying tuples first so the budget verdict is upfront
     V = vectors_array(rank, p).astype(np.int64)
-    pair_ok = zero_cup_table(cup_grams(pres, p), V, V, p)  # by vector index
+    pair_ok = zero_cup_table(cup_grams(pres, p), V, p)  # by vector index
     chains = np.ones(P, dtype=np.int64)
     for _ in range(k - 1):
         chains = pair_ok @ chains

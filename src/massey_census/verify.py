@@ -18,11 +18,12 @@ from .census import (
     preset_model,
     tmp_closed,
     tmp_enumerate,
+    tmp_enumerate_forms,
     un_quotient_decision,
     z1_closed,
 )
 from .forms import cup_chain, cup_grams
-from .fp import FpVector
+from .fp import FpVector, rank_mod
 from .oracle import (
     CHUNK,
     ORACLE_BUDGET_EXTENDED,
@@ -301,6 +302,33 @@ def _wide_oracle(model, frozen, budget, threads):
     return _check_eq("formula = oracle = frozen", formula, brute, frozen)
 
 
+def _basis_invariance(_threads):
+    """The scan on each model's Gram arrays after a seeded change of basis
+    A (G -> A G A^T mod p) counts what the model's own scan counts."""
+    import random
+
+    import numpy as np
+
+    rng = random.Random(20140809)
+    counts = []
+    for model, p in ((GroupModel.dd(2, 4, 2, 4), 2),
+                     (GroupModel.demushkin(4, 3), 3),
+                     (GroupModel.dd(2, 3, 2, 3), 3)):
+        d = model.rank
+        while True:
+            A = np.array([[rng.randrange(p) for _ in range(d)]
+                          for _ in range(d)])
+            if rank_mod(A, p) == d:
+                break
+        grams = [A @ g @ A.T % p
+                 for g in cup_grams(model_presentation(model, p), p)]
+        counts.append((tmp_enumerate_forms(grams, p),
+                       tmp_enumerate(model, p)[0]))
+    ok = all(a == b for a, b in counts)
+    return ok, "changed basis = model: " + ", ".join(
+        f"{a} = {b}" for a, b in counts)
+
+
 class Check(NamedTuple):
     """One row of the battery: check(threads) returns (ok, detail)."""
 
@@ -336,6 +364,8 @@ CHECKS = (
                             184320), "extended"),
     Check("rank 2 has no U_4 surjections (formula = oracle = 0)",
           _free_rank2_u4_vanishes, "extended"),
+    Check("triple counts are invariant under a change of basis",
+          _basis_invariance, "extended"),
 ) + tuple(
     # rank 5: 2^30 nominal assignments, within the extended budget; rank 6:
     # 2^36, past it, so those rows name their budget (2^30 are enumerated)

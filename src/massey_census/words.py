@@ -382,6 +382,9 @@ class RamifiedRelatorData:
             and (self.n, self.r, self.e) == (other.n, other.r, other.e)
         )
 
+    def __hash__(self):
+        return hash((self.n, self.r, frozenset(self.e.items())))
+
     def __repr__(self):
         return f"RamifiedRelatorData(n={self.n}, r={self.r}, terms={len(self.e)})"
 

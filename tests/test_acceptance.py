@@ -184,3 +184,10 @@ def test_odd_p_u4_oracle_rows():
                  "= oracle 5668704",
                  "s3(borromean) p=3: formula = tmp_sum = oracle 21730032"):
         passed(name)
+
+
+def test_basis_invariance_row():
+    # tmp_enumerate_forms on A G A^T equals the model's own scan
+    r = passed("triple counts are invariant under a change of basis")
+    assert r["detail"] == ("changed basis = model: 144 = 144, "
+                           "34560 = 34560, 6912 = 6912")

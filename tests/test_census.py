@@ -3,13 +3,15 @@
 import itertools
 import json
 import random
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from massey_census import census
+from massey_census import census, forms, fp, scan
 from massey_census.census import (
     CensusReport,
     GroupModel,
@@ -190,13 +192,13 @@ def test_tmp_budget_pinned_to_form_evaluations():
 
 def _spy_charges(monkeypatch):
     charges = []
-    spend = census._spend
+    spend = scan.spend
 
     def spy(box, amount):
         charges.append(amount)
         spend(box, amount)
 
-    monkeypatch.setattr(census, "_spend", spy)
+    monkeypatch.setattr(scan, "spend", spy)
     return charges
 
 
@@ -314,6 +316,10 @@ def s3_models(draw):
 @given(s3_models())
 def test_scan_matches_literal_definition_s3(case):
     model, p = case
+    _check_against_naive(model, p, _naive_s3_triples(model, p))
+
+
+def _naive_s3_triples(model, p):
     form = TrilinearForm(model.data, p)
     vec = {v: FpVector(v, p)
            for v in itertools.product(range(p), repeat=model.rank)}
@@ -322,7 +328,7 @@ def test_scan_matches_literal_definition_s3(case):
         return all(int(trilinear_trace(form, vec[x], vec[y], vec[z], m)) == 0
                    for m in range(1, model.data.r + 1))
 
-    _check_against_naive(model, p, _naive_triples(model.rank, p, traces_vanish))
+    return _naive_triples(model.rank, p, traces_vanish)
 
 
 @st.composite
@@ -349,6 +355,125 @@ def test_scan_matches_literal_definition_forms(case):
 
     naive = _naive_triples(d, p, lambda x, y, z: pairs(x, y) and pairs(y, z))
     assert tmp_enumerate_forms(forms, p) == len(naive)
+
+
+# --- blocks of x: the cell cap changes nothing ----------------------------------
+
+
+@st.composite
+def block_models(draw):
+    """free, demushkin, df, dd and s3-preset models with p^rank <= 729."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    top = {2: 9, 3: 6, 5: 4}[p]
+    dem = _demushkin_factors(p, top)
+    kind = draw(st.sampled_from(("free", "demushkin", "df", "dd", "s3")))
+    if kind == "s3":
+        name = draw(st.sampled_from(("borromean", "counterexample1")))
+        model = preset_model(name)
+        assume(p ** model.rank <= 729)
+        return model, p
+    if kind == "free":
+        return GroupModel.free(draw(st.integers(1, top))), p
+    first = draw(st.sampled_from(dem))
+    if kind == "demushkin":
+        return GroupModel(kind, [first]), p
+    room = top - first[1]
+    assume(room >= 1)
+    if kind == "df":
+        e = draw(st.integers(1, room))
+        return GroupModel(kind, [first, ("free", e, None, None)]), p
+    second = draw(st.sampled_from([f for f in dem if f[1] <= room] or [None]))
+    assume(second is not None)
+    return GroupModel(kind, [first, second]), p
+
+
+def _scan_outputs(model, p, listing):
+    """Count, class tally and, when asked, the index listing."""
+    count = tmp_enumerate(model, p, budget=10 ** 12)[0]
+    classes = census._tmp_scan(model, p, 10 ** 12, False, True)[2]
+    triples = None
+    if listing:
+        triples = census._tmp_scan(model, p, 10 ** 12, True, False)[1]
+    return count, classes, triples
+
+
+@settings(max_examples=30, deadline=None)
+@given(block_models())
+def test_scan_blocks_change_nothing(case):
+    model, p = case
+    P = p ** model.rank
+    # a listing has up to P^3 triples, and a dense one-block scan holds
+    # P^3 cells: both only at P <= 81
+    listing = P <= 81
+    if model.kind == "s3" and not listing:
+        return
+    outputs = [_scan_outputs(model, p, listing)]
+    for cap in (1, P * P + 1):
+        with mock.patch.object(fp, "BLOCK_CELLS", cap):
+            outputs.append(_scan_outputs(model, p, listing))
+    assert outputs[1:] == outputs[:1] * 2
+    if P <= 27:  # one row per block against the literal loop
+        naive = (_naive_s3_triples(model, p) if model.kind == "s3"
+                 else _naive_gram_triples(model, p))
+        with mock.patch.object(fp, "BLOCK_CELLS", 1):
+            _check_against_naive(model, p, naive)
+    assert outputs[0][0] == sum(outputs[0][1].values())
+    if listing:
+        assert len(outputs[0][2]) == outputs[0][0]
+
+
+def test_over_budget_scan_builds_no_block(monkeypatch):
+    def no_blocks(*_args):
+        raise AssertionError("a block was built")
+
+    monkeypatch.setattr(scan, "_blocks", no_blocks)
+    for model, p in ((GroupModel.demushkin(4, 3), 3), (GroupModel.free(4), 3),
+                     (preset_model("counterexample1"), 3)):
+        with pytest.raises(BudgetError):
+            tmp_enumerate(model, p, budget=p ** (2 * model.rank) + 1)
+        with pytest.raises(BudgetError):
+            epi_count(model, p, method="tmp_sum", budget=10 ** 5)
+    with pytest.raises(AssertionError, match="a block was built"):
+        tmp_enumerate(GroupModel.demushkin(4, 3), 3)
+
+
+def test_scan_memory_is_bounded():
+    # the pair mask (P^2 bytes) plus temporaries bounded by the cell cap
+    model, p = GroupModel.dd(2, 5, 2, 5), 5
+    P = p ** model.rank
+    tracemalloc.start()
+    try:
+        count = tmp_enumerate(model, p)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == tmp_closed(model, p)
+    assert peak < P * P + 16 * fp.BLOCK_CELLS, peak
+
+
+def test_cup_pairing_walked_once_per_model_and_prime(monkeypatch):
+    walks = []
+    cup_grams = forms.cup_grams
+
+    def counted(pres, p):
+        walks.append(p)
+        return cup_grams(pres, p)
+
+    monkeypatch.setattr(forms, "cup_grams", counted)
+    census._model_grams.cache_clear()
+    # equal models hash equal, so a rebuilt model reuses the walk
+    for _ in range(2):
+        model = GroupModel.dd(2, 3, 2, 3)
+        assert hash(model) == hash(GroupModel.dd(2, 3, 2, 3))
+        tmp_enumerate(model, 3)
+        cp_count(model, 3, "enumerate")
+    assert walks == [3]
+    tmp_enumerate(GroupModel.dd(2, 3, 2, 3), 3, budget=10 ** 9)
+    epi_count(GroupModel.dd(2, 2, 2, 2), 2, method="tmp_sum")
+    assert walks == [3, 2]
+    s3 = [GroupModel.s3(RamifiedRelatorData(3, {(1, 3, 2, 1): 1}))
+          for _ in range(2)]
+    assert s3[0] == s3[1] and hash(s3[0]) == hash(s3[1])
 
 
 def test_z1_closed_values():

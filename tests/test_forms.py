@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from massey_census.fp import FpVector, rank_mod
+from massey_census import fp
+from massey_census.fp import FpVector, rank_mod, vectors_array
 from massey_census.forms import (
     TrilinearForm,
     cup_chain,
@@ -12,6 +13,7 @@ from massey_census.forms import (
     ramified_from_redei,
     trace_tensor,
     trilinear_trace,
+    zero_cup_table,
 )
 from massey_census.words import (
     Comm,
@@ -103,6 +105,53 @@ def test_gram_validation():
         cup_grams(pres, 2)
     with pytest.raises(ValueError):
         cup_grams(pres, 4)
+
+
+# --- the pair mask against the literal product --------------------------------
+
+
+def _literal_table(grams, U, W, p):
+    ok = np.ones((len(U), len(W)), dtype=bool)
+    for g in grams:
+        ok &= U.astype(np.int64) @ g @ W.T.astype(np.int64) % p == 0
+    return ok
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_zero_cup_table_is_the_literal_product(p, monkeypatch):
+    rng = np.random.default_rng(20141009 + p)
+    d = {2: 7, 3: 5, 5: 3, 7: 3}[p]
+    V = vectors_array(d, p)
+    # random arrays, negative entries, every entry p - 1, and more arrays
+    # than one packed code holds (31 // p.bit_length() of them)
+    grams = [rng.integers(0, p, (d, d)), rng.integers(-p, p, (d, d)),
+             np.full((d, d), p - 1)]
+    many = [rng.integers(0, p, (d, d)) for _ in range(31 // p.bit_length() + 2)]
+    # odd and even dimensions split into unequal and equal halves
+    for dim in (1, 2, d - 1, d):
+        W = vectors_array(dim, p)
+        for arrays in ([g[:dim, :dim] for g in grams],
+                       [g[:dim, :dim] for g in many]):
+            literal = _literal_table(arrays, W, W, p)
+            for cap in (1, 7, fp.BLOCK_CELLS):
+                monkeypatch.setattr(fp, "BLOCK_CELLS", cap)
+                assert (zero_cup_table(arrays, W, p) == literal).all()
+    assert zero_cup_table([], V[:3], p).all()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_zero_cup_table_at_the_vector_budget(p):
+    # every entry p - 1 at the largest d with p^d vectors in the budget:
+    # the row is checked against the literal product on sampled columns
+    d = max(k for k in range(1, 40) if p ** k <= fp.VECTOR_BUDGET)
+    top = np.full((d, d), p - 1)
+    U = np.full((1, d), p - 1)
+    row = zero_cup_table([top], U, p)[0]
+    assert len(row) == p ** d
+    rng = np.random.default_rng(p)
+    idx = np.concatenate([[0, 1, p ** d - 1], rng.integers(0, p ** d, 4000)])
+    W = idx[:, None] // p ** np.arange(d - 1, -1, -1) % p
+    assert (row[idx] == _literal_table([top], U, W, p)[0]).all()
 
 
 def check_consecutive(g, p, chain):

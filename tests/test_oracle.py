@@ -606,7 +606,7 @@ def test_cup_grams_match_massey_systems(data):
                                          (3, 3))))
     pres = data.draw(cup_presentations(rank, p))
     V = vectors_array(rank, p).astype(np.int64)
-    table = zero_cup_table(cup_grams(pres, p), V, V, p)
+    table = zero_cup_table(cup_grams(pres, p), V, p)
     vecs = [FpVector(v, p) for v in V.tolist()]
     zero = FpVector((0,) * rank, p)
     for (i, x), (j, y) in itertools.product(enumerate(vecs), repeat=2):

@@ -47,7 +47,7 @@ _CLOSED_COMMANDS = (
      "--class", "noncentral"],
 )
 _ARRAY_MODULES = ("numpy", "massey_census.oracle", "massey_census.verify",
-                  "massey_census.forms")
+                  "massey_census.forms", "massey_census.scan")
 
 
 def test_closed_form_commands_load_no_array_engine():
