@@ -27,13 +27,12 @@ _EXPORTS = {
     ),
     "fp": ("BudgetError", "FpVector"),
     "forms": (
-        "TrilinearForm",
         "cup_chain",
         "cup_grams",
         "load_input_file",
         "ramified_from_redei",
-        "trace_tensor",
         "trilinear_trace",
+        "triple_tensors",
     ),
     "oracle": (
         "LIFT_BUDGET",

@@ -164,25 +164,32 @@ class TmpTriple:
 #
 # The scan itself is `scan`, imported where a scan runs, so a closed-form
 # count neither loads numpy nor compiles it.  This side gives it a model's
-# pair mask, trace tensors and vector types, and reads its tally as image
+# pair mask, triple tensors and vector types, and reads its tally as image
 # classes.
 
 
 @functools.lru_cache(maxsize=64)
-def _model_grams(model, p):
-    """The model's cup pairing, walked off its relators once per (model, p)."""
-    from .forms import cup_grams
+def _model_forms(model, p):
+    """The model's cup pairing and, for an s3 model, its triple tensors, read
+    off its relators once per (model, p).  Tensors are None for other models
+    and for an s3 model none of whose relators survives mod p: it scans as
+    the free group."""
+    from .forms import cup_grams, triple_tensors
 
-    grams = cup_grams(model_presentation(model, p), p)
-    for gram in grams:
-        gram.setflags(write=False)  # shared by every later scan
-    return tuple(grams)
+    pres = model_presentation(model, p)
+    if model.kind == "s3":
+        grams, tensors = [], triple_tensors(pres, p)
+    else:
+        grams, tensors = cup_grams(pres, p), []
+    for array in grams + tensors:
+        array.setflags(write=False)  # shared by every later scan
+    return tuple(grams), tuple(tensors) or None
 
 
 def _model_pair_mask(model, p, box):
     from .scan import pair_mask
 
-    return pair_mask(model.rank, p, _model_grams(model, p), box)
+    return pair_mask(model.rank, p, _model_forms(model, p)[0], box)
 
 
 def _class_types(model, p):
@@ -222,16 +229,12 @@ def _class_key(x_type, z_type, bits):
 def _tmp_scan(model, p, budget, want_list, want_classes):
     import numpy as np
 
-    from .forms import TrilinearForm, trace_tensor
     from .scan import count_triples
 
     p = model_check(model, p)
     box = [0, budget]
     mask = _model_pair_mask(model, p, box)
-    tensors = None
-    if model.kind == "s3":
-        form = TrilinearForm(model.data, p)
-        tensors = [trace_tensor(form, m) for m in range(1, model.data.r + 1)]
+    tensors = _model_forms(model, p)[1]
     types, bits = _class_types(model, p) if want_classes else (None, 0)
     count, listing, tally = count_triples(model.rank, p, mask, box, tensors,
                                           types, want_list)

@@ -1,6 +1,7 @@
-"""The cup pairing of a presentation, read off its relators; chains of
-characters with vanishing consecutive cups; and the trilinear trace form
-attached to deep-commutator relator tensors."""
+"""The cup pairing and the triple form of a presentation, read off its
+relators' corners in U_3(F_p) and U_4(F_p); chains of characters with
+vanishing consecutive cups; the trace form of a deep-commutator relator
+tensor spelled out term by term; symbol tables and the input-file loader."""
 
 from __future__ import annotations
 
@@ -18,36 +19,60 @@ from .words import (
 )
 
 
+def _corners(pres: Presentation, p: int, n: int) -> list:
+    """One walk per relator in U_n(F_p), with an array per entry over the
+    grid of cells (a_1, ..., a_{n-1}) in [0, d)^(n-1): generator g goes to
+    the element with superdiagonal entry s equal to [a_s == g] and every
+    other entry 0.  Returns each relator's corner, the (1, n) entry of its
+    image, as a (d,)*(n-1) int64 array with entries in [0, p)."""
+    import numpy as np
+
+    grid = np.indices((pres.rank,) * (n - 1))
+    above = [0] * ((n - 1) * (n - 2) // 2)  # the bands above the first
+    images = [[(index == g).astype(np.int64) for index in grid] + above
+              for g in range(pres.rank)]
+    recipe, ring = mul_recipe(n), fp_ring(p)
+    # a relator made of p-infinity powers walks to the plain int 0
+    return [np.broadcast_to(walk_word(r, images, recipe, ring)[-1],
+                            grid.shape[1:]).astype(np.int64)
+            for r in pres.relators]
+
+
 def cup_grams(pres: Presentation, p) -> list:
     """The cup pairing read off the relators: one d x d int64 array G per
     relator whose pairing is nonzero, entries in [0, p).  Characters x and y
     have zero cup product exactly when x G y^T = 0 mod p for every G.
 
-    Each G is one walk of the relator in U_3(F_p) with an array per entry:
-    in cell (a, b), generator g goes to the element with (1,2) entry
-    [a == g], (2,3) entry [b == g] and corner 0, and G[a, b] is the corner
-    of the relator's image.  A relator with an exponent sum nonzero mod p
-    raises ValueError: its corner would read the central entries too."""
-    import numpy as np
-
+    G is the relator's U_3(F_p) corner (`_corners`): in cell (a, b),
+    generator g has (1,2) entry [a == g] and (2,3) entry [b == g].  A
+    relator with an exponent sum nonzero mod p raises ValueError: its
+    corner would read the central entries too."""
     p = check_prime(p)
-    d = pres.rank
-    a, b = np.indices((d, d))
-    images = [[(a == g).astype(np.int64), (b == g).astype(np.int64), 0]
-              for g in range(d)]
-    grams = []
     for r in pres.relators:
-        if any(s % p for s in exponent_sums(r, d)):
+        if any(s % p for s in exponent_sums(r, pres.rank)):
             raise ValueError(
                 f"relator {r!r} has an exponent sum nonzero mod p = {p}; "
                 f"its U_3 corner is no cup product"
             )
-        corner = walk_word(r, images, mul_recipe(3), fp_ring(p))[2]
-        # a relator made of p-infinity powers walks to the plain int 0
-        gram = np.broadcast_to(corner, (d, d)).astype(np.int64)
-        if gram.any():
-            grams.append(gram)
-    return grams
+    return [gram for gram in _corners(pres, p, 3) if gram.any()]
+
+
+def triple_tensors(pres: Presentation, p) -> list:
+    """The triple form read off the relators: one d x d x d int64 array T
+    per relator, entries in [0, p), its U_4(F_p) corner (`_corners`).
+    Characters x, y and z lift through the relator exactly when
+    sum T[a, b, c] x_a y_b z_c = 0 mod p.
+
+    The corner is that trilinear form only when the relators pair to zero
+    under the cup product; otherwise it depends on the second band of the
+    images, and this raises ValueError."""
+    p = check_prime(p)
+    if cup_grams(pres, p):
+        raise ValueError(
+            f"the relators have a nonzero cup pairing mod p = {p}; their "
+            f"U_4 corners are no triple form"
+        )
+    return _corners(pres, p, 4)
 
 
 def zero_cup_table(grams, U, p) -> np.ndarray:
@@ -125,40 +150,20 @@ def cup_chain(grams, d: int, p: int, length: int):
     return None if found is None else V[found]
 
 
-class TrilinearForm:
-    """The trace form of a deep-commutator relator tensor, over F_p."""
-
-    __slots__ = ("data", "p")
-
-    def __init__(self, data: RamifiedRelatorData, p):
-        if not isinstance(data, RamifiedRelatorData):
-            raise TypeError("TrilinearForm wraps a RamifiedRelatorData")
-        self.data = data
-        self.p = check_prime(p)
-
-    @property
-    def n(self):
-        return self.data.n
-
-    @property
-    def relator_count(self):
-        return self.data.r
-
-
-def trilinear_trace(t: TrilinearForm, a, b, c, m: int) -> int:
+def trilinear_trace(data: RamifiedRelatorData, p, a, b, c, m: int) -> int:
     """sum over i<j, k<=j of (a_i b_j c_k - a_j b_i c_k + a_k b_j c_i
-    - a_k b_i c_j) e_{i,j,k,m}, as an int in [0, p)."""
-    if not isinstance(t, TrilinearForm):
-        raise TypeError("first argument must be a TrilinearForm")
+    - a_k b_i c_j) e_{i,j,k,m}, as an int in [0, p): relator m's trace
+    form, spelled out term by term."""
+    p = check_prime(p)
     for v in (a, b, c):
-        if v.dim != t.n:
-            raise ValueError(f"vector dim {v.dim} != tensor size {t.n}")
-        if v.p != t.p:
+        if v.dim != data.n:
+            raise ValueError(f"vector dim {v.dim} != tensor size {data.n}")
+        if v.p != p:
             raise ValueError("vector/tensor modulus mismatch")
-    if not 1 <= m <= t.relator_count:
-        raise ValueError(f"relator index {m} outside 1..{t.relator_count}")
+    if not 1 <= m <= data.r:
+        raise ValueError(f"relator index {m} outside 1..{data.r}")
     total = 0
-    for (i, j, k, e) in t.data.terms(m):
+    for (i, j, k, e) in data.terms(m):
         i, j, k = i - 1, j - 1, k - 1
         total += e * (
             a[i] * b[j] * c[k]
@@ -166,24 +171,7 @@ def trilinear_trace(t: TrilinearForm, a, b, c, m: int) -> int:
             + a[k] * b[j] * c[i]
             - a[k] * b[i] * c[j]
         )
-    return total % t.p
-
-
-def trace_tensor(t: TrilinearForm, m: int) -> np.ndarray:
-    """Coefficient array T with trace(a,b,c) = sum T[i,j,k] a_i b_j c_k mod p."""
-    if not 1 <= m <= t.relator_count:
-        raise ValueError(f"relator index {m} outside 1..{t.relator_count}")
-    import numpy as np
-
-    n = t.n
-    T = np.zeros((n, n, n), dtype=np.int64)
-    for (i, j, k, e) in t.data.terms(m):
-        i, j, k = i - 1, j - 1, k - 1
-        T[i, j, k] += e
-        T[j, i, k] -= e
-        T[k, j, i] += e
-        T[k, i, j] -= e
-    return T % t.p
+    return total % p
 
 
 # --- Redei-symbol ingestion --------------------------------------------------

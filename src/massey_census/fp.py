@@ -76,9 +76,10 @@ def rank_mod(a, p: int):
     shape (..., rows, cols): a python int for a 2-dimensional input, an
     array of shape (...) otherwise.
 
-    Gaussian elimination runs over _RANK_SLICE matrices at a time.
-    Intermediate entries reach (p-1)^2 in magnitude, so int32 is exact for
-    p < 46341; larger primes eliminate over python ints."""
+    Gaussian elimination runs over _RANK_SLICE matrices at a time in int32.
+    That is exact: entries stay below p after each reduction and a product
+    of two reaches (p-1)^2 <= 36 in magnitude, since check_prime caps p at
+    MAX_PRIME = 7."""
     import numpy as np
 
     a = np.asarray(a)
@@ -89,10 +90,9 @@ def rank_mod(a, p: int):
         a = np.swapaxes(a, -1, -2)
     rows, cols = a.shape[-2:]
     flat = a.reshape(math.prod(a.shape[:-2]), rows, cols)
-    dtype = np.int32 if p < 46341 else object
     ranks = np.empty(len(flat), dtype=np.int64)
     for lo in range(0, len(flat), _RANK_SLICE):
-        s = (flat[lo:lo + _RANK_SLICE] % p).astype(dtype)
+        s = (flat[lo:lo + _RANK_SLICE] % p).astype(np.int32)
         ranks[lo:lo + len(s)] = _echelon_rank(s, p)
     if a.ndim == 2:
         return int(ranks[0])

@@ -136,7 +136,7 @@ def count_pairs(d, p, mask, box):
 def count_triples(d, p, mask, box, tensors=None, types=None,
                   want_list=False):
     """The triple scan over F_p^d.  `mask` is the pair mask (None: every pair
-    admissible); `tensors` are the s3 trace tensors, whose vanishing on
+    admissible); `tensors` are the s3 triple tensors, whose vanishing on
     (x, y, z) replaces mask[y, z].  Returns the count, the (x, y, z) index
     triples in lexicographic order when `want_list`, and a (T, T) tally of
     triples by (type of x, type of z) for the int `types` of each vector.

@@ -410,22 +410,8 @@ def ramified_presentation(data: RamifiedRelatorData, p) -> Presentation:
 _PRESET_NAMES = ("ram01", "borromean", "counterexample1")
 
 
-def preset(name: str) -> Presentation:
-    """Named presentations behind the worked examples and the k=4 counterexample."""
-    if name == "ram01":
-        return free_presentation(3)
-    if name == "borromean":
-        r1 = Comm(Comm(Gen(2), Gen(3)), Gen(1))
-        r2 = Comm(Comm(Gen(1), Gen(3)), Gen(2))
-        return Presentation(3, [r1, r2])
-    if name == "counterexample1":
-        r = Comm(Comm(Gen(2), Gen(3)), Gen(1))
-        return Presentation(4, [r])
-    raise ValueError(f"unknown preset {name!r}; expected one of {_PRESET_NAMES}")
-
-
 def preset_tensor(name: str) -> RamifiedRelatorData:
-    """The deep-commutator exponent tensor matching each preset."""
+    """The deep-commutator exponent tensor of each named preset."""
     if name == "ram01":
         return RamifiedRelatorData(3, {}, r=3)
     if name == "borromean":
@@ -435,6 +421,15 @@ def preset_tensor(name: str) -> RamifiedRelatorData:
     if name == "counterexample1":
         return RamifiedRelatorData(4, {(2, 3, 1, 1): 1}, r=1)
     raise ValueError(f"unknown preset {name!r}; expected one of {_PRESET_NAMES}")
+
+
+def preset(name: str) -> Presentation:
+    """Named presentations behind the worked examples and the k=4
+    counterexample, spelled out from their tensors: ram01 is free of rank 3,
+    borromean [[x2,x3],x1] and [[x1,x3],x2], counterexample1 [[x2,x3],x1]
+    on four generators.  Every exponent is 1, so any p spells the same
+    words."""
+    return ramified_presentation(preset_tensor(name), 2)
 
 
 # --- JSON wire format -------------------------------------------------------
@@ -484,19 +479,6 @@ def word_from_json(obj, path="word"):
     raise ValueError(
         f"{path}: unknown word kind {kind!r} (expected gen/prod/pow/comm)"
     )
-
-
-def word_to_json(w):
-    if isinstance(w, Gen):
-        return ["gen", w.index]
-    if isinstance(w, Prod):
-        return ["prod"] + [word_to_json(f) for f in w.factors]
-    if isinstance(w, Pow):
-        e = "p-inf" if w.exponent.is_infinite else w.exponent.value
-        return ["pow", word_to_json(w.word), e]
-    if isinstance(w, Comm):
-        return ["comm", word_to_json(w.left), word_to_json(w.right)]
-    raise TypeError(f"not a group word: {w!r}")
 
 
 def _json_int(value, where) -> int:

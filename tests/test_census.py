@@ -31,7 +31,7 @@ from massey_census.census import (
     z1_closed,
 )
 from massey_census.fp import BudgetError, FpVector, rank_mod
-from massey_census.forms import TrilinearForm, cup_grams, trilinear_trace
+from massey_census.forms import cup_grams, trilinear_trace
 from massey_census.oracle import count_epi_bruteforce, count_lifts_bruteforce
 from massey_census.words import (
     Comm,
@@ -105,12 +105,11 @@ def test_tmp_borromean_frozen():
     count, triples = tmp_enumerate(model, 2, want_list=True)
     assert count == 6
     assert len(triples) == 6
-    form = TrilinearForm(model.data, 2)
     for t in triples:
         x, y, z = t
         assert rank_mod([list(map(int, v)) for v in (x, y, z)], 2) == 3
         for m in (1, 2):
-            assert int(trilinear_trace(form, x, y, z, m)) == 0
+            assert int(trilinear_trace(model.data, 2, x, y, z, m)) == 0
 
 
 def test_tmp_free_and_demushkin_closed_vs_enumerate():
@@ -320,12 +319,12 @@ def test_scan_matches_literal_definition_s3(case):
 
 
 def _naive_s3_triples(model, p):
-    form = TrilinearForm(model.data, p)
     vec = {v: FpVector(v, p)
            for v in itertools.product(range(p), repeat=model.rank)}
 
     def traces_vanish(x, y, z):
-        return all(int(trilinear_trace(form, vec[x], vec[y], vec[z], m)) == 0
+        return all(int(trilinear_trace(model.data, p, vec[x], vec[y], vec[z],
+                                       m)) == 0
                    for m in range(1, model.data.r + 1))
 
     return _naive_triples(model.rank, p, traces_vanish)
@@ -453,27 +452,32 @@ def test_scan_memory_is_bounded():
 
 def test_cup_pairing_walked_once_per_model_and_prime(monkeypatch):
     walks = []
-    cup_grams = forms.cup_grams
+    corners = forms._corners
 
-    def counted(pres, p):
-        walks.append(p)
-        return cup_grams(pres, p)
+    def counted(pres, p, n):
+        walks.append((n, p))
+        return corners(pres, p, n)
 
-    monkeypatch.setattr(forms, "cup_grams", counted)
-    census._model_grams.cache_clear()
+    monkeypatch.setattr(forms, "_corners", counted)
+    census._model_forms.cache_clear()
     # equal models hash equal, so a rebuilt model reuses the walk
     for _ in range(2):
         model = GroupModel.dd(2, 3, 2, 3)
         assert hash(model) == hash(GroupModel.dd(2, 3, 2, 3))
         tmp_enumerate(model, 3)
         cp_count(model, 3, "enumerate")
-    assert walks == [3]
+    assert walks == [(3, 3)]
     tmp_enumerate(GroupModel.dd(2, 3, 2, 3), 3, budget=10 ** 9)
     epi_count(GroupModel.dd(2, 2, 2, 2), 2, method="tmp_sum")
-    assert walks == [3, 2]
+    assert walks == [(3, 3), (3, 2)]
+    # an s3 model walks in U_3, to check its pairing vanishes, then in U_4
     s3 = [GroupModel.s3(RamifiedRelatorData(3, {(1, 3, 2, 1): 1}))
           for _ in range(2)]
     assert s3[0] == s3[1] and hash(s3[0]) == hash(s3[1])
+    for model in s3:
+        tmp_enumerate(model, 3)
+        epi_count(model, 3, method="tmp_sum")
+    assert walks == [(3, 3), (3, 2), (3, 3), (4, 3)]
 
 
 def test_z1_closed_values():

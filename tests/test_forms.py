@@ -1,20 +1,22 @@
-"""Tests for Gram forms, cup chains, and trilinear traces."""
+"""Tests for the cup pairing and triple form read off relators, cup chains,
+and trilinear traces."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from massey_census import fp
 from massey_census.fp import FpVector, rank_mod, vectors_array
 from massey_census.forms import (
-    TrilinearForm,
     cup_chain,
     cup_grams,
     load_input_file,
     ramified_from_redei,
-    trace_tensor,
     trilinear_trace,
+    triple_tensors,
     zero_cup_table,
 )
+from massey_census.unipotent import fp_ring, mul_recipe, walk_word
 from massey_census.words import (
     Comm,
     Gen,
@@ -26,6 +28,7 @@ from massey_census.words import (
     free_presentation,
     preset,
     preset_tensor,
+    ramified_presentation,
 )
 
 
@@ -223,72 +226,105 @@ def test_basis_random_forms():
             check_consecutive(m, 2, cup_chain([m], d, 2, d))
 
 
-def borromean_form():
-    return TrilinearForm(preset_tensor("borromean"), 2)
+BORROMEAN = preset_tensor("borromean")
 
 
 def test_trace_zero_tensor():
-    t = TrilinearForm(RamifiedRelatorData(3, {}, r=2), 2)
+    data = RamifiedRelatorData(3, {}, r=2)
     rng = np.random.default_rng(5)
     for _ in range(10):
         a, b, c = (FpVector(rng.integers(0, 2, size=3), 2) for _ in range(3))
-        assert trilinear_trace(t, a, b, c, 1) == 0
-        assert trilinear_trace(t, a, b, c, 2) == 0
+        assert trilinear_trace(data, 2, a, b, c, 1) == 0
+        assert trilinear_trace(data, 2, a, b, c, 2) == 0
 
 
 def test_trace_borromean_values():
-    t = borromean_form()
     chi = [FpVector([1, 0, 0], 2), FpVector([0, 1, 0], 2), FpVector([0, 0, 1], 2)]
-    assert trilinear_trace(t, chi[0], chi[1], chi[2], 1) == 1
-    assert trilinear_trace(t, chi[0], chi[1], chi[2], 2) == 0
+    assert trilinear_trace(BORROMEAN, 2, chi[0], chi[1], chi[2], 1) == 1
+    assert trilinear_trace(BORROMEAN, 2, chi[0], chi[1], chi[2], 2) == 0
     # the full nonzero pattern of relator 1: (1,2,3), (3,2,1), (1,3,2), (2,3,1)
     nonzero_r1 = set()
     nonzero_r2 = set()
     for i in range(3):
         for j in range(3):
             for k in range(3):
-                if trilinear_trace(t, chi[i], chi[j], chi[k], 1) == 1:
+                if trilinear_trace(BORROMEAN, 2, chi[i], chi[j], chi[k], 1) == 1:
                     nonzero_r1.add((i + 1, j + 1, k + 1))
-                if trilinear_trace(t, chi[i], chi[j], chi[k], 2) == 1:
+                if trilinear_trace(BORROMEAN, 2, chi[i], chi[j], chi[k], 2) == 1:
                     nonzero_r2.add((i + 1, j + 1, k + 1))
     assert nonzero_r1 == {(1, 2, 3), (3, 2, 1), (1, 3, 2), (2, 3, 1)}
     assert nonzero_r2 == {(1, 3, 2), (2, 3, 1), (3, 1, 2), (2, 1, 3)}
 
 
 def test_trace_errors():
-    t = borromean_form()
     v = FpVector([1, 0, 0], 2)
     with pytest.raises(ValueError):
-        trilinear_trace(t, v, v, FpVector([1, 0], 2), 1)
+        trilinear_trace(BORROMEAN, 2, v, v, FpVector([1, 0], 2), 1)
     with pytest.raises(ValueError):
-        trilinear_trace(t, v, v, v, 3)
+        trilinear_trace(BORROMEAN, 2, v, v, v, 3)
     with pytest.raises(ValueError):
-        trilinear_trace(t, v, v, FpVector([1, 0, 0], 3), 1)
+        trilinear_trace(BORROMEAN, 2, v, v, FpVector([1, 0, 0], 3), 1)
 
 
-def test_trace_tensor_agrees():
-    rng = np.random.default_rng(17)
-    for t in (
-        borromean_form(),
-        TrilinearForm(
-            RamifiedRelatorData(4, {(1, 3, 3, 1): 2, (2, 4, 2, 1): 1}, r=1), 3
-        ),
-    ):
-        for m in range(1, t.relator_count + 1):
-            T = trace_tensor(t, m)
-            for _ in range(50):
-                a, b, c = (
-                    np.asarray(rng.integers(0, t.p, size=t.n)) for _ in range(3)
-                )
-                via_tensor = int(np.einsum("ijk,i,j,k->", T, a, b, c)) % t.p
-                direct = trilinear_trace(
-                    t,
-                    FpVector(a, t.p),
-                    FpVector(b, t.p),
-                    FpVector(c, t.p),
-                    m,
-                )
-                assert via_tensor == direct
+@st.composite
+def relator_tensors(draw):
+    """A random deep-commutator tensor, with exponents that may vanish mod p,
+    and a prime."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    n = draw(st.integers(2, 4))
+    r = draw(st.integers(1, 3))
+    slots = [(i, j, k, m) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+             for k in range(1, j + 1) for m in range(1, r + 1)]
+    chosen = draw(st.lists(st.sampled_from(slots), max_size=6, unique=True))
+    return RamifiedRelatorData(n, {s: draw(st.integers(1, 2 * p))
+                                   for s in chosen}, r=r), p
+
+
+@settings(max_examples=60, deadline=None)
+@given(relator_tensors(), st.randoms(use_true_random=False))
+def test_triple_tensors_are_the_trace_form(case, rnd):
+    data, p = case
+    pres = ramified_presentation(data, p)
+    tensors = triple_tensors(pres, p)
+    n = data.n
+    # one tensor per relator that survives mod p, in relator order
+    kept = [m for m in range(1, data.r + 1)
+            if any(e % p for *_, e in data.terms(m))]
+    assert len(tensors) == len(kept) == len(pres.relators)
+    for m, T in zip(kept, tensors):
+        assert T.shape == (n, n, n) and T.dtype == np.int64
+        assert ((T >= 0) & (T < p)).all()
+        for _ in range(8):
+            a, b, c = ([rnd.randrange(p) for _ in range(n)] for _ in range(3))
+            via_tensor = int(np.einsum("ijk,i,j,k->", T, a, b, c)) % p
+            direct = trilinear_trace(data, p, FpVector(a, p), FpVector(b, p),
+                                     FpVector(c, p), m)
+            assert via_tensor == direct
+    # the corner is the lifting condition: random second bands and corners
+    # on the generators leave it unchanged
+    grid = np.indices((n, n, n))
+    rng = np.random.default_rng(rnd.getrandbits(32))
+    images = [[(index == g).astype(np.int64) for index in grid]
+              + list(rng.integers(0, p, size=(3, n, n, n)))
+              for g in range(n)]
+    for r, T in zip(pres.relators, tensors):
+        corner = walk_word(r, images, mul_recipe(4), fp_ring(p))[-1]
+        assert np.array_equal(np.broadcast_to(corner, T.shape), T)
+
+
+def test_triple_tensors_presets_and_refusal():
+    # borromean relator 1 is [[x2,x3],x1]: the pattern of its trace form
+    T1, T2 = triple_tensors(preset("borromean"), 2)
+    assert {tuple(c) for c in np.argwhere(T1)} == {
+        (0, 1, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0)}
+    assert {tuple(c) for c in np.argwhere(T2)} == {
+        (0, 2, 1), (1, 2, 0), (2, 0, 1), (1, 0, 2)}
+    assert triple_tensors(preset("ram01"), 3) == []
+    # a relator with a nonzero cup pairing: its U_4 corner reads band 2
+    with pytest.raises(ValueError, match="cup pairing"):
+        triple_tensors(demushkin_presentation(4, 3, 3, "D1"), 3)
+    with pytest.raises(ValueError, match="exponent sum"):
+        triple_tensors(Presentation(2, [Gen(1)]), 2)
 
 
 def proper_borromean_table():

@@ -120,12 +120,16 @@ def test_rank_stack_matches_row_space_size(case):
     assert fp.rank_mod(stack[None], p).tolist() == [ranks.tolist()]
 
 
-def test_rank_exact_for_large_primes():
-    # eliminating multiplies entries up to (p-1)^2: past int16 at 46337,
-    # past int32 at 65537 and past int64 at 2^61 - 1
-    for p in (46337, 65537, 2 ** 61 - 1):
-        assert fp.rank_mod([[p - 1, 1], [1, p - 1]], p) == 1  # rows r, -r
-        assert fp.rank_mod([[p - 1, 2], [1, p - 1]], p) == 2  # det -1
+def test_rank_exact_at_the_largest_prime():
+    # elimination runs in int32 after one reduction mod p: products reach
+    # (p-1)^2 at p = MAX_PRIME, and int64 inputs past 2^31 reduce first
+    p = fp.MAX_PRIME
+    big = (2 ** 61 - 1) // p * p  # 0 mod p, far past int32
+    for shift in (0, big):
+        assert fp.rank_mod([[p - 1 + shift, 1], [1, p - 1 + shift]], p) == 1
+        assert fp.rank_mod([[p - 1, 2 + shift], [1 + shift, p - 1]], p) == 2
+    stack = np.full((3, 4, 4), p - 1, dtype=np.int64) + big
+    assert fp.rank_mod(stack, p).tolist() == [1, 1, 1]
 
 
 def test_nondegeneracy():

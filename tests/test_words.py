@@ -34,7 +34,6 @@ from massey_census.words import (
     ramified_data_from_json,
     ramified_presentation,
     word_from_json,
-    word_to_json,
 )
 
 
@@ -227,14 +226,21 @@ def test_presets():
 
 
 def test_preset_tensors_match_presets():
-    for name in ("borromean", "counterexample1"):
-        data = preset_tensor(name)
-        pres = ramified_presentation(data, 2)
-        expect = preset(name)
-        assert pres.rank == expect.rank
-        assert pres.relators == expect.relators
+    # each preset is its tensor spelled out; every exponent is 1, so every
+    # prime spells the same words
+    borromean = Presentation(3, [Comm(Comm(Gen(2), Gen(3)), Gen(1)),
+                                 Comm(Comm(Gen(1), Gen(3)), Gen(2))])
+    counterexample = Presentation(4, [Comm(Comm(Gen(2), Gen(3)), Gen(1))])
+    assert preset("borromean") == borromean
+    assert preset("counterexample1") == counterexample
+    assert preset("ram01") == free_presentation(3)
+    for p in (2, 3, 5, 7):
+        assert ramified_presentation(preset_tensor("borromean"), p) == borromean
+        assert (ramified_presentation(preset_tensor("counterexample1"), p)
+                == counterexample)
     assert preset_tensor("ram01").e == {}
-    assert ramified_presentation(preset_tensor("ram01"), 2).relators == ()
+    with pytest.raises(ValueError, match="unknown preset"):
+        preset_tensor("nope")
 
 
 def test_ramified_data_validation():
@@ -255,14 +261,21 @@ def test_ramified_data_validation():
     )
 
 
-def test_word_json_roundtrip():
-    w = Prod(
-        Pow(Gen(1), 4),
-        Comm(Comm(Gen(2), Gen(3)), Gen(1)),
-        Pow(Gen(2), P_INFINITY),
-    )
-    assert word_from_json(word_to_json(w)) == w
-    assert word_to_json(Pow(Gen(1), P_INFINITY)) == ["pow", ["gen", 1], "p-inf"]
+def test_word_from_json_literals():
+    assert word_from_json(["gen", 2]) == Gen(2)
+    assert word_from_json(["pow", ["gen", 1], 4]) == Pow(Gen(1), 4)
+    assert word_from_json(["pow", ["gen", 1], -1]) == Pow(Gen(1), -1)
+    assert word_from_json(["pow", ["gen", 2], "p-inf"]) == Pow(Gen(2),
+                                                                P_INFINITY)
+    assert word_from_json(["comm", ["gen", 1], ["gen", 2]]) == Comm(Gen(1),
+                                                                    Gen(2))
+    assert word_from_json(["prod"]) == Prod()
+    assert word_from_json(
+        ["prod", ["pow", ["gen", 1], 4],
+         ["comm", ["comm", ["gen", 2], ["gen", 3]], ["gen", 1]],
+         ["pow", ["gen", 2], "p-inf"]]
+    ) == Prod(Pow(Gen(1), 4), Comm(Comm(Gen(2), Gen(3)), Gen(1)),
+              Pow(Gen(2), P_INFINITY))
 
 
 def test_word_json_errors():
