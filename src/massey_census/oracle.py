@@ -61,6 +61,12 @@ _LANES = [sum(1 << lane for lane in range(64) if lane >> j & 1)
           for j in range(6)]
 
 
+def _frozen(array):
+    """Mark a cached array read-only, so an in-place write raises."""
+    array.flags.writeable = False
+    return array
+
+
 def _identity_mask(entries, size):
     keep = np.ones(size, dtype=bool)
     for e in entries:
@@ -101,11 +107,13 @@ def _f2_surjective_lanes(images, n):
 # tests the rank in its lanes instead (`_f2_surjective_lanes`).
 
 
+@functools.lru_cache(maxsize=None)
 def _profile_weights(n, p, rank):
-    """Place value of entry (s, s+1) of generator g, as an (n-1, rank) array."""
+    """Place value of entry (s, s+1) of generator g, as a read-only
+    (n-1, rank) int64 array."""
     width = (n - 1) * rank
     slot = np.arange(rank)[None, :] * (n - 1) + np.arange(n - 1)[:, None]
-    return p ** (width - 1 - slot)
+    return _frozen(p ** (width - 1 - slot))
 
 
 def _generates(profiles, n, p, rank):
@@ -132,14 +140,17 @@ def _surjective_table(n, p, rank):
 
 
 def _surjective_mask(images, n, p, rank, size):
+    """Whether each assignment's images generate U_n.  The profiles are int32
+    when they index a table (p^width <= _PROFILE_TABLE_LIMIT), else int64."""
     table = _surjective_table(n, p, rank)
     weights = _profile_weights(n, p, rank)
+    if table is not None:
+        weights = weights.astype(np.int32)
     idx = pair_index(n, False)
-    profile = np.zeros(size, dtype=np.int64)
+    profile = np.zeros(size, dtype=weights.dtype)
     for g in range(rank):
         for s in range(n - 1):
-            entry = images[g][idx[(s + 1, s + 2)]]
-            profile += np.asarray(entry, dtype=np.int64) * weights[s, g]
+            profile += images[g][idx[(s + 1, s + 2)]] * weights[s, g]
     if table is not None:
         return table[profile]
     uniq, inverse = np.unique(profile, return_inverse=True)
@@ -155,24 +166,26 @@ def _block_exponent(p, chunk, digits):
     return k
 
 
-def _digit_planes(p, k, values=None):
-    """For j < k, digit j of every index 0 .. p^k - 1 as an array, the digit
-    d written as values[d] (by default d itself, as int16)."""
-    if values is None:
-        values = np.arange(p, dtype=np.int16)
-    column = values[:, None]
-    return [
-        np.broadcast_to(column, (p ** (k - 1 - j), p, p ** j)).reshape(-1)
+@functools.lru_cache(maxsize=None)
+def _digit_planes(p, k):
+    """For j < k, digit j of every index 0 .. p^k - 1 as a read-only int16
+    array, built once per (p, k) per process."""
+    column = np.arange(p, dtype=np.int16)[:, None]
+    return tuple(
+        _frozen(np.broadcast_to(column, (p ** (k - 1 - j), p, p ** j))
+                .reshape(-1))
         for j in range(k)
-    ]
+    )
 
 
+@functools.lru_cache(maxsize=None)
 def _lane_planes(k):
     """The bit-sliced digit planes of a block of 2^k assignments: digits
     below 6 vary inside a word and are the same lane word in every word;
-    digits 6 .. k-1 are words of all ones or all zeros."""
-    words = _digit_planes(2, max(k - 6, 0), np.array([0, _ALL], np.uint64))
-    return _LANES[:k] + words
+    digits 6 .. k-1 are read-only arrays of words of all ones or all zeros."""
+    words = np.array([0, _ALL], np.uint64)
+    planes = _digit_planes(2, max(k - 6, 0))
+    return (*_LANES[:k], *(_frozen(words[plane]) for plane in planes))
 
 
 def _decode_images(start, planes, rank, n, p, bar, free_pairs, fixed, one=1):
@@ -380,8 +393,10 @@ def _plan_ranges(space, block, threads):
     """Split [0, space) into block-aligned ranges, one per worker, with
     min(threads, cpu count, block count) workers.  A space of at most two
     blocks stays in one range."""
+    if threads <= 1:
+        return [(0, space)]
     blocks = -(-space // block)
-    workers = min(max(1, int(threads)), os.cpu_count() or 1, blocks)
+    workers = min(int(threads), os.cpu_count() or 1, blocks)
     if workers <= 1 or blocks <= 2:
         return [(0, space)]
     step = -(-blocks // workers) * block

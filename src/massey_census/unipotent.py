@@ -206,9 +206,19 @@ def fp_ring(p: int) -> Ring:
     """F_p on python ints or integer arrays.  Reduction is `v - v // p * p`:
     numpy divides an array by a scalar far faster with floor_divide than with
     remainder, and floor division keeps negative values in [0, p).  Before
-    reduction a product entry reaches 2(p-1) + (n-2)(p-1)^2."""
-    return Ring(operator.add, operator.mul, operator.neg,
-                lambda v: v - v // p * p)
+    reduction a product entry reaches 2(p-1) + (n-2)(p-1)^2.
+
+    An array is reduced in place.  The walkers hand `reduce` only a sum or
+    negation they have just made, never an input entry, so their inputs are
+    left untouched (and may be read-only)."""
+
+    def reduce(v):
+        q = v // p
+        q *= p
+        v -= q
+        return v
+
+    return Ring(operator.add, operator.mul, operator.neg, reduce)
 
 
 def _unchanged(v):

@@ -173,6 +173,13 @@ def test_int16_overflow_refused(monkeypatch):
 
 def test_plan_ranges_caps_workers(monkeypatch):
     # inspected, not forked: the plan is the worker count
+
+    def no_cpu_count():
+        raise AssertionError("a single-threaded plan reads no cpu count")
+
+    monkeypatch.setattr(oracle.os, "cpu_count", no_cpu_count)
+    for threads in (1, 0, -3):
+        assert oracle._plan_ranges(2 ** 24, 2 ** 10, threads) == [(0, 2 ** 24)]
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
     chunk = 2 ** 10
     for space, threads, workers in (
@@ -240,6 +247,7 @@ def test_surjective_table_counts_full_rank_profiles():
                 assert len(table) == p ** ((n - 1) * rank)
                 want = math.prod(p ** rank - p ** i for i in range(n - 1))
                 assert table.sum() == want
+                assert (want == 0) == (rank < n - 1)
                 rank += 1
     assert oracle._surjective_table(3, 7, 3).sum() == 114912
     assert oracle._surjective_table(3, 5, 4).sum() == 386880
@@ -264,6 +272,31 @@ def test_surjective_table_built_one_slice_at_a_time():
     digits = [[[int(q) // 3 ** (11 - g * 2 - s) % 3 for g in range(6)]
                for s in range(2)] for q in profiles]
     assert table[profiles].tolist() == (fp.rank_mod(digits, 3) == 2).tolist()
+
+
+def test_cached_planes_are_read_only_and_shared():
+    # built once per (p, k) per process and handed to every block, so an
+    # in-place write must raise rather than corrupt the cache
+    for p, k in ((3, 4), (5, 3), (7, 2), (2, 9)):
+        planes = oracle._digit_planes(p, k)
+        assert oracle._digit_planes(p, k) is planes
+        assert [plane.dtype for plane in planes] == [np.int16] * k
+        for plane in planes:
+            assert not plane.flags.writeable
+            with pytest.raises(ValueError):
+                plane += 1
+    for k in (3, 6, 9):
+        planes = oracle._lane_planes(k)
+        assert oracle._lane_planes(k) is planes
+        words = [plane for plane in planes if isinstance(plane, np.ndarray)]
+        assert len(words) == max(k - 6, 0)
+        for plane in words:
+            assert plane.dtype == np.uint64 and not plane.flags.writeable
+            with pytest.raises(ValueError):
+                plane[0] = 0
+    weights = oracle._profile_weights(4, 3, 2)
+    assert oracle._profile_weights(4, 3, 2) is weights
+    assert weights.dtype == np.int64 and not weights.flags.writeable
 
 
 def test_lifts_constant_on_triples():
@@ -761,3 +794,45 @@ def test_block_decode_matches_literal_digits(case):
                 assert entry == [(i // p ** pos) % p for i in I], (g, pq)
             else:
                 assert entry == [fixed[pq][g]] * block, (g, pq)
+
+
+@st.composite
+def mask_cases(draw):
+    p = draw(st.sampled_from((3, 5, 7)))
+    n = draw(st.integers(3, 5))
+    # p^width stays within _PROFILE_TABLE_LIMIT (an int32 table path) or
+    # leaves it (int64 profiles and np.unique) without a slow table build
+    rank = draw(st.integers(1, 3 if n == 3 or p == 7 else 2))
+    free_pairs = list(triangle_pairs(n))
+    digits = len(free_pairs) * rank
+    k = oracle._block_exponent(p, draw(st.integers(1, 3000)), digits)
+    start = draw(st.integers(0, p ** (digits - k) - 1)) * p ** k
+    seed = draw(st.none() | st.integers(0, 2 ** 32 - 1))
+    return p, n, rank, free_pairs, k, start, seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(mask_cases())
+def test_surjective_mask_matches_generates(case):
+    # the narrow profile against int64 profiles packed literally, on a
+    # block's planes and, with a seed, on a random set of its survivors
+    p, n, rank, free_pairs, k, start, seed = case
+    images = oracle._decode_images(start, oracle._digit_planes(p, k), rank,
+                                   n, p, False, free_pairs, None)
+    size = p ** k
+    if seed is not None:
+        keep = np.random.default_rng(seed).random(size) < 0.5
+        survivors = np.nonzero(keep)[0]
+        size = len(survivors)
+        images = oracle._compress(images, survivors)
+    width = (n - 1) * rank
+    idx = pair_index(n)
+    profiles = np.zeros(size, dtype=np.int64)
+    for g in range(rank):
+        for s in range(n - 1):
+            entry = np.broadcast_to(images[g][idx[(s + 1, s + 2)]], (size,))
+            profiles += entry.astype(np.int64) * p ** (
+                width - 1 - g * (n - 1) - s)
+    got = oracle._surjective_mask(images, n, p, rank, size)
+    want = oracle._generates(profiles, n, p, rank)
+    assert got.dtype == bool and got.tolist() == want.tolist()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from massey_census.unipotent import (
+    F2_LANES,
     P_INFINITY,
     ExponentToken,
     UniMatrix,
@@ -16,8 +17,12 @@ from massey_census.unipotent import (
     group_pow,
     mul_recipe,
     triangle_pairs,
+    walk_inv,
     walk_mul,
+    walk_pow,
+    walk_word,
 )
+from massey_census.words import Comm, Gen, Pow, Prod
 
 
 def dense_mul(a, b):
@@ -146,6 +151,56 @@ def test_bar_quotient_is_a_quotient():
         bar = walk_mul([int(e) for e in ea[:-1]], [int(e) for e in eb[:-1]],
                        mul_recipe(4, bar=True), fp_ring(2))
         assert group_mul(a, b).entries[:-1] == tuple(bar)
+
+
+def test_fp_ring_reduce():
+    # python ints, negative ones included, land in [0, p) as ints; an array
+    # is reduced in place
+    for p in (2, 3, 5, 7):
+        reduce = fp_ring(p).reduce
+        for v in range(-3 * p * p, 3 * p * p):
+            r = reduce(v)
+            assert type(r) is int and r == v % p
+        for dtype in (np.int16, np.int64):
+            v = np.arange(-2 * p * p, 2 * p * p, dtype=dtype)
+            want = v % p
+            assert reduce(v) is v and v.tolist() == want.tolist()
+
+
+def test_walkers_leave_read_only_inputs_untouched():
+    # fp_ring reduces in place, so every entry it meets must be a walker's
+    # own temporary: read-only inputs make any write into them raise
+    rng = np.random.default_rng(11)
+    words = [Prod((Gen(1), Gen(2), Gen(1))), Pow(Gen(1), -4),
+             Comm(Gen(1), Pow(Gen(2), 3)), Pow(Prod((Gen(2), Gen(1))), -1)]
+    cases = [(fp_ring(p), dtype, p) for p in (3, 5)
+             for dtype in (np.int16, np.int64)]
+    cases.append((F2_LANES, np.uint64, 2 ** 64))
+    for ring, dtype, high in cases:
+        for n in (3, 4, 5):
+            recipe = mul_recipe(n)
+            images = []
+            for _ in range(2):
+                element = []
+                for t in range(len(recipe)):
+                    if t % 3 == 2:  # a python int broadcast over the batch
+                        element.append(int(rng.integers(0, 2)))
+                        continue
+                    entry = rng.integers(0, high, size=40, dtype=dtype)
+                    entry.flags.writeable = False
+                    element.append(entry)
+                images.append(element)
+            before = [[np.copy(e) for e in element] for element in images]
+            a, b = images
+            walk_mul(a, b, recipe, ring)
+            walk_inv(a, recipe, ring)
+            for e in (-3, -1, 1, 2, 5, P_INFINITY):
+                walk_pow(a, e, recipe, ring)
+            for word in words:
+                walk_word(word, images, recipe, ring)
+            for element, saved in zip(images, before):
+                assert all(np.array_equal(e, s)
+                           for e, s in zip(element, saved))
 
 
 def test_aut_order():
