@@ -30,12 +30,10 @@ _EXPORTS = {
         "cup_chain",
         "cup_grams",
         "load_input_file",
-        "ramified_from_redei",
         "trilinear_trace",
         "triple_tensors",
     ),
     "oracle": (
-        "LIFT_BUDGET",
         "ORACLE_BUDGET",
         "ORACLE_BUDGET_EXTENDED",
         "count_epi_bruteforce",
@@ -46,9 +44,7 @@ _EXPORTS = {
     "unipotent": (
         "ExponentToken",
         "P_INFINITY",
-        "UniMatrix",
         "aut_order",
-        "group_mul",
         "triangle_pairs",
     ),
     "verify": ("format_table", "run_suite", "suite_passed"),
@@ -60,7 +56,6 @@ _EXPORTS = {
         "Prod",
         "RamifiedRelatorData",
         "demushkin_presentation",
-        "evaluate_word",
         "free_presentation",
         "free_product",
         "preset",

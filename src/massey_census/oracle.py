@@ -23,8 +23,6 @@ from .fp import (
 from .forms import cup_grams, zero_cup_table
 from .unipotent import (
     F2_LANES,
-    MAX_N,
-    MIN_N,
     fp_ring,
     mul_recipe,
     pair_index,
@@ -33,6 +31,8 @@ from .unipotent import (
 )
 from .words import Presentation, exponent_sums
 
+MIN_N = 3
+MAX_N = 6
 ORACLE_BUDGET = 2 ** 26
 ORACLE_BUDGET_EXTENDED = 2 ** 31
 LIFT_BUDGET = 10 ** 7

@@ -9,9 +9,6 @@ from typing import Callable, NamedTuple
 
 from . import fp
 
-MIN_N = 3
-MAX_N = 6
-
 
 class ExponentToken:
     """A group exponent: a finite integer, or p-infinity.
@@ -79,117 +76,15 @@ def mul_recipe(n: int, bar: bool = False) -> tuple:
     return tuple(recipe)
 
 
-class UniMatrix:
-    """An element of U_n(F_p), stored by its strictly-upper entries."""
-
-    __slots__ = ("n", "p", "entries")
-
-    def __init__(self, n, p, entries=None):
-        if not MIN_N <= n <= MAX_N:
-            raise ValueError(
-                f"group size n={n} outside supported range [{MIN_N}, {MAX_N}]"
-            )
-        p = fp.check_prime(p)
-        pairs = triangle_pairs(n)
-        if entries is None:
-            entries = (0,) * len(pairs)
-        entries = tuple(int(e) % p for e in entries)
-        if len(entries) != len(pairs):
-            raise ValueError(
-                f"need {len(pairs)} entries for n={n}, got {len(entries)}"
-            )
-        self.n = n
-        self.p = p
-        self.entries = entries
-
-    @classmethod
-    def identity(cls, n, p):
-        return cls(n, p)
-
-    @classmethod
-    def from_entry_map(cls, n, p, mapping):
-        """Build from a {(i, j): value} dict; unmentioned entries are 0."""
-        idx = pair_index(n)
-        entries = [0] * len(idx)
-        for key, val in mapping.items():
-            if key not in idx:
-                raise ValueError(f"position {key} is not a stored entry")
-            entries[idx[key]] = val
-        return cls(n, p, entries)
-
-    def entry(self, i, j) -> int:
-        idx = pair_index(self.n)
-        if (i, j) not in idx:
-            raise ValueError(f"position ({i},{j}) is not in the stored triangle")
-        return self.entries[idx[(i, j)]]
-
-    def superdiagonal(self) -> tuple:
-        return tuple(self.entries[: self.n - 1])
-
-    def to_dense(self):
-        """The full n-by-n matrix."""
-        import numpy as np
-
-        a = np.eye(self.n, dtype=np.int64)
-        for (i, j), e in zip(triangle_pairs(self.n), self.entries):
-            a[i - 1, j - 1] = e
-        return a
-
-    def __mul__(self, other):
-        if isinstance(other, UniMatrix):
-            return group_mul(self, other)
-        return NotImplemented
-
-    def __eq__(self, other):
-        if isinstance(other, UniMatrix):
-            return (
-                self.n == other.n
-                and self.p == other.p
-                and self.entries == other.entries
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.p, self.entries))
-
-    def __repr__(self):
-        return f"UniMatrix(n={self.n}, p={self.p}, entries={list(self.entries)})"
-
-
-def check_same_group(a: UniMatrix, b: UniMatrix) -> None:
-    if a.n != b.n or a.p != b.p:
-        raise ValueError("group elements live in different groups")
-
-
-def group_mul(a: UniMatrix, b: UniMatrix) -> UniMatrix:
-    """Product in U_n(F_p)."""
-    check_same_group(a, b)
-    out = walk_mul(a.entries, b.entries, mul_recipe(a.n), fp_ring(a.p))
-    return UniMatrix(a.n, a.p, out)
-
-
-def group_inv(a: UniMatrix) -> UniMatrix:
-    """Inverse, solved band by band from the superdiagonal inward."""
-    out = walk_inv(a.entries, mul_recipe(a.n), fp_ring(a.p))
-    return UniMatrix(a.n, a.p, out)
-
-
-def group_pow(a: UniMatrix, e) -> UniMatrix:
-    """a**e by square-and-multiply; e may be an int or an ExponentToken
-    (p-infinity gives the identity)."""
-    out = walk_pow(a.entries, e, mul_recipe(a.n), fp_ring(a.p))
-    return UniMatrix(a.n, a.p, out)
-
-
 # --- the recipe walkers -------------------------------------------------------
 #
 # The one implementation of the group arithmetic.  An element is a sequence
 # over the stored triangle positions (`triangle_pairs` order); the walkers
-# only combine entries through a Ring, so the same code multiplies python
-# ints (the scalar functions above), int16 arrays holding one assignment per
-# slot (the oracle at odd p) and uint64 words holding one assignment per bit
-# (the oracle at p = 2).  0 is the identity entry in every ring, and a python
-# int entry is broadcast across an array-valued element.
+# only combine entries through a Ring, so the same code multiplies int16
+# arrays holding one assignment per slot (the oracle at odd p), int64 arrays
+# over a grid of generator choices (`forms`) and uint64 words holding one
+# assignment per bit (the oracle at p = 2).  0 is the identity entry in every
+# ring, and a python int entry is broadcast across an array-valued element.
 
 
 class Ring(NamedTuple):

@@ -4,14 +4,7 @@ and the preset presentations used throughout the test grid."""
 from __future__ import annotations
 
 from .fp import check_prime
-from .unipotent import (
-    ExponentToken,
-    P_INFINITY,
-    check_same_group,
-    fp_ring,
-    mul_recipe,
-    walk_word,
-)
+from .unipotent import ExponentToken, P_INFINITY
 
 
 class Gen:
@@ -143,24 +136,6 @@ def exponent_sums(w, rank) -> list:
         elif isinstance(w, Pow) and not w.exponent.is_infinite:
             stack.append((w.word, scale * w.exponent.value))
     return sums
-
-
-def evaluate_word(w, images):
-    """Substitute images[i-1] for Gen(i) and multiply out in the image group."""
-    images = list(images)
-    if not images:
-        raise ValueError("need at least one image to fix the target group")
-    if max_generator(w) > len(images):
-        raise ValueError(
-            f"word uses generator {max_generator(w)} but only {len(images)} "
-            f"images given"
-        )
-    first = images[0]
-    for im in images[1:]:
-        check_same_group(first, im)
-    entries = walk_word(w, [im.entries for im in images],
-                        mul_recipe(first.n), fp_ring(first.p))
-    return type(first)(first.n, first.p, entries)
 
 
 _INFINITE = ("inf", "p-inf", "infinity")

@@ -1,5 +1,5 @@
-"""Brute-force oracle tests: frozen counts, cross-checks against the scalar
-group arithmetic, and the defining-system search."""
+"""Brute-force oracle tests: frozen counts, cross-checks against dense
+integer matrices, and the defining-system search."""
 
 import itertools
 import math
@@ -31,8 +31,6 @@ from massey_census.oracle import (
 )
 from massey_census.unipotent import (
     P_INFINITY,
-    UniMatrix,
-    group_mul,
     mul_recipe,
     pair_index,
     triangle_pairs,
@@ -49,7 +47,6 @@ from massey_census.words import (
     Prod,
     RamifiedRelatorData,
     demushkin_presentation,
-    evaluate_word,
     exponent_sums,
     free_presentation,
     preset,
@@ -199,6 +196,13 @@ def test_plan_ranges_caps_workers(monkeypatch):
     assert len(oracle._plan_ranges(2 ** 24, chunk, 8)) == 8
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)
     assert oracle._plan_ranges(2 ** 24, chunk, 8) == [(0, 2 ** 24)]
+
+
+def test_epi_size_limits():
+    for n in (2, 7):
+        with pytest.raises(ValueError, match="outside supported range"):
+            count_epi_bruteforce(free_presentation(1), n, 2)
+    assert count_epi_bruteforce(free_presentation(1), 6, 2) == 0
 
 
 def test_epi_budget_error_names_space():
@@ -407,7 +411,7 @@ def test_cup_defining_budget_error():
 
 def test_batch_matches_scalar_arithmetic():
     rng = np.random.default_rng(20260818)
-    n, p, bar = 4, 3, False
+    n, p = 4, 3
     words = [
         Comm(Gen(1), Gen(2)),
         Prod(Pow(Gen(1), 5), Comm(Gen(2), Gen(1)), Gen(2)),
@@ -415,21 +419,16 @@ def test_batch_matches_scalar_arithmetic():
         Prod(Comm(Comm(Gen(1), Gen(2)), Gen(1)), Pow(Gen(2), 9)),
     ]
     size = 64
-    mats1, mats2 = ([UniMatrix(n, p, e) for e in rng.integers(p, size=(size, 6))]
-                    for _ in range(2))
-    images_batch = [
-        [np.array([m.entries[t] for m in mats], dtype=np.int16)
-         for t in range(6)]
-        for mats in (mats1, mats2)
-    ]
+    entries = rng.integers(p, size=(2, 6, size), dtype=np.int16)
     for w in words:
-        batch = walk_word(w, images_batch, mul_recipe(n, bar),
+        batch = walk_word(w, list(entries), mul_recipe(n),
                           unipotent.fp_ring(p))
         for s in range(size):
-            scalar = evaluate_word(w, [mats1[s], mats2[s]])
-            got = tuple(int(np.asarray(e)[s]) if isinstance(e, np.ndarray)
-                        else int(e) for e in batch)
-            assert got == scalar.entries, (w, s)
+            mats = [_dense(e[:, s], n, False) for e in entries]
+            want = _dense_word(w, mats, p)
+            got = [int(np.broadcast_to(e, (size,))[s]) for e in batch]
+            assert got == [want[i - 1, j - 1]
+                           for i, j in triangle_pairs(n)], (w, s)
 
 
 def test_random_tensor_census_matches_oracle():
@@ -509,30 +508,30 @@ def test_central_pins_rule():
 
 def _literal_count(pres, n, p, fixed=(), surjective=False, central=False):
     """Count assignments of U_n(F_p) images, entries in `fixed` prescribed
-    and the rest free, by evaluating every relator with `evaluate_word`.  A
-    relator passes when it is the identity or, with `central`, a matrix
-    whose only nonzero entry is the corner (a relation of the
-    corner-dropped group; the generators' corners are fixed at 0)."""
+    and the rest free, by multiplying every relator out in dense matrices.
+    A relator passes when it is the identity or, with `central`, a matrix
+    whose only nonzero entry off the diagonal is the corner (a relation of
+    the corner-dropped group; the generators' corners are fixed at 0)."""
     fixed = dict(fixed)
     if central:
         fixed[(1, n)] = [0] * pres.rank
     pairs = triangle_pairs(n)
     free = [pq for pq in pairs if pq not in fixed]
-    idx = pair_index(n)
+    ignored = np.eye(n, dtype=bool)
+    ignored[0, n - 1] = central
     count = 0
     for digits in itertools.product(range(p), repeat=len(free) * pres.rank):
         images = []
         for g in range(pres.rank):
             entries = dict(zip(free, digits[g * len(free):]))
             entries.update((pq, v[g]) for pq, v in fixed.items())
-            images.append(UniMatrix.from_entry_map(n, p, entries))
+            images.append(_dense([entries[pq] for pq in pairs], n, False))
         if surjective and fp.rank_mod(
-            [[m.entries[idx[(s, s + 1)]] for m in images]
-             for s in range(1, n)], p
+            [[m[s, s + 1] for m in images] for s in range(n - 1)], p
         ) < n - 1:
             continue
-        values = [evaluate_word(r, images).entries for r in pres.relators]
-        if all(not any(v[:-1] if central else v) for v in values):
+        if not any(_dense_word(r, images, p)[~ignored].any()
+                   for r in pres.relators):
             count += 1
     return count
 
@@ -692,6 +691,27 @@ def _dense_pow(m, e, p):
     return out
 
 
+def _dense_word(word, mats, p):
+    """A group word multiplied out in dense matrices, mats[i-1] for Gen(i)
+    and [a, b] = a^-1 b^-1 a b; p-infinity powers are the identity."""
+    if isinstance(word, Gen):
+        return mats[word.index - 1]
+    out = np.eye(len(mats[0]), dtype=np.int64)
+    if isinstance(word, Prod):
+        factors = [_dense_word(f, mats, p) for f in word.factors]
+    elif isinstance(word, Pow):
+        if word.exponent.is_infinite:
+            return out
+        return _dense_pow(_dense_word(word.word, mats, p),
+                          word.exponent.value, p)
+    else:
+        a, b = (_dense_word(w, mats, p) for w in (word.left, word.right))
+        factors = [_dense_inv(a, p), _dense_inv(b, p), a, b]
+    for m in factors:
+        out = np.matmul(out, m) % p
+    return out
+
+
 @st.composite
 def batch_cases(draw):
     p = draw(st.sampled_from((2, 3, 5, 7)))
@@ -714,19 +734,21 @@ def batch_cases(draw):
         return out
 
     e = draw(st.integers(-9, 9))
-    return p, sliced, n, bar, size, element(), element(), e
+    word = draw(small_words(2))
+    return p, sliced, n, bar, size, element(), element(), e, word
 
 
 @settings(max_examples=100, deadline=None)
 @given(batch_cases())
 def test_batch_arithmetic_matches_dense_matmul(case):
-    p, sliced, n, bar, size, a, b, e = case
+    p, sliced, n, bar, size, a, b, e, word = case
     recipe = mul_recipe(n, bar)
     ring = unipotent.F2_LANES if sliced else unipotent.fp_ring(p)
     got = {
         "mul": walk_mul(a, b, recipe, ring),
         "inv": walk_inv(a, recipe, ring),
         "pow": walk_pow(a, e, recipe, ring),
+        "word": walk_word(word, [a, b], recipe, ring),
     }
     for k in range(size):
         A = _dense([_lane(v, k, sliced) for v in a], n, bar)
@@ -735,6 +757,7 @@ def test_batch_arithmetic_matches_dense_matmul(case):
             "mul": np.matmul(A, B) % p,
             "inv": _dense_inv(A, p),
             "pow": _dense_pow(A, e, p),
+            "word": _dense_word(word, [A, B], p),
         }
         for name, element in got.items():
             # the bar corner is central, so the other entries ignore it

@@ -2,7 +2,6 @@
 
 import json
 import re
-from itertools import product
 
 import numpy as np
 import pytest
@@ -11,9 +10,10 @@ from massey_census import words
 from massey_census.forms import load_input_file
 from massey_census.unipotent import (
     P_INFINITY,
-    ExponentToken,
-    UniMatrix,
-    group_mul,
+    fp_ring,
+    mul_recipe,
+    triangle_pairs,
+    walk_word,
 )
 from massey_census.words import (
     Comm,
@@ -23,7 +23,6 @@ from massey_census.words import (
     Prod,
     RamifiedRelatorData,
     demushkin_presentation,
-    evaluate_word,
     free_presentation,
     free_product,
     max_generator,
@@ -49,52 +48,33 @@ def test_word_equality_and_validation():
         Prod(Gen(1), "x2")
 
 
+def stored(mapping):
+    """U_4 entries in triangle order from a {(i, j): value} dict."""
+    return [mapping.get(pq, 0) for pq in triangle_pairs(4)]
+
+
+def evaluate(w, images, p):
+    return walk_word(w, [stored(im) for im in images], mul_recipe(4),
+                     fp_ring(p))
+
+
 def test_evaluate_commutator_hand_value():
-    # [x1, x2] with x1 = I + E12, x2 = I + E23 lands on I + E13
-    x1 = UniMatrix.from_entry_map(4, 2, {(1, 2): 1})
-    x2 = UniMatrix.from_entry_map(4, 2, {(2, 3): 1})
-    val = evaluate_word(Comm(Gen(1), Gen(2)), [x1, x2])
-    assert val == UniMatrix.from_entry_map(4, 2, {(1, 3): 1})
-    ident = UniMatrix.identity(4, 2)
-    assert evaluate_word(Comm(Gen(1), Gen(2)), [ident, ident]) == ident
-    assert evaluate_word(Pow(Gen(1), P_INFINITY), [x1]) == ident
-    assert evaluate_word(Prod(), [x1]) == ident
-
-
-def test_evaluate_errors():
-    x = UniMatrix.identity(3, 2)
-    with pytest.raises(ValueError):
-        evaluate_word(Gen(2), [x])
-    with pytest.raises(ValueError):
-        evaluate_word(Gen(1), [])
-
-
-def test_prod_slot_homomorphism():
-    # evaluate(Prod(a, b)) = evaluate(a) * evaluate(b), exhaustively over
-    # image pairs in U_3(F_2) for a few random word shapes
-    rng = np.random.default_rng(11)
-
-    def random_word(depth=2):
-        kind = rng.integers(0, 4)
-        if depth == 0 or kind == 0:
-            return Gen(int(rng.integers(1, 3)))
-        if kind == 1:
-            return Prod([random_word(depth - 1) for _ in range(rng.integers(0, 3))])
-        if kind == 2:
-            return Pow(random_word(depth - 1), int(rng.integers(-2, 4)))
-        return Comm(random_word(depth - 1), random_word(depth - 1))
-
-    elems = [UniMatrix(3, 2, e) for e in product(range(2), repeat=3)]
-    for _ in range(6):
-        a, b = random_word(), random_word()
-        for g1 in elems:
-            for g2 in elems:
-                images = [g1, g2]
-                lhs = evaluate_word(Prod(a, b), images)
-                rhs = group_mul(
-                    evaluate_word(a, images), evaluate_word(b, images)
-                )
-                assert lhs == rhs
+    # [x1, x2] = x1^-1 x2^-1 x1 x2.  With x1 = I + E12 and x2 = I + E23 it
+    # is I + E13, and [x2, x1] is I - E13 (I + 2 E13 at p = 3).  With
+    # x2 = I + E23 + E34 it is still I + E13, where x1 x2 x1^-1 x2^-1
+    # would be I + E13 - E14
+    x1, x2, y2 = {(1, 2): 1}, {(2, 3): 1}, {(2, 3): 1, (3, 4): 1}
+    ident = stored({})
+    for p in (2, 3):
+        assert evaluate(Comm(Gen(1), Gen(2)), [x1, x2], p) == stored(
+            {(1, 3): 1})
+        assert evaluate(Comm(Gen(2), Gen(1)), [x1, x2], p) == stored(
+            {(1, 3): p - 1})
+        assert evaluate(Comm(Gen(1), Gen(2)), [x1, y2], p) == stored(
+            {(1, 3): 1})
+        assert evaluate(Comm(Gen(1), Gen(2)), [{}, {}], p) == ident
+        assert evaluate(Pow(Gen(1), P_INFINITY), [x1], p) == ident
+        assert evaluate(Prod(), [x1], p) == ident
 
 
 def test_q_value():
@@ -191,11 +171,12 @@ def test_relator_f_independence_in_u4_f2():
     variants = [
         demushkin_presentation(3, 2, 2, "D2", f=f) for f in (2, 3, "inf")
     ]
-    t = 6  # entries of U_4
+    recipe, ring = mul_recipe(4), fp_ring(2)
     for _ in range(200):
-        images = [UniMatrix(4, 2, rng.integers(0, 2, size=t)) for _ in range(3)]
+        images = rng.integers(0, 2, size=(3, 6)).tolist()
         values = {
-            evaluate_word(v.relators[0], images) for v in variants
+            tuple(walk_word(v.relators[0], images, recipe, ring))
+            for v in variants
         }
         assert len(values) == 1
 
