@@ -8,7 +8,6 @@ import operator
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -79,32 +78,22 @@ def _f2_identity_lanes(entries):
     return _ALL ^ functools.reduce(operator.or_, entries, 0)
 
 
-def _f2_surjective_lanes(images, n):
-    """Lanes whose images generate U_n: no nonzero F_2-combination of the
-    n-1 superdiagonal rows vanishes on every generator."""
-    idx = pair_index(n, False)
-    rows = [[img[idx[(s + 1, s + 2)]] for img in images] for s in range(n - 1)]
-    combos = [[0] * len(images)]  # combos[c]: the rows in c summed, per g
-    dead = 0
-    for c in range(1, 2 ** (n - 1)):
-        low = (c & -c).bit_length() - 1
-        combo = [x ^ y for x, y in zip(combos[c & (c - 1)], rows[low])]
-        combos.append(combo)
-        dead |= _f2_identity_lanes(combo)
-    return _ALL ^ dead
-
-
 # --- assignment space ---------------------------------------------------------
 
 
-# At odd p, a profile packs the superdiagonal entries (s, s+1) of the rank
-# generator images into one base-p number, generator 0 and s = 0 most
-# significant.  It generates U_n exactly when its (n-1) x rank matrix has
-# full row rank.  The verdicts come from batched eliminations (`fp.rank_mod`,
-# one _RANK_SLICE of profiles at a time): for every profile while p^width <=
-# _PROFILE_TABLE_LIMIT, as a table built once per (n, p, rank) per process,
-# and for a block's distinct profiles above that.  The bit-sliced p = 2 path
-# tests the rank in its lanes instead (`_f2_surjective_lanes`).
+# A profile packs the superdiagonal entries (s, s+1) of the rank generator
+# images into one base-p number, generator 0 and s = 0 most significant.  It
+# generates U_n exactly when its (n-1) x rank matrix has full row rank.  The
+# assignment index keeps these w = (n-1)*rank digits lowest, in the same
+# order (`_digit_map`), so an assignment's profile is its index mod p^w and
+# every block reads its verdicts off one table: the table tiled p^(k-w) times
+# when the block has p^k >= p^w assignments, built once per block size, and
+# a slice of it below.  The table holds every profile while p^w <=
+# _PROFILE_TABLE_LIMIT, built by batched eliminations (`fp.rank_mod`, one
+# _RANK_SLICE of profiles at a time) once per (n, p, rank) per process;
+# above the limit a block rank-tests its own profiles.  At p = 2 the
+# verdicts are packed into lanes, bit l of word i the verdict of assignment
+# 64i + l.
 
 
 @functools.lru_cache(maxsize=None)
@@ -132,34 +121,55 @@ def _generates(profiles, n, p, rank):
 
 @functools.lru_cache(maxsize=None)
 def _surjective_table(n, p, rank):
-    """Boolean table over packed superdiagonal profiles: generates U_n?"""
+    """Read-only boolean table over packed superdiagonal profiles: generates
+    U_n?  None above _PROFILE_TABLE_LIMIT profiles."""
     size = p ** ((n - 1) * rank)
     if size > _PROFILE_TABLE_LIMIT:
         return None
-    return _generates(np.arange(size), n, p, rank)
+    return _frozen(_generates(np.arange(size), n, p, rank))
 
 
-def _surjective_mask(images, n, p, rank, size):
-    """Whether each assignment's images generate U_n.  The profiles are int32
-    when they index a table (p^width <= _PROFILE_TABLE_LIMIT), else int64."""
+def _lanes(verdicts):
+    """Boolean verdicts bit-sliced: a read-only uint64 array whose bit l of
+    word i is verdict 64i + l, or one python int under 64 verdicts."""
+    bits = np.packbits(verdicts, bitorder="little")
+    if len(verdicts) < 64:
+        return int.from_bytes(bits.tobytes(), "little")
+    return _frozen(bits.view("<u8"))
+
+
+@functools.lru_cache(maxsize=None)
+def _surjective_tile(n, p, rank, k):
+    """The verdicts of every block of p^k >= p^w assignments: the table
+    tiled, read-only, and packed into lanes at p = 2."""
+    w = (n - 1) * rank
     table = _surjective_table(n, p, rank)
-    weights = _profile_weights(n, p, rank)
-    if table is not None:
-        weights = weights.astype(np.int32)
-    idx = pair_index(n, False)
-    profile = np.zeros(size, dtype=weights.dtype)
-    for g in range(rank):
-        for s in range(n - 1):
-            profile += images[g][idx[(s + 1, s + 2)]] * weights[s, g]
-    if table is not None:
-        return table[profile]
-    uniq, inverse = np.unique(profile, return_inverse=True)
-    return _generates(uniq, n, p, rank)[inverse]
+    if table is None:
+        table = _generates(np.arange(p ** w), n, p, rank)
+    tile = np.tile(table, p ** (k - w))
+    return _lanes(tile) if p == 2 else _frozen(tile)
+
+
+def _surjective_verdicts(n, p, rank, k, start):
+    """Whether each assignment of the p^k-block at `start` generates U_n:
+    its profile is its index mod p^w."""
+    w = (n - 1) * rank
+    if k >= w:
+        return _surjective_tile(n, p, rank, k)
+    lo = start % p ** w
+    table = _surjective_table(n, p, rank)
+    verdicts = (table[lo:lo + p ** k] if table is not None
+                else _generates(np.arange(lo, lo + p ** k), n, p, rank))
+    return _lanes(verdicts) if p == 2 else verdicts
 
 
 def _block_exponent(p, chunk, digits):
     """The k of the p^k-assignment blocks: the largest p^k <= chunk, capped
-    at the number of assignment digits."""
+    at the number of assignment digits.  At odd p also p^k <= 2^16, so one
+    int16 entry array (128 KiB at most) stays within glibc's default mmap
+    threshold and the walkers' temporaries come from the heap."""
+    if p != 2:
+        chunk = min(chunk, 2 ** 16)
     k = 0
     while k < digits and p ** (k + 1) <= chunk:
         k += 1
@@ -188,26 +198,43 @@ def _lane_planes(k):
     return (*_LANES[:k], *(_frozen(words[plane]) for plane in planes))
 
 
+@functools.lru_cache(maxsize=None)
+def _digit_map(n, bar, rank, free_pairs):
+    """Where each free entry sits in the assignment index: per generator, a
+    tuple of (entry index, digit).  The free superdiagonal entries take the
+    w lowest digits in profile order (generator 0 and s = 0 most
+    significant), so an assignment's profile is its index mod p^w.  The m
+    other free entries follow, entry j of generator g at digit
+    w + (rank-1-g)*m + j.  With the superdiagonal fixed, w = 0."""
+    idx = pair_index(n, bar)
+    sup = [pq for pq in free_pairs if pq[1] == pq[0] + 1]
+    rest = [pq for pq in free_pairs if pq[1] != pq[0] + 1]
+    w, m = len(sup) * rank, len(rest)
+    return tuple(
+        tuple((idx[pq], w - 1 - g * len(sup) - s) for s, pq in enumerate(sup))
+        + tuple((idx[pq], w + (rank - 1 - g) * m + j)
+                for j, pq in enumerate(rest))
+        for g in range(rank)
+    )
+
+
 def _decode_images(start, planes, rank, n, p, bar, free_pairs, fixed, one=1):
     """Per-generator elements for the block of assignments that starts at
-    `start`, a multiple of the block size p^len(planes).  The free entry j of
-    generator g is base-p digit (rank-1-g)*len(free_pairs)+j of the
-    assignment index: a digit plane below the block size, a python int
-    constant over the block above it.  Constants are scaled by `one`: 1 for
-    int16 entries, all ones for bit-sliced ones."""
-    pairs = triangle_pairs(n, bar)
+    `start`, a multiple of the block size p^len(planes).  A free entry is its
+    digit of the assignment index (`_digit_map`): a digit plane below the
+    block size, a python int constant over the block above it.  Constants
+    are scaled by `one`: 1 for int16 entries, all ones for bit-sliced ones."""
+    size = len(triangle_pairs(n, bar))
     idx = pair_index(n, bar)
-    width = len(free_pairs)
     images = []
-    for g in range(rank):
-        entries = [0] * len(pairs)
+    for g, digits in enumerate(_digit_map(n, bar, rank, tuple(free_pairs))):
+        entries = [0] * size
         if fixed:
             for pq, values in fixed.items():
                 entries[idx[pq]] = int(values[g]) * one
-        for j, pq in enumerate(free_pairs):
-            pos = (rank - 1 - g) * width + j
-            entries[idx[pq]] = (planes[pos] if pos < len(planes)
-                                else start // p ** pos % p * one)
+        for i, pos in digits:
+            entries[i] = (planes[pos] if pos < len(planes)
+                          else start // p ** pos % p * one)
         images.append(entries)
     return images
 
@@ -238,7 +265,7 @@ def _fp_block_counter(pres, n, p, bar, fixed, free_pairs, k, stages):
                     return 0
                 images = _compress(images, survivors)
             if stage == "surjective":
-                keep = _surjective_mask(images, n, p, rank, size)
+                keep = _surjective_verdicts(n, p, rank, k, start)
             else:
                 value = walk_word(pres.relators[stage], images, recipe, ring)
                 keep = _identity_mask(value, size)
@@ -263,7 +290,7 @@ def _f2_block_counter(pres, n, bar, fixed, free_pairs, k, stages):
         alive = np.full(words, lanes, dtype=np.uint64)
         for stage in stages:
             if stage == "surjective":
-                alive &= _f2_surjective_lanes(images, n)
+                alive &= _surjective_verdicts(n, 2, rank, k, start)
             else:
                 value = walk_word(pres.relators[stage], images, recipe,
                                   F2_LANES)
@@ -280,13 +307,9 @@ def _count_range(pres, n, p, bar, fixed, lo, hi, k, want_surjective,
     """Count the assignments in [lo, hi), both multiples of p^k, that pass
     every stage, one block of p^k assignments at a time."""
     pairs = triangle_pairs(n, bar)
-    free_pairs = [pq for pq in pairs if pq not in fixed]
-    # with two or more relators the surjectivity stage runs first
-    surj_first = want_surjective and len(pres.relators) >= 2
-    stages = ["surjective"] if surj_first else []
+    free_pairs = tuple(pq for pq in pairs if pq not in fixed)
+    stages = ["surjective"] if want_surjective else []
     stages.extend(range(len(pres.relators)))
-    if want_surjective and not surj_first:
-        stages.append("surjective")
     if p == 2:
         count = _f2_block_counter(pres, n, bar, fixed, free_pairs, k, stages)
     else:
@@ -382,6 +405,8 @@ def _enumerate_space(pres, n, p, bar, fixed, budget, threads=1,
         (pres, n, p, bar, fixed, lo, hi, k, want_surjective)
         for lo, hi in ranges
     ]
+    from concurrent.futures import ProcessPoolExecutor
+
     total = 0
     with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
         for c in pool.map(_range_worker, jobs):

@@ -1,6 +1,7 @@
 """Brute-force oracle tests: frozen counts, cross-checks against dense
 integer matrices, and the defining-system search."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -301,6 +302,38 @@ def test_cached_planes_are_read_only_and_shared():
     weights = oracle._profile_weights(4, 3, 2)
     assert oracle._profile_weights(4, 3, 2) is weights
     assert weights.dtype == np.int64 and not weights.flags.writeable
+    table = oracle._surjective_table(4, 3, 2)
+    assert oracle._surjective_table(4, 3, 2) is table
+    assert not table.flags.writeable
+    # a block's verdicts: the table tiled once per block size (packed into
+    # lanes at p = 2, a python int under 64 lanes), or a view of the table
+    for n, p, rank, k, length in ((4, 3, 2, 8, 3 ** 8), (3, 5, 1, 4, 5 ** 4),
+                                  (4, 2, 2, 9, 2 ** 3), (4, 2, 3, 12, 2 ** 6)):
+        tile = oracle._surjective_verdicts(n, p, rank, k, 0)
+        assert oracle._surjective_tile(n, p, rank, k) is tile
+        assert oracle._surjective_verdicts(n, p, rank, k, p ** k) is tile
+        assert tile.dtype == (np.uint64 if p == 2 else bool)
+        assert len(tile) == length and not tile.flags.writeable
+        with pytest.raises(ValueError):
+            tile[0] = 0
+    assert isinstance(oracle._surjective_tile(3, 2, 2, 5), int)
+    view = oracle._surjective_verdicts(4, 3, 2, 4, 3 ** 5)
+    assert view.base is table and not view.flags.writeable
+
+
+def test_warm_epi_block_allocates_no_profile():
+    # surjectivity is read off cached verdicts: a warm call must not build
+    # a per-block profile, which at 3^10 assignments is 4 * 3^10 bytes in
+    # int32 (rank 2 cannot generate U_4, so nothing else runs)
+    pres = free_presentation(2)
+    assert count_epi_bruteforce(pres, 4, 3) == 0
+    tracemalloc.start()
+    try:
+        assert count_epi_bruteforce(pres, 4, 3) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 3 ** 10
 
 
 def test_lifts_constant_on_triples():
@@ -577,6 +610,30 @@ def test_epi_matches_literal_loop(data):
         pres, n, p, surjective=True)
 
 
+# (n, p, rank) small enough for blocks of p assignments
+_INVARIANCE_SPACES = ((3, 2, 1), (3, 2, 2), (3, 2, 3), (4, 2, 1), (4, 2, 2),
+                      (3, 3, 1), (3, 3, 2), (4, 3, 1))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_epi_invariant_under_chunks_and_threads(data):
+    # the same count at chunk p, p^3 and CHUNK, and from two workers at a
+    # chunk that leaves p^2 blocks of the enumerated space to split
+    n, p, rank = data.draw(st.sampled_from(_INVARIANCE_SPACES))
+    pres = data.draw(small_presentations(rank))
+    counts = {count_epi_bruteforce(pres, n, p, chunk=chunk)
+              for chunk in (p, p ** 3, oracle.CHUNK)}
+    pairs = triangle_pairs(n)
+    pins = oracle._central_pins(pres, n, p, False, pairs)
+    chunk = p ** ((len(pairs) - len(pins)) * rank - 2)
+    with pytest.MonkeyPatch.context() as mp:
+        plans = _record_plans(mp)
+        counts.add(count_epi_bruteforce(pres, n, p, threads=2, chunk=chunk))
+    assert plans == [2]
+    assert len(counts) == 1
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_lifts_match_literal_loop(data):
@@ -767,6 +824,14 @@ def test_batch_arithmetic_matches_dense_matmul(case):
             ], (name, k)
 
 
+def _unpack_lanes(v, size):
+    """The first `size` lanes of a bit-sliced entry or verdict (a uint64
+    word array, or a python int repeated in every word) as 0/1 ints."""
+    words = np.atleast_1d(np.asarray(v, dtype=np.uint64))
+    return np.resize(np.unpackbits(words.view(np.uint8), bitorder="little"),
+                     size).astype(np.int64)
+
+
 @st.composite
 def decode_cases(draw):
     p = draw(st.sampled_from((2, 3, 5, 7)))
@@ -775,10 +840,13 @@ def decode_cases(draw):
     bar = draw(st.booleans())
     rank = draw(st.integers(1, 3))
     pairs = triangle_pairs(n, bar)
-    fixed = {
-        pq: [draw(st.integers(0, p - 1)) for _ in range(rank)]
-        for pq in draw(st.lists(st.sampled_from(pairs), unique=True))
-    }
+    # sometimes the whole superdiagonal fixed, as in the lift and Massey
+    # searches, so the digit map must fall back to the plain order
+    fixed = {pq: None for pq in pairs[:n - 1]} if draw(st.booleans()) else {}
+    fixed.update((pq, None) for pq in
+                 draw(st.lists(st.sampled_from(pairs), unique=True)))
+    fixed = {pq: [draw(st.integers(0, p - 1)) for _ in range(rank)]
+             for pq in fixed}
     free_pairs = [pq for pq in pairs if pq not in fixed]
     chunk = draw(st.integers(1, 3000))
     digits = len(free_pairs) * rank
@@ -791,6 +859,11 @@ def decode_cases(draw):
 @settings(max_examples=80, deadline=None)
 @given(decode_cases())
 def test_block_decode_matches_literal_digits(case):
+    # the free superdiagonal entries are the lowest digits, packed as a
+    # profile is (generator 0 and s = 0 most significant), then the other
+    # free entries generator by generator; with the superdiagonal fixed the
+    # order is the plain one, free entry j of generator g at digit
+    # (rank-1-g) * len(free_pairs) + j
     p, sliced, n, bar, rank, fixed, free_pairs, chunk, block, start = case
     digits = len(free_pairs) * rank
     assert block <= max(chunk, 1)
@@ -802,60 +875,86 @@ def test_block_decode_matches_literal_digits(case):
     else:
         images = oracle._decode_images(start, oracle._digit_planes(p, k),
                                        rank, n, p, bar, free_pairs, fixed)
+    sup = [(s, s + 1) for s in range(1, n) if (s, s + 1) in free_pairs]
+    rest = [pq for pq in free_pairs if pq not in sup]
+    w = len(sup) * rank
     idx = pair_index(n, bar)
-    I = range(start, start + block)
+    I = np.arange(start, start + block)
     for g in range(rank):
         for pq in triangle_pairs(n, bar):
             v = images[g][idx[pq]]
             if sliced:
-                words = np.broadcast_to(v, (-(-block // 64),))
-                entry = [_lane(words, k, True) for k in range(block)]
+                entry = _unpack_lanes(v, block).tolist()
             else:
                 entry = np.broadcast_to(v, (block,)).tolist()
-            if pq in free_pairs:
-                pos = (rank - 1 - g) * len(free_pairs) + free_pairs.index(pq)
-                assert entry == [(i // p ** pos) % p for i in I], (g, pq)
+            if pq in sup:
+                pos = w - 1 - g * len(sup) - sup.index(pq)
+            elif pq in rest:
+                pos = w + (rank - 1 - g) * len(rest) + rest.index(pq)
+                if not sup:
+                    assert pos == (rank - 1 - g) * len(free_pairs) + \
+                        free_pairs.index(pq)
             else:
                 assert entry == [fixed[pq][g]] * block, (g, pq)
+                continue
+            assert entry == (I // p ** pos % p).tolist(), (g, pq)
+
+
+def _profile_spaces(limit=2 ** 14):
+    """(p, n, rank) with at most `limit` superdiagonal profiles."""
+    return [(p, n, rank) for p in (2, 3, 5, 7) for n in (3, 4, 5)
+            for rank in range(1, 8) if p ** ((n - 1) * rank) <= limit]
 
 
 @st.composite
-def mask_cases(draw):
-    p = draw(st.sampled_from((3, 5, 7)))
-    n = draw(st.integers(3, 5))
-    # p^width stays within _PROFILE_TABLE_LIMIT (an int32 table path) or
-    # leaves it (int64 profiles and np.unique) without a slow table build
-    rank = draw(st.integers(1, 3 if n == 3 or p == 7 else 2))
-    free_pairs = list(triangle_pairs(n))
+def verdict_cases(draw):
+    p, n, rank = draw(st.sampled_from(_profile_spaces()))
+    pairs = triangle_pairs(n)
+    # the corner pinned as the central-coset reduction does, or free
+    free_pairs = list(pairs[:-1] if draw(st.booleans()) else pairs)
     digits = len(free_pairs) * rank
-    k = oracle._block_exponent(p, draw(st.integers(1, 3000)), digits)
+    w = (n - 1) * rank
+    # blocks smaller than the table (a slice), as large (the table) and
+    # larger (the table tiled)
+    k = draw(st.integers(0, min(digits, w + 2, 16 if p == 2 else 7)))
     start = draw(st.integers(0, p ** (digits - k) - 1)) * p ** k
-    seed = draw(st.none() | st.integers(0, 2 ** 32 - 1))
-    return p, n, rank, free_pairs, k, start, seed
+    return p, n, rank, free_pairs, k, start, draw(st.booleans())
 
 
-@settings(max_examples=60, deadline=None)
-@given(mask_cases())
-def test_surjective_mask_matches_generates(case):
-    # the narrow profile against int64 profiles packed literally, on a
-    # block's planes and, with a seed, on a random set of its survivors
-    p, n, rank, free_pairs, k, start, seed = case
-    images = oracle._decode_images(start, oracle._digit_planes(p, k), rank,
-                                   n, p, False, free_pairs, None)
-    size = p ** k
-    if seed is not None:
-        keep = np.random.default_rng(seed).random(size) < 0.5
-        survivors = np.nonzero(keep)[0]
-        size = len(survivors)
-        images = oracle._compress(images, survivors)
-    width = (n - 1) * rank
+@settings(max_examples=80, deadline=None)
+@given(verdict_cases())
+def test_block_verdicts_match_generates(case):
+    # a block's verdicts, read off the table (or rank-tested per block with
+    # no table), against profiles packed literally from its decoded images
+    p, n, rank, free_pairs, k, start, no_table = case
+    size, w = p ** k, (n - 1) * rank
+    if p == 2:
+        images = oracle._decode_images(start, oracle._lane_planes(k), rank,
+                                       n, p, False, free_pairs, None,
+                                       oracle._ALL)
+        entry = functools.partial(_unpack_lanes, size=size)
+    else:
+        images = oracle._decode_images(start, oracle._digit_planes(p, k),
+                                       rank, n, p, False, free_pairs, None)
+        entry = lambda v: np.broadcast_to(v, (size,)).astype(np.int64)
     idx = pair_index(n)
-    profiles = np.zeros(size, dtype=np.int64)
-    for g in range(rank):
-        for s in range(n - 1):
-            entry = np.broadcast_to(images[g][idx[(s + 1, s + 2)]], (size,))
-            profiles += entry.astype(np.int64) * p ** (
-                width - 1 - g * (n - 1) - s)
-    got = oracle._surjective_mask(images, n, p, rank, size)
-    want = oracle._generates(profiles, n, p, rank)
+    profiles = sum(entry(images[g][idx[(s + 1, s + 2)]])
+                   * p ** (w - 1 - g * (n - 1) - s)
+                   for g in range(rank) for s in range(n - 1))
+    want = oracle._generates(np.broadcast_to(profiles, (size,)), n, p, rank)
+    with pytest.MonkeyPatch.context() as mp:
+        if no_table:
+            mp.setattr(oracle, "_PROFILE_TABLE_LIMIT", 1)
+            oracle._surjective_table.cache_clear()
+            oracle._surjective_tile.cache_clear()
+        try:
+            got = oracle._surjective_verdicts(n, p, rank, k, start)
+            assert (oracle._surjective_table(n, p, rank) is None) == no_table
+        finally:
+            if no_table:
+                oracle._surjective_table.cache_clear()
+                oracle._surjective_tile.cache_clear()
+    if p == 2:
+        assert isinstance(got, np.ndarray) == (k >= 6)
+        got = _unpack_lanes(got, size).astype(bool)
     assert got.dtype == bool and got.tolist() == want.tolist()
