@@ -224,11 +224,10 @@ def _decode_images(start, planes, rank, n, p, bar, free_pairs, fixed, one=1):
     digit of the assignment index (`_digit_map`): a digit plane below the
     block size, a python int constant over the block above it.  Constants
     are scaled by `one`: 1 for int16 entries, all ones for bit-sliced ones."""
-    size = len(triangle_pairs(n, bar))
     idx = pair_index(n, bar)
     images = []
     for g, digits in enumerate(_digit_map(n, bar, rank, tuple(free_pairs))):
-        entries = [0] * size
+        entries = [0] * len(idx)
         if fixed:
             for pq, values in fixed.items():
                 entries[idx[pq]] = int(values[g]) * one
