@@ -7,7 +7,9 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 import time
+from collections.abc import Sequence
 
 from .fp import FpVector, check_prime, vectors_array
 from .unipotent import aut_order
@@ -160,6 +162,34 @@ class TmpTriple:
         return f"TmpTriple({self.x!r}, {self.y!r}, {self.z!r})"
 
 
+class TmpTriples(Sequence):
+    """A read-only listing of census triples: the scan's (m, 3) index array
+    `indices`, each row decoded to a TmpTriple on access.  FpVector is never
+    mutated, so the triples share one vector per index.  A slice is a list."""
+
+    def __init__(self, indices, d, p):
+        indices.flags.writeable = False
+        self.indices = indices
+        self._vectors = [FpVector(row, p)
+                         for row in vectors_array(d, p).tolist()]
+
+    def __len__(self):
+        return len(self.indices)
+
+    def _triple(self, row):
+        v = self._vectors
+        return TmpTriple(v[row[0]], v[row[1]], v[row[2]])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._triple(r) for r in self.indices[i].tolist()]
+        return self._triple(self.indices[operator.index(i)].tolist())
+
+    def __iter__(self):
+        for lo in range(0, len(self), 4096):  # a bounded batch of python rows
+            yield from map(self._triple, self.indices[lo:lo + 4096].tolist())
+
+
 # --- the triple scan on a model ----------------------------------------------
 #
 # The scan itself is `scan`, imported where a scan runs, so a closed-form
@@ -248,20 +278,14 @@ def _tmp_scan(model, p, budget, want_list, want_classes):
 
 def tmp_enumerate(model, p, budget=DEFAULT_TMP_BUDGET, want_list=False):
     """Count ordered triples (x, y, z) of rank 3 satisfying the model's
-    membership conditions; optionally return them in lexicographic order.
+    membership conditions; optionally return them in lexicographic order,
+    as a TmpTriples sequence.
 
     The budget counts primitive form evaluations; exceeding it raises a
     BudgetError suggesting the closed form, before any scanning.
     """
     count, listing, _ = _tmp_scan(model, p, budget, want_list, False)
-    triples = None
-    if want_list:
-        # FpVector is never mutated, so the triples share one vector per index
-        rows = vectors_array(model.rank, p).tolist()
-        vecs = [FpVector(row, p) for row in rows]
-        triples = [TmpTriple(vecs[ix], vecs[iy], vecs[iz])
-                   for ix, iy, iz in listing]
-    return count, triples
+    return count, (TmpTriples(listing, model.rank, p) if want_list else None)
 
 
 def tmp_enumerate_forms(matrices, p, budget=DEFAULT_TMP_BUDGET):

@@ -23,7 +23,7 @@ from .census import (
     tmp_enumerate,
     z1_closed,
 )
-from .fp import BudgetError, FpVector
+from .fp import BudgetError, FpVector, vectors_array
 from .words import (
     Presentation,
     RamifiedRelatorData,
@@ -334,9 +334,9 @@ def _cmd_tmp(args):
     )
     payload = {"model": label, "p": args.p, "tmp": str(count)}
     if args.want_list:
-        payload["triples"] = [
-            [[int(c) for c in v] for v in t] for t in triples
-        ]
+        rows = vectors_array(model.rank, args.p).tolist()
+        payload["triples"] = [[rows[i] for i in t]
+                              for t in triples.indices.tolist()]
     _emit(args, payload)
     return 0
 

@@ -89,11 +89,11 @@ def _f2_identity_lanes(entries):
 # every block reads its verdicts off one table: the table tiled p^(k-w) times
 # when the block has p^k >= p^w assignments, built once per block size, and
 # a slice of it below.  The table holds every profile while p^w <=
-# _PROFILE_TABLE_LIMIT, built by batched eliminations (`fp.rank_mod`, one
-# _RANK_SLICE of profiles at a time) once per (n, p, rank) per process;
-# above the limit a block rank-tests its own profiles.  At p = 2 the
-# verdicts are packed into lanes, bit l of word i the verdict of assignment
-# 64i + l.
+# _PROFILE_TABLE_LIMIT, built once per (n, p, rank) per process by batched
+# eliminations (`fp.rank_mod`, one _RANK_SLICE of profiles at a time), or by
+# shifts and XORs at p = 2; above the limit a block rank-tests its own
+# profiles.  At p = 2 the verdicts are packed into lanes, bit l of word i the
+# verdict of assignment 64i + l.
 
 
 @functools.lru_cache(maxsize=None)
@@ -107,15 +107,32 @@ def _profile_weights(n, p, rank):
 
 def _generates(profiles, n, p, rank):
     """Whether each packed profile generates U_n.  Profiles are decoded and
-    eliminated one fp._RANK_SLICE at a time, so the working set is one
-    slice's matrices whatever the number of profiles."""
+    eliminated one fp._RANK_SLICE at a time (2^16 at p = 2), so the working
+    set is one slice's matrices whatever the number of profiles."""
     weights = _profile_weights(n, p, rank)
+    step = 2 ** 16 if p == 2 else _RANK_SLICE
     out = np.empty(len(profiles), dtype=bool)
-    for lo in range(0, len(profiles), _RANK_SLICE):
-        part = profiles[lo:lo + _RANK_SLICE]
+    for lo in range(0, len(profiles), step):
+        part = profiles[lo:lo + step]
         out[lo:lo + len(part)] = (
-            rank_mod(part[:, None, None] // weights % p, p) == n - 1
+            _f2_generates(part, n, rank) if p == 2
+            else rank_mod(part[:, None, None] // weights % p, p) == n - 1
         )
+    return out
+
+
+def _f2_generates(profiles, n, rank):
+    """_generates at p = 2 without elimination: the n-1 rows are independent
+    when no nonzero combination of them vanishes.  Row s is the profile
+    shifted right by n-2-s and masked to row n-2's bits; the combinations
+    are visited in Gray-code order, one XOR each."""
+    low = sum(1 << (n - 1) * g for g in range(rank))
+    rows = [profiles >> (n - 2 - s) & low for s in range(n - 1)]
+    out = np.ones(len(profiles), dtype=bool)
+    combo = np.zeros_like(rows[0])
+    for i in range(1, 2 ** (n - 1)):
+        combo ^= rows[(i & -i).bit_length() - 1]
+        out &= combo != 0
     return out
 
 

@@ -138,7 +138,8 @@ def count_triples(d, p, mask, box, tensors=None, types=None,
     """The triple scan over F_p^d.  `mask` is the pair mask (None: every pair
     admissible); `tensors` are the s3 triple tensors, whose vanishing on
     (x, y, z) replaces mask[y, z].  Returns the count, the (x, y, z) index
-    triples in lexicographic order when `want_list`, and a (T, T) tally of
+    triples in lexicographic order as an (m, 3) int32 array when
+    `want_list` (one array per block, joined once), and a (T, T) tally of
     triples by (type of x, type of z) for the int `types` of each vector.
 
     span(x, y) is 0, the b y with b != 0, and the a (x + b y) with a != 0.
@@ -179,7 +180,7 @@ def count_triples(d, p, mask, box, tensors=None, types=None,
     # per block: the y-mask rows, then a line per pair or a z-mask row
     cells = P + row_pairs[1:] * (P if dense else p)
     tally = np.zeros((T, T), dtype=np.int64)
-    listing = [] if want_list else None
+    listing = [np.empty((0, 3), dtype=np.int32)]
     for lo, hi in _blocks(cells, fp.BLOCK_CELLS):
         lo, hi = lo + 1, hi + 1  # x = 0 has no pairs
         ymask = (np.ones((hi - lo, P), dtype=bool) if mask is None
@@ -222,8 +223,9 @@ def count_triples(d, p, mask, box, tensors=None, types=None,
         tally += np.bincount(tx[rows] * T + types[iz],
                              minlength=T * T).reshape(T, T)
         if want_list:
-            listing.extend(zip(ix[rows].tolist(), iy[rows].tolist(),
-                               iz.tolist()))
+            listing.append(np.stack((ix[rows], iy[rows], iz), axis=1)
+                           .astype(np.int32))
     if not dense:
         tally += pair_ys.reshape(T, P) @ free
-    return int(tally.sum()), listing, tally
+    return (int(tally.sum()), np.concatenate(listing) if want_list else None,
+            tally)

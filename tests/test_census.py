@@ -1,5 +1,7 @@
 """Census pathway tests: enumeration vs closed forms vs hand-frozen counts."""
 
+import collections.abc
+import functools
 import itertools
 import json
 import random
@@ -232,6 +234,7 @@ def _naive_triples(d, p, pair_zero):
     ]
 
 
+@functools.lru_cache(maxsize=None)  # shared by the literal-loop tests
 def _naive_gram_triples(model, p):
     grams = cup_grams(model_presentation(model, p), p)
 
@@ -392,7 +395,7 @@ def _scan_outputs(model, p, listing):
     classes = census._tmp_scan(model, p, 10 ** 12, False, True)[2]
     triples = None
     if listing:
-        triples = census._tmp_scan(model, p, 10 ** 12, True, False)[1]
+        triples = census._tmp_scan(model, p, 10 ** 12, True, False)[1].tolist()
     return count, classes, triples
 
 
@@ -419,6 +422,60 @@ def test_scan_blocks_change_nothing(case):
     assert outputs[0][0] == sum(outputs[0][1].values())
     if listing:
         assert len(outputs[0][2]) == outputs[0][0]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(_gram_model_cases()), st.integers(1, 2 ** 13))
+def test_listing_matches_literal_loop_at_any_block_cap(case, cap):
+    model, p = case
+    naive = _naive_gram_triples(model, p)
+    with mock.patch.object(fp, "BLOCK_CELLS", cap):
+        listing = census._tmp_scan(model, p, 10 ** 12, True, False)[1]
+    assert listing.dtype == np.int32 and listing.shape == (len(naive), 3)
+    V = [tuple(v) for v in fp.vectors_array(model.rank, p).tolist()]
+    assert [tuple(V[i] for i in row) for row in listing.tolist()] == naive
+
+
+def test_triple_listing_is_a_read_only_sequence():
+    for model, p in ((preset_model("borromean"), 2), (GroupModel.free(3), 3)):
+        count, triples = tmp_enumerate(model, p, want_list=True)
+        listed = list(triples)
+        assert isinstance(triples, collections.abc.Sequence)
+        assert len(triples) == len(listed) == count
+        assert [triples[i] for i in range(count)] == listed
+        assert triples[-1] == listed[-1] and triples[-count] == listed[0]
+        assert triples[:4] == listed[:4] and isinstance(triples[:4], list)
+        assert triples[1::7] == listed[1::7]
+        with pytest.raises(IndexError):
+            triples[count]
+        # one FpVector per index, shared by every triple
+        vectors = [v for t in listed for v in t]
+        assert len({id(v) for v in vectors}) == len(set(vectors))
+        assert triples[0].x is listed[0].x
+        # both of random.sample's branches: a copied pool (n <= 21) and
+        # drawn indices
+        for seed in range(5):
+            for k in (1, 3, 6, 100):
+                if k <= count:
+                    assert (random.Random(seed).sample(triples, k)
+                            == random.Random(seed).sample(listed, k))
+        with pytest.raises(ValueError):
+            triples.indices[0, 0] = 1
+
+
+def test_listing_costs_its_index_array():
+    # 34560 triples of 12 B each; the listing must not hold a python object
+    # per triple (about 136 B each when it did)
+    model, p = GroupModel.demushkin(4, 3), 3
+    tmp_enumerate(model, p)  # read the cup pairing off the relators first
+    tracemalloc.start()
+    try:
+        count, triples = tmp_enumerate(model, p, want_list=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == len(triples) == 34560
+    assert peak < 4 * 12 * count, peak
 
 
 def test_over_budget_scan_builds_no_block(monkeypatch):

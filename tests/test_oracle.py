@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from massey_census import fp, oracle, unipotent
 from massey_census.census import (
@@ -858,6 +858,10 @@ def decode_cases(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(decode_cases())
+# every pair of U_5(F_5) free at rank 3: 30 digits, so p ** pos and the
+# last block's start pass 2^63
+@example((5, False, 5, False, 3, None, list(triangle_pairs(5, False)), 3000,
+          625, 5 ** 30 - 625))
 def test_block_decode_matches_literal_digits(case):
     # the free superdiagonal entries are the lowest digits, packed as a
     # profile is (generator 0 and s = 0 most significant), then the other
@@ -879,7 +883,7 @@ def test_block_decode_matches_literal_digits(case):
     rest = [pq for pq in free_pairs if pq not in sup]
     w = len(sup) * rank
     idx = pair_index(n, bar)
-    I = np.arange(start, start + block)
+    I = range(start, start + block)  # python ints: indices pass 2^63
     for g in range(rank):
         for pq in triangle_pairs(n, bar):
             v = images[g][idx[pq]]
@@ -897,13 +901,27 @@ def test_block_decode_matches_literal_digits(case):
             else:
                 assert entry == [fixed[pq][g]] * block, (g, pq)
                 continue
-            assert entry == (I // p ** pos % p).tolist(), (g, pq)
+            assert entry == [i // p ** pos % p for i in I], (g, pq)
 
 
 def _profile_spaces(limit=2 ** 14):
     """(p, n, rank) with at most `limit` superdiagonal profiles."""
     return [(p, n, rank) for p in (2, 3, 5, 7) for n in (3, 4, 5)
             for rank in range(1, 8) if p ** ((n - 1) * rank) <= limit]
+
+
+def test_f2_table_matches_rank_mod():
+    # the shift-and-XOR test against elimination on literally decoded
+    # profiles: entry (s, s+1) of generator g at bit w-1-g*(n-1)-s
+    for p, n, rank in _profile_spaces():
+        if p != 2:
+            continue
+        w = (n - 1) * rank
+        shifts = np.array([[w - 1 - g * (n - 1) - s for g in range(rank)]
+                           for s in range(n - 1)])
+        profiles = np.arange(2 ** w)
+        want = fp.rank_mod(profiles[:, None, None] >> shifts & 1, 2) == n - 1
+        assert oracle._surjective_table(n, 2, rank).tolist() == want.tolist()
 
 
 @st.composite
