@@ -66,18 +66,6 @@ def _frozen(array):
     return array
 
 
-def _identity_mask(entries, size):
-    keep = np.ones(size, dtype=bool)
-    for e in entries:
-        keep &= e == 0
-    return keep
-
-
-def _f2_identity_lanes(entries):
-    """Lanes in which every entry is 0."""
-    return _ALL ^ functools.reduce(operator.or_, entries, 0)
-
-
 # --- assignment space ---------------------------------------------------------
 
 
@@ -148,11 +136,9 @@ def _surjective_table(n, p, rank):
 
 def _lanes(verdicts):
     """Boolean verdicts bit-sliced: a read-only uint64 array whose bit l of
-    word i is verdict 64i + l, or one python int under 64 verdicts."""
+    word i is verdict 64i + l, one word (zero-padded) under 64 verdicts."""
     bits = np.packbits(verdicts, bitorder="little")
-    if len(verdicts) < 64:
-        return int.from_bytes(bits.tobytes(), "little")
-    return _frozen(bits.view("<u8"))
+    return _frozen(np.pad(bits, (0, -len(bits) % 8)).view("<u8"))
 
 
 @functools.lru_cache(maxsize=None)
@@ -262,58 +248,52 @@ def _compress(images, survivors):
     ]
 
 
-def _fp_block_counter(pres, n, p, bar, fixed, free_pairs, k, stages):
-    """Counts one block of p^k assignments at odd p, compacting the block to
-    the survivors of each stage before the next."""
+@functools.lru_cache(maxsize=None)
+def _all_alive(p, k):
+    """Every assignment of a p^k-block alive, read-only: p^k booleans, or at
+    p = 2 the 2^k lanes of uint64 words, one word under 64 lanes."""
+    if p == 2:
+        lanes = _ALL if k >= 6 else 2 ** 2 ** k - 1
+        return _frozen(np.full(2 ** max(k - 6, 0), lanes, dtype=np.uint64))
+    return _frozen(np.ones(p ** k, dtype=bool))
+
+
+def _block_counter(pres, n, p, bar, fixed, free_pairs, k, stages):
+    """Counts one block of p^k assignments, stage by stage.  A relator
+    passes where its entries, all in [0, p), OR to 0.  Odd p compacts the
+    block to the survivors before each relator; p = 2 ANDs every verdict
+    into its lane words, one word when the block has fewer than 64 lanes."""
     rank = pres.rank
-    recipe, ring = mul_recipe(n, bar), fp_ring(p)
-    planes = _digit_planes(p, k)
+    recipe = mul_recipe(n, bar)
+    all_alive = _all_alive(p, k)
+    if p == 2:
+        ring, planes, one = F2_LANES, _lane_planes(k), _ALL
+
+        def tally(alive):
+            return np.bitwise_count(alive).sum()
+    else:
+        ring, planes, one = fp_ring(p), _digit_planes(p, k), 1
+        tally = np.count_nonzero
 
     def count(start):
         images = _decode_images(start, planes, rank, n, p, bar, free_pairs,
-                                fixed)
-        size, keep = p ** k, None
+                                fixed, one)
+        alive = all_alive
         for stage in stages:
-            if keep is not None:  # compact to the last stage's survivors
-                survivors = np.nonzero(keep)[0]
-                size = len(survivors)
-                if size == 0:
+            if stage == "surjective":  # always the first stage
+                alive = _surjective_verdicts(n, p, rank, k, start)
+                continue
+            if alive is not all_alive:
+                if not alive.any():
                     return 0
-                images = _compress(images, survivors)
-            if stage == "surjective":
-                keep = _surjective_verdicts(n, p, rank, k, start)
-            else:
-                value = walk_word(pres.relators[stage], images, recipe, ring)
-                keep = _identity_mask(value, size)
-        return size if keep is None else int(np.count_nonzero(keep))
-
-    return count
-
-
-def _f2_block_counter(pres, n, bar, fixed, free_pairs, k, stages):
-    """Counts one block of 2^k assignments at p = 2, bit-sliced: 64
-    assignments per uint64 word, one word when the block has fewer than 64
-    lanes."""
-    rank = pres.rank
-    recipe = mul_recipe(n, bar)
-    planes = _lane_planes(k)
-    words = 2 ** max(k - 6, 0)
-    lanes = _ALL if k >= 6 else 2 ** (2 ** k) - 1
-
-    def count(start):
-        images = _decode_images(start, planes, rank, n, 2, bar, free_pairs,
-                                fixed, _ALL)
-        alive = np.full(words, lanes, dtype=np.uint64)
-        for stage in stages:
-            if stage == "surjective":
-                alive &= _surjective_verdicts(n, 2, rank, k, start)
-            else:
-                value = walk_word(pres.relators[stage], images, recipe,
-                                  F2_LANES)
-                alive &= _f2_identity_lanes(value)
-            if not alive.any():
-                return 0
-        return int(np.bitwise_count(alive).sum())
+                if p != 2:  # dropping dead 64-lane words does not pay
+                    survivors = np.flatnonzero(alive)
+                    images = _compress(images, survivors)
+                    alive = all_alive[:len(survivors)]
+            value = walk_word(pres.relators[stage], images, recipe, ring)
+            nonzero = functools.reduce(operator.or_, value)
+            alive = alive & (_ALL ^ nonzero if p == 2 else nonzero == 0)
+        return int(tally(alive))
 
     return count
 
@@ -326,11 +306,7 @@ def _count_range(pres, n, p, bar, fixed, lo, hi, k, want_surjective,
     free_pairs = tuple(pq for pq in pairs if pq not in fixed)
     stages = ["surjective"] if want_surjective else []
     stages.extend(range(len(pres.relators)))
-    if p == 2:
-        count = _f2_block_counter(pres, n, bar, fixed, free_pairs, k, stages)
-    else:
-        count = _fp_block_counter(pres, n, p, bar, fixed, free_pairs, k,
-                                  stages)
+    count = _block_counter(pres, n, p, bar, fixed, free_pairs, k, stages)
     block = p ** k
     total = 0
     for start in range(lo, hi, block):
@@ -454,23 +430,30 @@ def count_epi_bruteforce(pres, n, p, budget=ORACLE_BUDGET, threads=1,
                             progress, chunk, want_surjective=True)
 
 
+def _superdiagonal(pres, chars, p, sign=1):
+    """Character i as the fixed entries (i, i+1), scaled by `sign` mod p,
+    once each character is checked to live on the presentation's
+    generators over F_p."""
+    rank = pres.rank
+    for v in chars:
+        if v.dim != rank or v.p != p:
+            raise ValueError(
+                "characters must live on the presentation's generators over "
+                "the same modulus"
+            )
+    return {(i, i + 1): [sign * e % p for e in v]
+            for i, v in enumerate(chars, 1)}
+
+
 def count_lifts_bruteforce(pres, p, superdiagonal, budget=LIFT_BUDGET) -> int:
     """Count homomorphisms to U_4(F_p) whose generator images carry the
     prescribed (1,2),(2,3),(3,4) entries; the remaining entries range freely."""
     p = check_prime(p)
-    x, y, z = superdiagonal
-    rank = pres.rank
-    for v in (x, y, z):
-        if v.dim != rank or v.p != p:
-            raise ValueError(
-                "superdiagonal characters must live on the presentation's "
-                "generators over the same modulus"
-            )
-    fixed = {
-        (1, 2): [int(x[g]) for g in range(rank)],
-        (2, 3): [int(y[g]) for g in range(rank)],
-        (3, 4): [int(z[g]) for g in range(rank)],
-    }
+    chars = list(superdiagonal)
+    if len(chars) != 3:
+        raise ValueError(
+            f"need three superdiagonal characters, got {len(chars)}")
+    fixed = _superdiagonal(pres, chars, p)
     return _enumerate_space(pres, 4, p, False, fixed, budget)
 
 
@@ -488,17 +471,7 @@ def massey_system_exists(pres, chars, p, budget=ORACLE_BUDGET) -> bool:
             f"a {k}-fold product needs target size {k + 1}, over the "
             f"supported maximum {MAX_N}"
         )
-    rank = pres.rank
-    for v in chars:
-        if v.dim != rank or v.p != p:
-            raise ValueError(
-                "characters must live on the presentation's generators over "
-                "the same modulus"
-            )
-    fixed = {
-        (i + 1, i + 2): [(-int(chars[i][g])) % p for g in range(rank)]
-        for i in range(k)
-    }
+    fixed = _superdiagonal(pres, chars, p, sign=-1)
     return bool(_enumerate_space(pres, k + 1, p, True, fixed, budget,
                                  exists_only=True))
 

@@ -299,6 +299,9 @@ def test_cached_planes_are_read_only_and_shared():
             assert plane.dtype == np.uint64 and not plane.flags.writeable
             with pytest.raises(ValueError):
                 plane[0] = 0
+    for p, k in ((3, 4), (2, 3), (2, 9)):
+        alive = oracle._all_alive(p, k)
+        assert oracle._all_alive(p, k) is alive and not alive.flags.writeable
     weights = oracle._profile_weights(4, 3, 2)
     assert oracle._profile_weights(4, 3, 2) is weights
     assert weights.dtype == np.int64 and not weights.flags.writeable
@@ -306,7 +309,7 @@ def test_cached_planes_are_read_only_and_shared():
     assert oracle._surjective_table(4, 3, 2) is table
     assert not table.flags.writeable
     # a block's verdicts: the table tiled once per block size (packed into
-    # lanes at p = 2, a python int under 64 lanes), or a view of the table
+    # lanes at p = 2, one word under 64 lanes), or a view of the table
     for n, p, rank, k, length in ((4, 3, 2, 8, 3 ** 8), (3, 5, 1, 4, 5 ** 4),
                                   (4, 2, 2, 9, 2 ** 3), (4, 2, 3, 12, 2 ** 6)):
         tile = oracle._surjective_verdicts(n, p, rank, k, 0)
@@ -316,7 +319,9 @@ def test_cached_planes_are_read_only_and_shared():
         assert len(tile) == length and not tile.flags.writeable
         with pytest.raises(ValueError):
             tile[0] = 0
-    assert isinstance(oracle._surjective_tile(3, 2, 2, 5), int)
+    word = oracle._surjective_tile(3, 2, 2, 5)
+    assert word.dtype == np.uint64 and len(word) == 1
+    assert not word.flags.writeable
     view = oracle._surjective_verdicts(4, 3, 2, 4, 3 ** 5)
     assert view.base is table and not view.flags.writeable
 
@@ -368,6 +373,11 @@ def test_lifts_validation():
     good = (FpVector((1, 0, 0), 2),) * 3
     with pytest.raises(ValueError):
         count_lifts_bruteforce(pres, 2, (FpVector((1, 0), 2),) * 3)
+    with pytest.raises(ValueError, match="same modulus"):
+        count_lifts_bruteforce(pres, 3, good)
+    for count in (2, 4):
+        with pytest.raises(ValueError, match=f"three .* got {count}"):
+            count_lifts_bruteforce(pres, 2, good[:1] * count)
     with pytest.raises(BudgetError):
         count_lifts_bruteforce(pres, 2, good, budget=1)
 
@@ -409,6 +419,8 @@ def test_massey_validation():
         massey_system_exists(pres, [c], 2)
     with pytest.raises(ValueError):
         massey_system_exists(pres, [FpVector((1, 0), 2)] * 3, 2)
+    with pytest.raises(ValueError, match="same modulus"):
+        massey_system_exists(pres, [FpVector((1, 0, 0, 0), 3)] * 3, 2)
     with pytest.raises(BudgetError):
         massey_system_exists(pres, [c] * 4, 2, budget=2 ** 10)
 
@@ -658,6 +670,59 @@ def test_massey_exists_matches_literal_loop(data):
              for i, v in enumerate(chars, 1)}
     assert massey_system_exists(pres, chars, p) == (
         _literal_count(pres, k + 1, p, fixed, central=True) > 0)
+
+
+_P_INFINITY_WORD = Pow(Gen(1), P_INFINITY)  # walks to python int entries
+
+
+@pytest.mark.parametrize("relators", [
+    lambda rank: [_P_INFINITY_WORD],
+    # the last generator's exponent sum keeps the central entries free
+    lambda rank: [_P_INFINITY_WORD, Prod([Gen(rank), Comm(Gen(1), Gen(2))])],
+    lambda rank: [Gen(1), Comm(Gen(1), Gen(2))],
+], ids=["p-infinity", "p-infinity-first", "first-passes-none"])
+@pytest.mark.parametrize("p, rank, chunk", [
+    (2, 3, 2 ** 4), (2, 3, 2 ** 9), (3, 2, 3 ** 3),
+], ids=["p2-16-lanes", "p2-8-words", "p3"])
+def test_stage_loop_edge_cases(monkeypatch, p, rank, chunk, relators):
+    # the three searches at blocks of at most `chunk` assignments, against
+    # the literal loop; a relator after one that no assignment passes is
+    # never walked
+    block_exponent = oracle._block_exponent
+    monkeypatch.setattr(oracle, "_block_exponent",
+                        lambda p, _, digits: block_exponent(p, chunk, digits))
+    walked, walk = [], oracle.walk_word
+
+    def spy(word, *args):
+        walked.append(word)
+        return walk(word, *args)
+
+    monkeypatch.setattr(oracle, "walk_word", spy)
+    relators = relators(rank)
+    pres = Presentation(rank, relators)
+    # the last generator's superdiagonal is 0, so Gen(rank) [x1, x2] can
+    # hold; the first generator's (1,2) entry is 1, so Gen(1) cannot
+    basis = [tuple(int(g == i) for g in range(rank)) for i in range(rank)]
+    chars = [FpVector(basis[i % (rank - 1)], p) for i in range(3)]
+    fixed = {(s, s + 1): [int(v[g]) for g in range(rank)]
+             for s, v in enumerate(chars, 1)}
+    negated = {pq: [-e % p for e in values] for pq, values in fixed.items()}
+    searches = (
+        (lambda: count_epi_bruteforce(pres, 3, p),
+         dict(n=3, surjective=True)),
+        (lambda: count_lifts_bruteforce(pres, p, chars),
+         dict(n=4, fixed=fixed)),
+        (lambda: massey_system_exists(pres, chars, p),
+         dict(n=4, fixed=negated, central=True)),
+    )
+    for search, literal in searches:
+        walked.clear()
+        got = search()
+        want = _literal_count(pres, p=p, **literal)
+        assert got == (want > 0 if isinstance(got, bool) else want)
+        first = Presentation(rank, relators[:1])
+        if _literal_count(first, p=p, **literal) == 0:
+            assert all(word is relators[0] for word in walked)
 
 
 @st.composite
@@ -973,6 +1038,6 @@ def test_block_verdicts_match_generates(case):
                 oracle._surjective_table.cache_clear()
                 oracle._surjective_tile.cache_clear()
     if p == 2:
-        assert isinstance(got, np.ndarray) == (k >= 6)
+        assert got.dtype == np.uint64 and len(got) == -(-size // 64)
         got = _unpack_lanes(got, size).astype(bool)
     assert got.dtype == bool and got.tolist() == want.tolist()

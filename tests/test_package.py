@@ -75,12 +75,12 @@ def test_closed_form_commands_load_no_array_engine():
 _TEST_REFERENCES = ("trilinear_trace",)
 
 
-def _read_names(path):
-    """Every name a source file reads: loaded names, attributes, imports and
+def _read_names(tree):
+    """Every name a syntax tree reads: loaded names, attributes, imports and
     identifier-shaped strings (for getattr tables).  Definitions and
     assignment targets are not reads."""
     names = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -101,11 +101,31 @@ def test_every_export_has_a_reader():
     files = [f for f in src.glob("*.py") if f.name != "__init__.py"]
     for folder in ("perfbench", "demos"):
         files += (root / folder).glob("*.py")
-    reads = {f: _read_names(f) for f in files}
+    reads = {f: _read_names(ast.parse(f.read_text())) for f in files}
     unread = [name for name, module in massey_census._SOURCE.items()
               if name not in _TEST_REFERENCES
               and not any(name in names for f, names in reads.items()
                           if f != src / f"{module}.py")]
+    assert not unread, sorted(unread)
+
+
+def test_every_private_function_has_a_reader():
+    # a module-level helper that nothing in src/ reads outside its own def
+    # was left behind when its callers went
+    src = Path(massey_census.__file__).parent
+    trees = {f: ast.parse(f.read_text()) for f in src.glob("*.py")}
+    reads = {f: _read_names(tree) for f, tree in trees.items()}
+    unread = []
+    for f, tree in trees.items():
+        for node in tree.body:
+            if not (isinstance(node, ast.FunctionDef)
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                continue
+            rest = ast.Module([n for n in tree.body if n is not node], [])
+            if not any(node.name in (_read_names(rest) if g == f else names)
+                       for g, names in reads.items()):
+                unread.append(f"{f.stem}.{node.name}")
     assert not unread, sorted(unread)
 
 
