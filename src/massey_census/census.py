@@ -216,12 +216,6 @@ def _model_forms(model, p):
     return tuple(grams), tuple(tensors) or None
 
 
-def _model_pair_mask(model, p, box):
-    from .scan import pair_mask
-
-    return pair_mask(model.rank, p, _model_forms(model, p)[0], box)
-
-
 def _class_types(model, p):
     """Per vector, bit i set when its block of the i-th Demushkin factor is
     zero; and the number of such factors."""
@@ -262,12 +256,10 @@ def _tmp_scan(model, p, budget, want_list, want_classes):
     from .scan import count_triples
 
     p = model_check(model, p)
-    box = [0, budget]
-    mask = _model_pair_mask(model, p, box)
-    tensors = _model_forms(model, p)[1]
+    grams, tensors = _model_forms(model, p)
     types, bits = _class_types(model, p) if want_classes else (None, 0)
-    count, listing, tally = count_triples(model.rank, p, mask, box, tensors,
-                                          types, want_list)
+    count, listing, tally = count_triples(model.rank, p, grams, [0, budget],
+                                          tensors, types, want_list)
     classes = None
     if want_classes:
         classes = {k: 0 for k in _classify_keys(model)}
@@ -292,19 +284,15 @@ def tmp_enumerate_forms(matrices, p, budget=DEFAULT_TMP_BUDGET):
     """Triple count for an explicit list of square int Gram arrays on one
     common space (the conditions (x,y) = (y,z) = 0 under every form, plus
     rank 3); used to confirm counts depend only on dimension, diagonal and
-    nondegeneracy."""
-    import numpy as np
+    nondegeneracy.  Hypothesis, as for a cup pairing: each array is
+    symmetric or skew-symmetric mod p, so (x,y) = 0 exactly when (y,x) = 0;
+    the scan refuses any other array, and non-integer entries, with a
+    ValueError."""
+    from .scan import count_triples
 
-    from .scan import count_triples, pair_mask
-
-    matrices = [np.asarray(m, dtype=np.int64) for m in matrices]
-    if not matrices:
+    if not len(matrices):
         raise ValueError("need at least one form")
-    d = len(matrices[0])
-    if any(m.shape != (d, d) for m in matrices):
-        raise ValueError("forms must be square arrays of one dimension")
-    box = [0, budget]
-    return count_triples(d, p, pair_mask(d, p, matrices, box), box)[0]
+    return count_triples(len(matrices[0]), p, matrices, [0, budget])[0]
 
 
 # --- closed forms ------------------------------------------------------------
@@ -434,8 +422,7 @@ def cp_count(model: GroupModel, p: int, method="closed", budget=DEFAULT_TMP_BUDG
         raise ValueError(f"unknown method {method!r}")
     from .scan import count_pairs
 
-    box = [0, budget]
-    return count_pairs(model.rank, p, _model_pair_mask(model, p, box), box)
+    return count_pairs(model.rank, p, _model_forms(model, p)[0], [0, budget])
 
 
 def un_quotient_decision(model: GroupModel, n: int) -> bool:

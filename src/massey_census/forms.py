@@ -75,28 +75,30 @@ def triple_tensors(pres: Presentation, p) -> list:
     return _corners(pres, p, 4)
 
 
-def zero_cup_table(grams, U, p) -> np.ndarray:
-    """The (len U, p^d) table of whether row U[i] and the vector of index j
-    have zero cup product under every Gram array.
+def zero_cup_blocks(grams, U, p):
+    """Yield (lo, block): the table of `zero_cup_table`, one run of rows at a
+    time, fp.BLOCK_CELLS cells each.  `block` holds rows lo, lo + 1, ... and
+    is one buffer, overwritten by the next run, so a caller that reduces
+    each run never holds the whole table.
 
     Split each y into a head of d // 2 coordinates and a tail.  Then
     x G y^T = (x G)_head . y_head + (x G)_tail . y_tail, and the cup is zero
     exactly when the head's sum mod p equals minus the tail's.  The residues
     of up to 31 // p.bit_length() arrays pack into one int32 code, so a run
-    of rows of the table is one broadcast comparison of head codes against
-    tail codes, built fp.BLOCK_CELLS cells at a time."""
+    of rows is one broadcast comparison of head codes against tail codes."""
     import numpy as np
 
     d = U.shape[1]
     h = d // 2
     head = vectors_array(h, p)
     tail = vectors_array(d - h, p)
-    ok = np.ones((len(U), len(head) * len(tail)), dtype=bool)
-    rows = max(1, fp.BLOCK_CELLS // ok.shape[1])
+    rows = max(1, fp.BLOCK_CELLS // (len(head) * len(tail)))
+    buffer = np.ones((min(rows, len(U)), len(head) * len(tail)), dtype=bool)
     per = 31 // p.bit_length()  # p^per < 2^31
     grams = [np.asarray(g, dtype=np.int64) % p for g in grams]
     for lo in range(0, len(U), rows):
-        block = ok[lo:lo + rows].reshape(-1, len(head), len(tail))
+        run = buffer[:min(rows, len(U) - lo)]
+        block = run.reshape(-1, len(head), len(tail))
         for start in range(0, len(grams), per):
             a = b = 0
             for k, gram in enumerate(grams[start:start + per]):
@@ -106,8 +108,20 @@ def zero_cup_table(grams, U, p) -> np.ndarray:
             a, b = a.astype(np.int32)[:, :, None], b.astype(np.int32)[:, None, :]
             if start:
                 block &= a == b
-            else:  # the first code: the block is still all true
+            else:  # the first code overwrites the last run's rows
                 np.equal(a, b, out=block)
+        yield lo, run
+
+
+def zero_cup_table(grams, U, p) -> np.ndarray:
+    """The (len U, p^d) table of whether row U[i] and the vector of index j
+    have zero cup product under every Gram array, assembled from
+    `zero_cup_blocks`."""
+    import numpy as np
+
+    ok = np.empty((len(U), p ** U.shape[1]), dtype=bool)
+    for lo, run in zero_cup_blocks(grams, U, p):
+        ok[lo:lo + len(run)] = run
     return ok
 
 

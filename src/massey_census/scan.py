@@ -1,16 +1,30 @@
 """The census triple scan over F_p^d: the pair mask, the admissible pairs
 and the triple-counting kernel.
 
-One kernel counts every triple.  It walks the nonzero x in blocks of whole
-rows, each holding about fp.BLOCK_CELLS array cells, and takes all
-admissible (x, y) pairs of a block at once.  The p indices of the line
-x + b y come from two small tables, one per half of the coordinates, and z
-is counted per pair from the pair mask's row at y and its hits on that line
-(see `count_triples`).  The budget counts primitive form evaluations (P per
-admissible pair and relator, P * P per pair-mask array) and is charged in
-full before any block is built.  The census imports this module where a
-scan runs, and its functions import numpy where they run, so a closed-form
-count loads neither."""
+The pair mask is reflexive, mask[x, y] = mask[y, x]: every Gram array is
+symmetric or skew-symmetric mod p, as a cup pairing is, and the scan
+refuses any other.  So counts read off y alone.  Let h(y) be the vectors
+of span(y) that pair to zero with y, p when mask[y, y] and else 1 (just 0),
+and f(y) = rowsum(y) - h(y), with f(0) = 0: the vectors outside span(y)
+that pair to zero with y, whether they stand as x or as z.  An admissible
+pair (x, y) has x nonzero, y outside span(x) and mask[x, y]; a triple adds
+a z outside span(x, y) with mask[y, z].  The z of span(x, y) outside
+span(y) are the a (x + b y), a != 0, and mask[y, x + b y] = mask[y, b y]
+for b != 0, so (p - 1) h(y) of them pair to zero with y, whatever x is:
+
+    pairs = sum_y f(y),    triples = sum_y f(y) (f(y) - (p - 1) h(y)).
+
+These counts read rowsum and mask[y, y] off each block of rows as it is
+built and never hold the whole mask (`pair_rows`).  A listing, a tally by
+vector types and the s3 triple tensors need each pair, so they build the
+mask and walk the nonzero x in blocks of whole rows, each holding about
+fp.BLOCK_CELLS array cells, taking all admissible (x, y) pairs of a block
+at once; the p indices of the line x + b y come from two small tables, one
+per half of the coordinates (see `count_triples`).  The budget counts
+primitive form evaluations (P per admissible pair and relator, P * P per
+pair-mask array) and is charged in full before any block is walked.  The
+census imports this module where a scan runs, and its functions import
+numpy where they run, so a closed-form count loads neither."""
 
 from __future__ import annotations
 
@@ -29,17 +43,94 @@ def spend(box, amount):
         )
 
 
+def _reflexive_grams(d, p, grams):
+    """The Gram arrays as d x d int64 arrays mod p.  Each must have integer
+    entries and be symmetric or skew-symmetric mod p, so that its zero
+    pairing is reflexive, (x, y) = 0 exactly when (y, x) = 0, as a cup
+    pairing's is (the cup product is graded-commutative); every count here
+    rests on that.  ValueError names the first array that is not."""
+    import numpy as np
+
+    p = fp.check_prime(p)
+    out = []
+    for i, gram in enumerate(grams):
+        a = np.asarray(gram)
+        if a.dtype.kind not in "biu":
+            raise ValueError(f"Gram array {i} has non-integer entries "
+                             f"({a.dtype})")
+        if a.shape != (d, d):
+            raise ValueError(f"Gram array {i} has shape {a.shape}, not "
+                             f"({d}, {d})")
+        a = a.astype(np.int64) % p
+        if (a != a.T).any() and ((a + a.T) % p).any():
+            raise ValueError(f"Gram array {i} is neither symmetric nor "
+                             f"skew-symmetric mod p = {p}: its zero pairing "
+                             f"is not reflexive")
+        out.append(a)
+    return out
+
+
+def _charged_space(d, p, grams, box):
+    """F_p^d as `vectors_array`, after charging P * P per Gram array."""
+    V = vectors_array(d, p)
+    for _ in grams:
+        spend(box, len(V) ** 2)
+    return V
+
+
 def pair_mask(d, p, grams, box):
     """The (P, P) boolean table over F_p^d, rows x and columns y, true when
     every Gram array pairs (x, y) to zero.  None if there is no array."""
     from .forms import zero_cup_table
 
+    grams = _reflexive_grams(d, p, grams)
     if not grams:
         return None
-    V = vectors_array(d, p)
-    for _ in grams:
-        spend(box, len(V) ** 2)
-    return zero_cup_table(grams, V, p)
+    return zero_cup_table(grams, _charged_space(d, p, grams, box), p)
+
+
+def _mask_rows(mask, P):
+    """Per x, the row sum of the pair mask and its diagonal entry
+    mask[x, x]; every entry is true when there is no mask."""
+    import numpy as np
+
+    if mask is None:
+        return np.full(P, P, dtype=np.int64), np.ones(P, dtype=bool)
+    return np.count_nonzero(mask, axis=1), mask.diagonal()
+
+
+def pair_rows(d, p, grams, box):
+    """`_mask_rows` of the pair mask, read off it one block of rows at a
+    time as `forms.zero_cup_blocks` builds it, so the whole (P, P) table is
+    never held.  Charged as `pair_mask`."""
+    import numpy as np
+
+    from .forms import zero_cup_blocks
+
+    grams = _reflexive_grams(d, p, grams)
+    P = p ** d
+    if not grams:
+        return _mask_rows(None, P)
+    sums, diag = np.empty(P, dtype=np.int64), np.empty(P, dtype=bool)
+    for lo, run in zero_cup_blocks(grams, _charged_space(d, p, grams, box),
+                                   p):
+        hi = lo + len(run)
+        sums[lo:hi] = np.count_nonzero(run, axis=1)
+        diag[lo:hi] = run[:, lo:hi].diagonal()
+    return sums, diag
+
+
+def _free(p, sums, diag):
+    """Per y, f(y), the vectors that pair to zero with y outside span(y),
+    and h(y), the vectors of span(y) that do: p when mask[y, y], else 1
+    (just 0); f(0) = 0.  By reflexivity f(y) counts both the x and the z
+    that pair with y."""
+    import numpy as np
+
+    h = np.where(diag, p, 1)
+    f = sums - h
+    f[0] = 0
+    return f, h
 
 
 def _line_table(k, p):
@@ -77,21 +168,6 @@ def _line_finder(d, p):
     return lines
 
 
-def _row_pairs(mask, lines):
-    """Per x, the admissible y: mask[x, y] and y outside span(x); none at
-    x = 0."""
-    import numpy as np
-
-    P, p = lines.shape
-    if mask is None:
-        rows = np.full(P, P - p, dtype=np.int64)
-    else:
-        rows = np.count_nonzero(mask, axis=1) - np.count_nonzero(
-            np.take_along_axis(mask, lines, axis=1), axis=1)
-    rows[0] = 0
-    return rows
-
-
 def _blocks(cells, cap):
     """Runs [lo, hi) of consecutive rows: a run takes rows while the cells
     before it stay under the cap, so it holds at most the cap plus one
@@ -112,8 +188,6 @@ def _type_sums(mask, types, T):
     P = len(types)
     if mask is None:
         return np.tile(np.bincount(types, minlength=T), (P, 1))
-    if T == 1:
-        return np.count_nonzero(mask, axis=1)[:, None]
     rows = max(1, fp.BLOCK_CELLS // P)
     return np.concatenate([
         np.stack([np.count_nonzero(mask[lo:lo + rows, types == t], axis=1)
@@ -121,46 +195,50 @@ def _type_sums(mask, types, T):
         for lo in range(0, P, rows)])
 
 
-def count_pairs(d, p, mask, box):
-    """Charge (P - 1) * P evaluations, then count the admissible (x, y)
-    pairs: x nonzero, y outside span(x) and, when there is a pair mask,
-    mask[x, y]."""
-    import numpy as np
-
-    P = p ** d
-    spend(box, (P - 1) * P)
-    lines = _line_finder(d, p)(np.zeros(P, dtype=np.int64), np.arange(P))
-    return int(_row_pairs(mask, lines).sum())
+def count_pairs(d, p, grams, box):
+    """Count the admissible (x, y) pairs: x nonzero, y outside span(x) and
+    every Gram array pairing (x, y) to zero.  There are sum_y f(y) of them
+    (`_free`).  Charges the pair mask, then (P - 1) * P evaluations."""
+    f, _ = _free(p, *pair_rows(d, p, grams, box))
+    spend(box, (p ** d - 1) * p ** d)
+    return int(f.sum())
 
 
-def count_triples(d, p, mask, box, tensors=None, types=None,
+def count_triples(d, p, grams, box, tensors=None, types=None,
                   want_list=False):
-    """The triple scan over F_p^d.  `mask` is the pair mask (None: every pair
-    admissible); `tensors` are the s3 triple tensors, whose vanishing on
-    (x, y, z) replaces mask[y, z].  Returns the count, the (x, y, z) index
-    triples in lexicographic order as an (m, 3) int32 array when
-    `want_list` (one array per block, joined once), and a (T, T) tally of
-    triples by (type of x, type of z) for the int `types` of each vector.
+    """The triple scan over F_p^d.  `grams` are the Gram arrays of the pair
+    mask (none: every pair admissible); `tensors` are the s3 triple tensors,
+    whose vanishing on (x, y, z) replaces mask[y, z].  Returns the count,
+    the (x, y, z) index triples in lexicographic order as an (m, 3) int32
+    array when `want_list`, and a (T, T) tally of triples by (type of x,
+    type of z) for the int `types` of each vector.
 
-    span(x, y) is 0, the b y with b != 0, and the a (x + b y) with a != 0.
-    Scaling by a != 0 keeps both mask[y, .] and the type, so z is counted
-    per pair as the z with mask[y, z] outside span(y), less p - 1 times
-    the hits on the line x + b y: p lookups per pair, not p^2."""
+    Without tensors, types or a listing the count is the per-y sum
+    sum_y f(y) (f(y) - (p - 1) h(y)) of the module notes, read off the pair
+    mask's rows as they are built.  Otherwise the whole mask is built and
+    the nonzero x are walked in blocks of whole rows.  A listing off the
+    mask is allocated once at the per-y count and filled block by block;
+    s3 pieces are joined once."""
     import numpy as np
 
     from .forms import zero_cup_table
 
     P = p ** d
-    line_of = _line_finder(d, p)
-    every = np.arange(P)
-    lines = line_of(np.zeros(P, dtype=np.int64), every)  # (P, p): the b x
-    row_pairs = _row_pairs(mask, lines)
-    spend(box, int(row_pairs.sum()) * P
-          * (1 if tensors is None else len(tensors)))
-
     if types is None:
         types = np.zeros(P, dtype=np.int64)
     T = int(types.max()) + 1
+    per_y = tensors is None and T == 1 and not want_list
+    mask = None if per_y else pair_mask(d, p, grams, box)
+    sums, diag = pair_rows(d, p, grams, box) if per_y else _mask_rows(mask, P)
+    f, h = _free(p, sums, diag)  # f[x]: the admissible y of x
+    spend(box, int(f.sum()) * P * (1 if tensors is None else len(tensors)))
+    if tensors is None:
+        count = int(f @ (f - (p - 1) * h))
+        if per_y:
+            return count, None, np.array([[count]])
+    line_of = _line_finder(d, p)
+    every = np.arange(P)
+    lines = line_of(np.zeros(P, dtype=np.int64), every)  # (P, p): the b x
     dense = want_list or tensors is not None  # build each pair's z-mask row
     if tensors is not None:
         # z is admissible when it pairs to zero with w = x T y under the dot
@@ -168,19 +246,19 @@ def count_triples(d, p, mask, box, tensors=None, types=None,
         V = vectors_array(d, p)
         dot = zero_cup_table([np.eye(d, dtype=np.int64)], V, p)
         powers = p ** np.arange(d - 1, -1, -1)
+        pieces = [np.empty((0, 3), dtype=np.int32)]
     else:
-        flat = None if mask is None else mask.ravel()
         # per y: the z of each type with mask[y, z] outside span(y), that is
         # less z = 0 and, when mask[y, y], the p - 1 multiples b y
         free = _type_sums(mask, types, T)
         free[:, types[0]] -= 1
-        free[every, types] -= (p - 1) * (
-            np.ones(P, dtype=bool) if mask is None else mask.diagonal())
+        free[every, types] -= (p - 1) * diag
         pair_ys = np.zeros(T * P, dtype=np.int64)  # pairs per (type of x, y)
+        if want_list:
+            listing, at = np.empty((count, 3), dtype=np.int32), 0
     # per block: the y-mask rows, then a line per pair or a z-mask row
-    cells = P + row_pairs[1:] * (P if dense else p)
+    cells = P + f[1:] * (P if dense else p)
     tally = np.zeros((T, T), dtype=np.int64)
-    listing = [np.empty((0, 3), dtype=np.int32)]
     for lo, hi in _blocks(cells, fp.BLOCK_CELLS):
         lo, hi = lo + 1, hi + 1  # x = 0 has no pairs
         ymask = (np.ones((hi - lo, P), dtype=bool) if mask is None
@@ -193,14 +271,13 @@ def count_triples(d, p, mask, box, tensors=None, types=None,
         tx = types[ix]
         if not dense:
             pair_ys += np.bincount(tx * P + iy, minlength=T * P)
-            hit = np.ones(line.shape, dtype=bool) if mask is None else (
-                np.take(flat, line + (iy * P)[:, None]))
-            if T == 1:
-                tally[0, 0] -= (p - 1) * np.count_nonzero(hit)
-            else:
-                key = types[line] + (tx * T)[:, None]
-                tally -= (p - 1) * np.bincount(
-                    key[hit], minlength=T * T).reshape(T, T)
+            # the z of span(x, y) off span(y) with mask[y, z] are the
+            # a (x + b y), a != 0: by reflexivity at b = 0, and at every b
+            # when mask[y, y]
+            hit = (np.arange(p) == 0) | diag[iy][:, None]
+            key = types[line] + (tx * T)[:, None]
+            tally -= (p - 1) * np.bincount(
+                key[hit], minlength=T * T).reshape(T, T)
             continue
         if tensors is not None:
             zmask = np.ones((len(ix), P), dtype=bool)
@@ -216,16 +293,28 @@ def count_triples(d, p, mask, box, tensors=None, types=None,
         span = np.take(lines, line, axis=0).reshape(-1, p * p)
         zmask.ravel()[base + span] = False
         zmask.ravel()[base + np.take(lines, iy, axis=0)] = False
-        if T == 1 and not want_list:
-            tally[0, 0] += np.count_nonzero(zmask)
-            continue
-        rows, iz = np.divmod(np.flatnonzero(zmask), P)
-        tally += np.bincount(tx[rows] * T + types[iz],
-                             minlength=T * T).reshape(T, T)
+        found = np.count_nonzero(zmask)
+        if T == 1:
+            tally[0, 0] += found
+        else:
+            rows, iz = np.nonzero(zmask)
+            tally += np.bincount(tx[rows] * T + types[iz],
+                                 minlength=T * T).reshape(T, T)
         if want_list:
-            listing.append(np.stack((ix[rows], iy[rows], iz), axis=1)
-                           .astype(np.int32))
+            if tensors is None:
+                piece, at = listing[at:at + found], at + found
+            else:
+                piece = np.empty((found, 3), dtype=np.int32)
+                pieces.append(piece)
+            # int32 columns in zmask's row-major order: x and y once per z
+            # of their pair, then the z themselves
+            per_pair = np.count_nonzero(zmask, axis=1)
+            piece[:, 0] = np.repeat(ix.astype(np.int32), per_pair)
+            piece[:, 1] = np.repeat(iy.astype(np.int32), per_pair)
+            piece[:, 2] = np.broadcast_to(every.astype(np.int32),
+                                          zmask.shape)[zmask]
     if not dense:
         tally += pair_ys.reshape(T, P) @ free
-    return (int(tally.sum()), np.concatenate(listing) if want_list else None,
-            tally)
+    if want_list and tensors is not None:
+        listing = np.concatenate(pieces)
+    return int(tally.sum()), listing if want_list else None, tally

@@ -286,6 +286,16 @@ def _formula_vs_scan(model, p, frozen, _threads):
                      epi_count(model, p, method="tmp_sum").epi, frozen)
 
 
+def _scan_reach(_threads):
+    """The scan's largest cell: P = 5^6 vectors, whose 244 MB pair mask the
+    unclassified count reads a block of rows at a time.  It charges 7.6e11
+    form evaluations, over the default budget."""
+    model = GroupModel.demushkin(6, 5)
+    return _check_eq("tmp_enumerate = tmp_closed = frozen",
+                     tmp_enumerate(model, 5, budget=10 ** 12)[0],
+                     tmp_closed(model, 5), 151115328000)
+
+
 def _free_rank2_u4_vanishes(_threads):
     model = GroupModel.free(2)
     formula = epi_count(model, 3).epi
@@ -366,6 +376,8 @@ CHECKS = (
           _free_rank2_u4_vanishes, "extended"),
     Check("triple counts are invariant under a change of basis",
           _basis_invariance, "extended"),
+    Check("demushkin(6,5) p=5 scan = closed 151115328000", _scan_reach,
+          "extended"),
 ) + tuple(
     # rank 5: 2^30 nominal assignments, within the extended budget; rank 6:
     # 2^36, past it, so those rows name their budget (2^30 are enumerated)

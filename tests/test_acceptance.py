@@ -191,3 +191,9 @@ def test_basis_invariance_row():
     r = passed("triple counts are invariant under a change of basis")
     assert r["detail"] == ("changed basis = model: 144 = 144, "
                            "34560 = 34560, 6912 = 6912")
+
+
+def test_scan_reach_row():
+    # P = 5^6: the unclassified count reads the 244 MB pair mask a block of
+    # rows at a time, never whole
+    passed("demushkin(6,5) p=5 scan = closed 151115328000")

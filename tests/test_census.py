@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from massey_census import census, forms, fp, scan
 from massey_census.census import (
@@ -335,20 +335,26 @@ def _naive_s3_triples(model, p):
 
 @st.composite
 def explicit_forms(draw):
+    """Alternating forms and, beside them, symmetric forms with random
+    diagonals, whose anisotropic y (mask[y, y] false) have h(y) = 1."""
     p = draw(st.sampled_from((2, 3)))
     d = draw(st.integers(2, 4 if p == 2 else 3))
     forms = []
     for _ in range(draw(st.integers(1, 2))):
+        symmetric = draw(st.booleans())
         a = np.zeros((d, d), dtype=np.int64)
-        for i, j in itertools.combinations(range(d), 2):
-            a[i, j] = draw(st.integers(0, p - 1))
-            a[j, i] = -a[i, j] % p
+        for i, j in itertools.combinations_with_replacement(range(d), 2):
+            if i < j or symmetric:
+                a[i, j] = draw(st.integers(0, p - 1))
+                a[j, i] = a[i, j] if symmetric else -a[i, j] % p
         forms.append(a)
     return forms, d, p
 
 
 @settings(max_examples=30, deadline=None)
 @given(explicit_forms())
+@example(([np.eye(3, dtype=np.int64)], 3, 3))  # the dot product: y.y != 0
+@example(([np.diag([1, 0, 1]), np.diag([0, 1, 1])], 3, 2))
 def test_scan_matches_literal_definition_forms(case):
     forms, d, p = case
 
@@ -357,6 +363,87 @@ def test_scan_matches_literal_definition_forms(case):
 
     naive = _naive_triples(d, p, lambda x, y, z: pairs(x, y) and pairs(y, z))
     assert tmp_enumerate_forms(forms, p) == len(naive)
+    space = list(itertools.product(range(p), repeat=d))
+    naive_pairs = sum(pairs(x, y) and rank_mod(np.array([x, y]), p) == 2
+                      for x in space for y in space)
+    assert scan.count_pairs(d, p, forms, [0, 10 ** 9]) == naive_pairs
+
+
+def _structured_models():
+    """Demushkin (D1-D4), free, df and dd models at p = 2, 3 and 5 with
+    P <= 5000, and the s3 presets."""
+    cells = [(preset_model(name), p) for name in ("borromean",
+             "counterexample1", "ram01") for p in (2, 3, 5)]
+    for p, top in ((2, 12), (3, 7), (5, 5)):
+        dem = _demushkin_factors(p, top)
+        cells += [(GroupModel("demushkin", [f]), p) for f in dem]
+        cells += [(GroupModel.free(e), p) for e in range(1, top + 1)]
+        cells += [(GroupModel("df", [f, ("free", e, None, None)]), p)
+                  for f in dem[::3] for e in (1, 2) if f[1] + e <= top]
+        cells += [(GroupModel("dd", [f, g]), p) for f in dem[::4]
+                  for g in dem[::5] if f[1] + g[1] <= top]
+    return cells
+
+
+def test_every_model_gram_array_is_reflexive():
+    cells = _structured_models()
+    assert len(cells) >= 100
+    for model, p in cells:
+        grams = census._model_forms(model, p)[0]
+        P = p ** model.rank
+        assert len(scan._reflexive_grams(model.rank, p, grams)) == len(grams)
+        if grams and P <= 729:
+            mask = scan.pair_mask(model.rank, p, grams, [0, 10 ** 9])
+            assert (mask == mask.T).all(), (model.describe(), p)
+
+
+def test_pair_mask_refuses_what_is_not_reflexive():
+    sym = np.eye(2, dtype=np.int64)
+    for forms, p, match in (
+        ([[[0.5, 1], [0, 0]]], 3, "Gram array 0 has non-integer"),
+        ([sym, np.array([[0.0, 1.0], [-1.0, 0.0]])], 3,
+         "Gram array 1 has non-integer"),
+        ([[[0, 1], [0, 0]]], 3, "Gram array 0 is neither symmetric"),
+        ([[[0, 1], [0, 0]]], 2, "Gram array 0 is neither symmetric"),
+        # skew off the diagonal with a nonzero diagonal entry
+        ([sym, [[1, 1], [-1, 0]]], 3, "Gram array 1 is neither symmetric"),
+        ([sym, np.eye(3, dtype=np.int64)], 3, "Gram array 1 has shape"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            tmp_enumerate_forms(forms, p)
+        box = [0, 10 ** 9]
+        for build in (scan.pair_mask, scan.pair_rows):
+            with pytest.raises(ValueError, match=match):
+                build(2, p, forms, box)
+        assert box[0] == 0  # refused before any charge
+    # symmetric with a diagonal, and skew, mod p: both pass
+    assert tmp_enumerate_forms([[[1, 4], [1, 0]]], 3) == tmp_enumerate_forms(
+        [[[1, 1], [1, 0]]], 3)
+    assert tmp_enumerate_forms([[[0, 1], [2, 0]]], 3) >= 0
+
+
+def test_pair_rows_stream_the_pair_mask():
+    for model, p in ((GroupModel.dd(2, 3, 2, 3), 3),
+                     (GroupModel.demushkin(3, 2), 2),
+                     (GroupModel.free(3), 2)):
+        grams = census._model_forms(model, p)[0]
+        whole = scan._mask_rows(
+            scan.pair_mask(model.rank, p, grams, [0, 10 ** 9]), p ** model.rank)
+        for cap in (1, 7, 10 ** 6):
+            with mock.patch.object(fp, "BLOCK_CELLS", cap):
+                rows = scan.pair_rows(model.rank, p, grams, [0, 10 ** 9])
+            assert all((a == b).all() for a, b in zip(rows, whole))
+
+
+def test_cp_count_enumerate_matches_closed_on_a_grid():
+    cells = [(preset_model("borromean"), p) for p in (2, 3)]
+    for p, top in ((2, 10), (3, 6), (5, 4)):
+        cells += [(GroupModel("demushkin", [f]), p)
+                  for f in _demushkin_factors(p, top)]
+        cells += [(GroupModel.free(d), p) for d in range(1, top + 1)]
+    for model, p in cells:
+        assert cp_count(model, p, "enumerate", budget=10 ** 12) == cp_count(
+            model, p), (model.describe(), p)
 
 
 # --- blocks of x: the cell cap changes nothing ----------------------------------
@@ -465,7 +552,8 @@ def test_triple_listing_is_a_read_only_sequence():
 
 def test_listing_costs_its_index_array():
     # 34560 triples of 12 B each; the listing must not hold a python object
-    # per triple (about 136 B each when it did)
+    # per triple (about 136 B each when it did), nor its blocks' pieces
+    # beside their join (32 B each when it did)
     model, p = GroupModel.demushkin(4, 3), 3
     tmp_enumerate(model, p)  # read the cup pairing off the relators first
     tracemalloc.start()
@@ -475,7 +563,7 @@ def test_listing_costs_its_index_array():
     finally:
         tracemalloc.stop()
     assert count == len(triples) == 34560
-    assert peak < 4 * 12 * count, peak
+    assert peak < 2 * 12 * count, peak
 
 
 def test_over_budget_scan_builds_no_block(monkeypatch):
@@ -489,12 +577,14 @@ def test_over_budget_scan_builds_no_block(monkeypatch):
             tmp_enumerate(model, p, budget=p ** (2 * model.rank) + 1)
         with pytest.raises(BudgetError):
             epi_count(model, p, method="tmp_sum", budget=10 ** 5)
+    # an in-budget listing walks blocks; an unclassified count has none
     with pytest.raises(AssertionError, match="a block was built"):
-        tmp_enumerate(GroupModel.demushkin(4, 3), 3)
+        tmp_enumerate(GroupModel.demushkin(4, 3), 3, want_list=True)
 
 
 def test_scan_memory_is_bounded():
-    # the pair mask (P^2 bytes) plus temporaries bounded by the cell cap
+    # the unclassified count reads the pair mask a block of rows at a time:
+    # it never holds the P^2 bytes of the whole mask
     model, p = GroupModel.dd(2, 5, 2, 5), 5
     P = p ** model.rank
     tracemalloc.start()
@@ -504,7 +594,7 @@ def test_scan_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert count == tmp_closed(model, p)
-    assert peak < P * P + 16 * fp.BLOCK_CELLS, peak
+    assert peak < P * P, peak
 
 
 def test_cup_pairing_walked_once_per_model_and_prime(monkeypatch):
