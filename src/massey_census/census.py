@@ -194,8 +194,8 @@ class TmpTriples(Sequence):
 #
 # The scan itself is `scan`, imported where a scan runs, so a closed-form
 # count neither loads numpy nor compiles it.  This side gives it a model's
-# pair mask, triple tensors and vector types, and reads its tally as image
-# classes.
+# Gram arrays, triple tensors and central subspaces, and reads its subspace
+# counts as image classes.
 
 
 @functools.lru_cache(maxsize=64)
@@ -216,20 +216,17 @@ def _model_forms(model, p):
     return tuple(grams), tuple(tensors) or None
 
 
-def _class_types(model, p):
-    """Per vector, bit i set when its block of the i-th Demushkin factor is
-    zero; and the number of such factors."""
+def _central_spaces(model, p):
+    """Per one-relator factor, the boolean mask over F_p^rank of the vectors
+    zero on its block of coordinates."""
     import numpy as np
 
-    V = vectors_array(model.rank, p)
-    types = np.zeros(len(V), dtype=np.int64)
-    bits = off = 0
+    every, out, off = np.arange(p ** model.rank), [], 0
     for kind, size, _q, _case in model.factors:
-        if kind == "demushkin":
-            types |= (V[:, off : off + size] == 0).all(axis=1).astype(np.int64) << bits
-            bits += 1
         off += size
-    return types, bits
+        if kind == "demushkin":
+            out.append(every // p ** (model.rank - off) % p ** size == 0)
+    return out
 
 
 def _classify_keys(model):
@@ -242,30 +239,33 @@ def _classify_keys(model):
                  itertools.product(("central", "noncentral"), repeat=bits))
 
 
-def _class_key(x_type, z_type, bits):
-    """A factor is central when both x and z vanish on its block."""
-    return "+".join(
-        "central" if (x_type & z_type) >> i & 1 else "noncentral"
-        for i in range(bits)
-    ) or "any"
-
-
 def _tmp_scan(model, p, budget, want_list, want_classes):
-    import numpy as np
+    """The triple count, the listing when `want_list`, and the triples per
+    image class when `want_classes`.
 
+    A triple is central on the one-relator factors on whose blocks both x
+    and z vanish.  Let W_S be the vectors zero on every block of a set S of
+    factors: the scan's N(W_S), the triples with x and z in W_S, counts
+    those central on at least S, so by inclusion-exclusion the class
+    central on exactly C holds sum_{S >= C} (-1)^|S - C| N(W_S)."""
     from .scan import count_triples
 
     p = model_check(model, p)
     grams, tensors = _model_forms(model, p)
-    types, bits = _class_types(model, p) if want_classes else (None, 0)
-    count, listing, tally = count_triples(model.rank, p, grams, [0, budget],
-                                          tensors, types, want_list)
-    classes = None
-    if want_classes:
-        classes = {k: 0 for k in _classify_keys(model)}
-        for x_type, z_type in zip(*np.nonzero(tally)):
-            classes[_class_key(x_type, z_type, bits)] += int(tally[x_type, z_type])
-    return count, listing, classes
+    zero = _central_spaces(model, p) if want_classes else []
+    # per factor, whether S holds it, in `_classify_keys` order: S empty last
+    sets = list(itertools.product((True, False), repeat=len(zero)))
+    spaces = [functools.reduce(operator.and_, itertools.compress(zero, S))
+              for S in sets[:-1]]
+    count, listing, on = count_triples(model.rank, p, grams, [0, budget],
+                                       tensors, spaces, want_list)
+    if not want_classes:
+        return count, listing, None
+    N = dict(zip(sets, [*on, count]))
+    return count, listing, {
+        key: sum((-1) ** (sum(S) - sum(C)) * n for S, n in N.items()
+                 if all(map(operator.ge, S, C)))
+        for key, C in zip(_classify_keys(model), sets)}
 
 
 def tmp_enumerate(model, p, budget=DEFAULT_TMP_BUDGET, want_list=False):
@@ -354,7 +354,7 @@ def _one_central(d: int, e: int, p: int) -> int:
 
 
 def _closed_classes(model: GroupModel, p: int, budget) -> dict:
-    """Closed triple counts per image class, keyed as the scan tallies them;
+    """Closed triple counts per image class, keyed as the scan counts them;
     s3 models have no closed count and are scanned."""
     if model.kind == "s3":
         return {"any": _tmp_scan(model, p, budget, False, False)[0]}

@@ -14,17 +14,24 @@ for b != 0, so (p - 1) h(y) of them pair to zero with y, whatever x is:
 
     pairs = sum_y f(y),    triples = sum_y f(y) (f(y) - (p - 1) h(y)).
 
-These counts read rowsum and mask[y, y] off each block of rows as it is
-built and never hold the whole mask (`pair_rows`).  A listing, a tally by
-vector types and the s3 triple tensors need each pair, so they build the
-mask and walk the nonzero x in blocks of whole rows, each holding about
-fp.BLOCK_CELLS array cells, taking all admissible (x, y) pairs of a block
-at once; the p indices of the line x + b y come from two small tables, one
-per half of the coordinates (see `count_triples`).  The budget counts
-primitive form evaluations (P per admissible pair and relator, P * P per
-pair-mask array) and is charged in full before any block is walked.  The
-census imports this module where a scan runs, and its functions import
-numpy where they run, so a closed-form count loads neither."""
+The same sum counts the triples whose x and z lie in a subspace W, y
+anywhere.  Take the row sum over W's columns, and h_W(y) = p when mask[y, y]
+and y is in W, else 1: the vectors of span(y) in W are all of span(y) when
+y is in W and just 0 otherwise.  With x in W, a (x + b y) lies in W exactly
+when b = 0 or y is in W, so (p - 1) h_W(y) of the z above lie in W and
+pair to zero with y, and N(W) = sum_y f_W(y) (f_W(y) - (p - 1) h_W(y)).
+
+These counts read the row sums and mask[y, y] off each block of rows as it
+is built and never hold the whole mask (`pair_rows`).  A listing and the
+s3 triple tensors need each pair, so they build the mask and walk the
+nonzero x in blocks of whole rows, each holding about fp.BLOCK_CELLS array
+cells, taking all admissible (x, y) pairs of a block at once; the p
+indices of the line x + b y come from two small tables, one per half of
+the coordinates (see `count_triples`).  The budget counts primitive form
+evaluations (P per admissible pair and relator, P * P per pair-mask array)
+and is charged in full before any block is walked.  The census imports
+this module where a scan runs, and its functions import numpy where they
+run, so a closed-form count loads neither."""
 
 from __future__ import annotations
 
@@ -99,10 +106,13 @@ def _mask_rows(mask, P):
     return np.count_nonzero(mask, axis=1), mask.diagonal()
 
 
-def pair_rows(d, p, grams, box):
-    """`_mask_rows` of the pair mask, read off it one block of rows at a
-    time as `forms.zero_cup_blocks` builds it, so the whole (P, P) table is
-    never held.  Charged as `pair_mask`."""
+def pair_rows(d, p, grams, box, spaces=()):
+    """Per y, the pair mask's row sums over the whole space and then over
+    each subspace in `spaces` (boolean masks over F_p^d), as a
+    (1 + len(spaces), P) array, and the diagonal mask[y, y].  They are read
+    off one block of rows at a time as `forms.zero_cup_blocks` builds the
+    mask, so the whole (P, P) table is never held.  Charged as
+    `pair_mask`."""
     import numpy as np
 
     from .forms import zero_cup_blocks
@@ -110,12 +120,16 @@ def pair_rows(d, p, grams, box):
     grams = _reflexive_grams(d, p, grams)
     P = p ** d
     if not grams:
-        return _mask_rows(None, P)
-    sums, diag = np.empty(P, dtype=np.int64), np.empty(P, dtype=bool)
+        sums = [P, *map(np.count_nonzero, spaces)]
+        return np.repeat(np.array(sums)[:, None], P, axis=1), np.ones(P, bool)
+    columns = [slice(None), *map(np.flatnonzero, spaces)]
+    sums = np.empty((len(columns), P), dtype=np.int64)
+    diag = np.empty(P, dtype=bool)
     for lo, run in zero_cup_blocks(grams, _charged_space(d, p, grams, box),
                                    p):
         hi = lo + len(run)
-        sums[lo:hi] = np.count_nonzero(run, axis=1)
+        for row, at in zip(sums, columns):
+            row[lo:hi] = np.count_nonzero(run[:, at], axis=1)
         diag[lo:hi] = run[:, lo:hi].diagonal()
     return sums, diag
 
@@ -180,86 +194,60 @@ def _blocks(cells, cap):
     return zip(edges[:-1], edges[1:])
 
 
-def _type_sums(mask, types, T):
-    """(P, T): per y, the z of each type with mask[y, z], counted
-    fp.BLOCK_CELLS cells of rows at a time."""
-    import numpy as np
-
-    P = len(types)
-    if mask is None:
-        return np.tile(np.bincount(types, minlength=T), (P, 1))
-    rows = max(1, fp.BLOCK_CELLS // P)
-    return np.concatenate([
-        np.stack([np.count_nonzero(mask[lo:lo + rows, types == t], axis=1)
-                  for t in range(T)], axis=1)
-        for lo in range(0, P, rows)])
-
-
 def count_pairs(d, p, grams, box):
     """Count the admissible (x, y) pairs: x nonzero, y outside span(x) and
     every Gram array pairing (x, y) to zero.  There are sum_y f(y) of them
     (`_free`).  Charges the pair mask, then (P - 1) * P evaluations."""
-    f, _ = _free(p, *pair_rows(d, p, grams, box))
+    (sums,), diag = pair_rows(d, p, grams, box)
     spend(box, (p ** d - 1) * p ** d)
-    return int(f.sum())
+    return int(_free(p, sums, diag)[0].sum())
 
 
-def count_triples(d, p, grams, box, tensors=None, types=None,
+def count_triples(d, p, grams, box, tensors=None, spaces=(),
                   want_list=False):
     """The triple scan over F_p^d.  `grams` are the Gram arrays of the pair
     mask (none: every pair admissible); `tensors` are the s3 triple tensors,
     whose vanishing on (x, y, z) replaces mask[y, z].  Returns the count,
     the (x, y, z) index triples in lexicographic order as an (m, 3) int32
-    array when `want_list`, and a (T, T) tally of triples by (type of x,
-    type of z) for the int `types` of each vector.
+    array when `want_list`, and per subspace W in `spaces` (boolean masks
+    over F_p^d) the count N(W) of the triples whose x and z lie in W.
 
-    Without tensors, types or a listing the count is the per-y sum
-    sum_y f(y) (f(y) - (p - 1) h(y)) of the module notes, read off the pair
-    mask's rows as they are built.  Otherwise the whole mask is built and
-    the nonzero x are walked in blocks of whole rows.  A listing off the
-    mask is allocated once at the per-y count and filled block by block;
-    s3 pieces are joined once."""
+    Without tensors or a listing every count is the per-y sum of the module
+    notes, read off the pair mask's rows as they are built.  Otherwise the
+    whole mask is built and the nonzero x are walked in blocks of whole
+    rows, for the whole space only: `spaces` must be empty.  A listing off
+    the mask is allocated once at the per-y count and filled block by
+    block; s3 pieces are joined once."""
     import numpy as np
 
     from .forms import zero_cup_table
 
     P = p ** d
-    if types is None:
-        types = np.zeros(P, dtype=np.int64)
-    T = int(types.max()) + 1
-    per_y = tensors is None and T == 1 and not want_list
-    mask = None if per_y else pair_mask(d, p, grams, box)
-    sums, diag = pair_rows(d, p, grams, box) if per_y else _mask_rows(mask, P)
-    f, h = _free(p, sums, diag)  # f[x]: the admissible y of x
+    if tensors is None and not want_list:
+        sums, diag = pair_rows(d, p, grams, box, spaces)
+        free = [_free(p, row, diag & w)
+                for row, w in zip(sums, [True, *spaces])]
+        spend(box, int(free[0][0].sum()) * P)
+        count, *on = (int(f @ (f - (p - 1) * h)) for f, h in free)
+        return count, None, on
+    mask = pair_mask(d, p, grams, box)
+    f, h = _free(p, *_mask_rows(mask, P))  # f[x]: the admissible y of x
     spend(box, int(f.sum()) * P * (1 if tensors is None else len(tensors)))
-    if tensors is None:
-        count = int(f @ (f - (p - 1) * h))
-        if per_y:
-            return count, None, np.array([[count]])
     line_of = _line_finder(d, p)
     every = np.arange(P)
     lines = line_of(np.zeros(P, dtype=np.int64), every)  # (P, p): the b x
-    dense = want_list or tensors is not None  # build each pair's z-mask row
-    if tensors is not None:
+    if tensors is None:  # a listing as long as the per-y count
+        listing, at = np.empty((int(f @ (f - (p - 1) * h)), 3),
+                               dtype=np.int32), 0
+    else:
         # z is admissible when it pairs to zero with w = x T y under the dot
         # product, for each trace tensor T: the row of w's index
         V = vectors_array(d, p)
         dot = zero_cup_table([np.eye(d, dtype=np.int64)], V, p)
         powers = p ** np.arange(d - 1, -1, -1)
-        pieces = [np.empty((0, 3), dtype=np.int32)]
-    else:
-        # per y: the z of each type with mask[y, z] outside span(y), that is
-        # less z = 0 and, when mask[y, y], the p - 1 multiples b y
-        free = _type_sums(mask, types, T)
-        free[:, types[0]] -= 1
-        free[every, types] -= (p - 1) * diag
-        pair_ys = np.zeros(T * P, dtype=np.int64)  # pairs per (type of x, y)
-        if want_list:
-            listing, at = np.empty((count, 3), dtype=np.int32), 0
-    # per block: the y-mask rows, then a line per pair or a z-mask row
-    cells = P + f[1:] * (P if dense else p)
-    tally = np.zeros((T, T), dtype=np.int64)
-    for lo, hi in _blocks(cells, fp.BLOCK_CELLS):
+        count, pieces = 0, [np.empty((0, 3), dtype=np.int32)]
+    # per block: the y-mask rows, then a z-mask row per pair
+    for lo, hi in _blocks((f[1:] + 1) * P, fp.BLOCK_CELLS):
         lo, hi = lo + 1, hi + 1  # x = 0 has no pairs
         ymask = (np.ones((hi - lo, P), dtype=bool) if mask is None
                  else mask[lo:hi].copy())
@@ -267,54 +255,37 @@ def count_triples(d, p, grams, box, tensors=None, types=None,
         pairs = np.flatnonzero(ymask)
         rows, iy = np.divmod(pairs, P)
         ix = rows + lo
-        line = line_of(ix, iy)  # (pairs, p)
-        tx = types[ix]
-        if not dense:
-            pair_ys += np.bincount(tx * P + iy, minlength=T * P)
-            # the z of span(x, y) off span(y) with mask[y, z] are the
-            # a (x + b y), a != 0: by reflexivity at b = 0, and at every b
-            # when mask[y, y]
-            hit = (np.arange(p) == 0) | diag[iy][:, None]
-            key = types[line] + (tx * T)[:, None]
-            tally -= (p - 1) * np.bincount(
-                key[hit], minlength=T * T).reshape(T, T)
-            continue
-        if tensors is not None:
+        if tensors is None:
+            zmask = (np.ones((len(ix), P), dtype=bool) if mask is None
+                     else mask[iy])
+        else:
             zmask = np.ones((len(ix), P), dtype=bool)
             for t in tensors:
                 # per x of the block, the index of w = (x T) y for every y
                 xt = V[lo:hi] @ t.reshape(d, d * d) % p
                 w = np.matmul(V, xt.reshape(-1, d, d)) % p @ powers
                 zmask &= dot[np.take(w, pairs)]
-        else:
-            zmask = np.ones((len(ix), P), dtype=bool) if mask is None else mask[iy]
         # off span(x, y): the multiples of the line and of y
         base = (np.arange(len(ix)) * P)[:, None]
-        span = np.take(lines, line, axis=0).reshape(-1, p * p)
+        span = np.take(lines, line_of(ix, iy), axis=0).reshape(-1, p * p)
         zmask.ravel()[base + span] = False
         zmask.ravel()[base + np.take(lines, iy, axis=0)] = False
         found = np.count_nonzero(zmask)
-        if T == 1:
-            tally[0, 0] += found
+        if tensors is None:
+            piece, at = listing[at:at + found], at + found
         else:
-            rows, iz = np.nonzero(zmask)
-            tally += np.bincount(tx[rows] * T + types[iz],
-                                 minlength=T * T).reshape(T, T)
-        if want_list:
-            if tensors is None:
-                piece, at = listing[at:at + found], at + found
-            else:
-                piece = np.empty((found, 3), dtype=np.int32)
-                pieces.append(piece)
-            # int32 columns in zmask's row-major order: x and y once per z
-            # of their pair, then the z themselves
-            per_pair = np.count_nonzero(zmask, axis=1)
-            piece[:, 0] = np.repeat(ix.astype(np.int32), per_pair)
-            piece[:, 1] = np.repeat(iy.astype(np.int32), per_pair)
-            piece[:, 2] = np.broadcast_to(every.astype(np.int32),
-                                          zmask.shape)[zmask]
-    if not dense:
-        tally += pair_ys.reshape(T, P) @ free
-    if want_list and tensors is not None:
-        listing = np.concatenate(pieces)
-    return int(tally.sum()), listing if want_list else None, tally
+            count += found
+            if not want_list:
+                continue
+            piece = np.empty((found, 3), dtype=np.int32)
+            pieces.append(piece)
+        # int32 columns in zmask's row-major order: x and y once per z of
+        # their pair, then the z themselves
+        per_pair = np.count_nonzero(zmask, axis=1)
+        piece[:, 0] = np.repeat(ix.astype(np.int32), per_pair)
+        piece[:, 1] = np.repeat(iy.astype(np.int32), per_pair)
+        piece[:, 2] = np.broadcast_to(every.astype(np.int32),
+                                      zmask.shape)[zmask]
+    if tensors is None:
+        return len(listing), listing, []
+    return count, np.concatenate(pieces) if want_list else None, []

@@ -287,13 +287,28 @@ def _formula_vs_scan(model, p, frozen, _threads):
 
 
 def _scan_reach(_threads):
-    """The scan's largest cell: P = 5^6 vectors, whose 244 MB pair mask the
-    unclassified count reads a block of rows at a time.  It charges 7.6e11
-    form evaluations, over the default budget."""
-    model = GroupModel.demushkin(6, 5)
-    return _check_eq("tmp_enumerate = tmp_closed = frozen",
-                     tmp_enumerate(model, 5, budget=10 ** 12)[0],
-                     tmp_closed(model, 5), 151115328000)
+    """The scan's largest cells: P = 5^6 vectors, whose 244 MB pair mask the
+    per-y counts read a block of rows at a time; tmp_sum reads its class
+    subspaces off the same rows.  demushkin(6,5) charges 7.6e11 form
+    evaluations and dd(4,5,2,5) 1.8e11, over the default budget."""
+    dem, dd = GroupModel.demushkin(6, 5), GroupModel.dd(4, 5, 2, 5)
+    scanned = epi_count(dd, 5, method="tmp_sum", budget=10 ** 12)
+    classes = {cls: n for cls, (n, _) in scanned.z1_breakdown.items()}
+    frozen = {"central+noncentral": 299520, "noncentral+central": 239616000,
+              "noncentral+noncentral": 11598612480}
+    rows = [
+        _check_eq("demushkin(6,5) tmp_enumerate = tmp_closed = frozen",
+                  tmp_enumerate(dem, 5, budget=10 ** 12)[0],
+                  tmp_closed(dem, 5), 151115328000),
+        _check_eq("tmp_sum = formula = frozen",
+                  epi_count(dem, 5, method="tmp_sum", budget=10 ** 12).epi,
+                  epi_count(dem, 5).epi, 115291845703125000000000),
+        _check_eq("dd(4,5,2,5) tmp_sum = formula = frozen", scanned.epi,
+                  epi_count(dd, 5).epi, 1952848828125000000000),
+        (classes == frozen, "classes " + ", ".join(
+            f"{cls} {n}" for cls, n in classes.items())),
+    ]
+    return all(ok for ok, _ in rows), "; ".join(detail for _, detail in rows)
 
 
 def _free_rank2_u4_vanishes(_threads):
@@ -376,8 +391,8 @@ CHECKS = (
           _free_rank2_u4_vanishes, "extended"),
     Check("triple counts are invariant under a change of basis",
           _basis_invariance, "extended"),
-    Check("demushkin(6,5) p=5 scan = closed 151115328000", _scan_reach,
-          "extended"),
+    Check("P=5^6 p=5 scans = closed: demushkin(6,5), dd(4,5,2,5)",
+          _scan_reach, "extended"),
 ) + tuple(
     # rank 5: 2^30 nominal assignments, within the extended budget; rank 6:
     # 2^36, past it, so those rows name their budget (2^30 are enumerated)

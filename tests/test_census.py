@@ -211,6 +211,18 @@ def test_scan_charges_up_front(monkeypatch):
     tmp_enumerate(model, 3)
     assert charges == [81 * 81, 1920 * 81]
     charges.clear()
+    # the class counts read their subspaces off the same rows and charge
+    # nothing more: one charge per Gram array, then one for the scan
+    epi_count(model, 3, method="tmp_sum")
+    assert charges == [81 * 81, 1920 * 81]
+    dd, p = GroupModel.dd(2, 3, 2, 3), 3
+    P, grams = p ** dd.rank, census._model_forms(dd, p)[0]
+    pairs = cp_count(dd, p, "enumerate")
+    charges.clear()
+    epi_count(dd, p, method="tmp_sum")
+    assert len(grams) == 2
+    assert charges == [P * P] * len(grams) + [pairs * P]
+    charges.clear()
     # pairs: 81^2 pair-mask cells + 80 nonzero x times 81 y-candidates
     assert cp_count(model, 3, "enumerate", budget=13041) == cp_count(model, 3)
     assert charges == [81 * 81, 80 * 81]
@@ -352,10 +364,13 @@ def explicit_forms(draw):
 
 
 @settings(max_examples=30, deadline=None)
-@given(explicit_forms())
-@example(([np.eye(3, dtype=np.int64)], 3, 3))  # the dot product: y.y != 0
-@example(([np.diag([1, 0, 1]), np.diag([0, 1, 1])], 3, 2))
-def test_scan_matches_literal_definition_forms(case):
+@given(explicit_forms(),
+       st.lists(st.lists(st.integers(0, 4), min_size=4, max_size=4),
+                max_size=3))
+@example(([np.eye(3, dtype=np.int64)], 3, 3),  # the dot product: y.y != 0
+         [[1, 2, 0, 0]])
+@example(([np.diag([1, 0, 1]), np.diag([0, 1, 1])], 3, 2), [[0, 1, 1, 0]])
+def test_scan_matches_literal_definition_forms(case, spanning):
     forms, d, p = case
 
     def pairs(u, v):
@@ -367,6 +382,19 @@ def test_scan_matches_literal_definition_forms(case):
     naive_pairs = sum(pairs(x, y) and rank_mod(np.array([x, y]), p) == 2
                       for x in space for y in space)
     assert scan.count_pairs(d, p, forms, [0, 10 ** 9]) == naive_pairs
+    # N(W) on 0, on the drawn span and on the whole space: the triples
+    # with x and z in W, y anywhere
+    gens = [[c % p for c in v[:d]] for v in spanning]
+    drawn = {tuple(np.array(a) @ np.array(gens, dtype=np.int64).reshape(
+        -1, d) % p) for a in itertools.product(range(p), repeat=len(gens))}
+    subspaces = [{(0,) * d}, drawn, set(space)]
+    masks = [np.array([v in W for v in space]) for W in subspaces]
+    count, _, on = scan.count_triples(d, p, forms, [0, 10 ** 9],
+                                      spaces=masks)
+    assert count == len(naive)
+    assert on == [sum(x in W and z in W for x, _y, z in naive)
+                  for W in subspaces]
+    assert on[0] == 0 and on[2] == count
 
 
 def _structured_models():
@@ -427,12 +455,19 @@ def test_pair_rows_stream_the_pair_mask():
                      (GroupModel.demushkin(3, 2), 2),
                      (GroupModel.free(3), 2)):
         grams = census._model_forms(model, p)[0]
-        whole = scan._mask_rows(
-            scan.pair_mask(model.rank, p, grams, [0, 10 ** 9]), p ** model.rank)
+        P = p ** model.rank
+        mask = scan.pair_mask(model.rank, p, grams, [0, 10 ** 9])
+        sums, diag = scan._mask_rows(mask, P)
+        mask = np.ones((P, P), dtype=bool) if mask is None else mask
+        # the central subspaces, and one that is not a block of coordinates
+        spaces = census._central_spaces(model, p)
+        spaces.append(fp.vectors_array(model.rank, p).sum(axis=1) % p == 0)
+        whole = [sums, *(mask[:, w].sum(axis=1) for w in spaces)]
         for cap in (1, 7, 10 ** 6):
             with mock.patch.object(fp, "BLOCK_CELLS", cap):
-                rows = scan.pair_rows(model.rank, p, grams, [0, 10 ** 9])
-            assert all((a == b).all() for a, b in zip(rows, whole))
+                rows, streamed = scan.pair_rows(model.rank, p, grams,
+                                                [0, 10 ** 9], spaces)
+            assert (rows == whole).all() and (streamed == diag).all()
 
 
 def test_cp_count_enumerate_matches_closed_on_a_grid():
@@ -477,7 +512,7 @@ def block_models(draw):
 
 
 def _scan_outputs(model, p, listing):
-    """Count, class tally and, when asked, the index listing."""
+    """Count, class counts and, when asked, the index listing."""
     count = tmp_enumerate(model, p, budget=10 ** 12)[0]
     classes = census._tmp_scan(model, p, 10 ** 12, False, True)[2]
     triples = None
@@ -577,24 +612,37 @@ def test_over_budget_scan_builds_no_block(monkeypatch):
             tmp_enumerate(model, p, budget=p ** (2 * model.rank) + 1)
         with pytest.raises(BudgetError):
             epi_count(model, p, method="tmp_sum", budget=10 ** 5)
-    # an in-budget listing walks blocks; an unclassified count has none
+    # an in-budget listing walks blocks; a count, classified or not, has
+    # none on a Gram model
     with pytest.raises(AssertionError, match="a block was built"):
         tmp_enumerate(GroupModel.demushkin(4, 3), 3, want_list=True)
+    for model, p in ((GroupModel.demushkin(4, 3), 3),
+                     (GroupModel.dd(2, 3, 2, 3), 3),
+                     (GroupModel.df(3, 2, 1), 2)):
+        assert epi_count(model, p, method="tmp_sum").epi == epi_count(
+            model, p).epi
 
 
 def test_scan_memory_is_bounded():
-    # the unclassified count reads the pair mask a block of rows at a time:
-    # it never holds the P^2 bytes of the whole mask
+    # the count and the class counts read the pair mask a block of rows at
+    # a time: neither holds the P^2 bytes of the whole mask
     model, p = GroupModel.dd(2, 5, 2, 5), 5
     P = p ** model.rank
-    tracemalloc.start()
-    try:
-        count = tmp_enumerate(model, p)[0]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert count == tmp_closed(model, p)
-    assert peak < P * P, peak
+    outs = []
+    for count_it in (lambda: tmp_enumerate(model, p)[0],
+                     lambda: epi_count(model, p, method="tmp_sum")):
+        tracemalloc.start()
+        try:
+            outs.append(count_it())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < P * P, peak
+    count, report = outs
+    assert count == report.tmp == tmp_closed(model, p)
+    closed = census._closed_classes(model, p, 10 ** 8)
+    assert {cls: n for cls, (n, _) in report.z1_breakdown.items()} == {
+        cls: n for cls, n in closed.items() if n}
 
 
 def test_cup_pairing_walked_once_per_model_and_prime(monkeypatch):
