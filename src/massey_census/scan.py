@@ -21,17 +21,19 @@ y is in W and just 0 otherwise.  With x in W, a (x + b y) lies in W exactly
 when b = 0 or y is in W, so (p - 1) h_W(y) of the z above lie in W and
 pair to zero with y, and N(W) = sum_y f_W(y) (f_W(y) - (p - 1) h_W(y)).
 
-These counts read the row sums and mask[y, y] off each block of rows as it
-is built and never hold the whole mask (`pair_rows`).  A listing and the
-s3 triple tensors need each pair, so they build the mask and walk the
-nonzero x in blocks of whole rows, each holding about fp.BLOCK_CELLS array
-cells, taking all admissible (x, y) pairs of a block at once; the p
-indices of the line x + b y come from two small tables, one per half of
-the coordinates (see `count_triples`).  The budget counts primitive form
-evaluations (P per admissible pair and relator, P * P per pair-mask array)
-and is charged in full before any block is walked.  The census imports
-this module where a scan runs, and its functions import numpy where they
-run, so a closed-form count loads neither."""
+Every scan first streams the row sums and mask[y, y] off each block of
+rows as it is built, never holding the whole mask (`pair_rows`), and
+charges the budget in full.  It then counts: by the per-y sums above, or,
+for the s3 triple tensors, by one walk (`_walk`), which builds the whole
+mask and walks the nonzero x in blocks of whole rows, each holding about
+fp.BLOCK_CELLS array cells, taking all admissible (x, y) pairs of a block
+at once; the p indices of the line x + b y come from two small tables, one
+per half of the coordinates.  A listing is allocated once, at that count,
+and filled by the walk.  The budget counts primitive form evaluations
+(P per admissible pair and relator, P * P per Gram array) and is charged
+before any block is walked.  The census imports this module where a scan
+runs, and its functions import numpy where they run, so a closed-form
+count loads neither."""
 
 from __future__ import annotations
 
@@ -77,42 +79,13 @@ def _reflexive_grams(d, p, grams):
     return out
 
 
-def _charged_space(d, p, grams, box):
-    """F_p^d as `vectors_array`, after charging P * P per Gram array."""
-    V = vectors_array(d, p)
-    for _ in grams:
-        spend(box, len(V) ** 2)
-    return V
-
-
-def pair_mask(d, p, grams, box):
-    """The (P, P) boolean table over F_p^d, rows x and columns y, true when
-    every Gram array pairs (x, y) to zero.  None if there is no array."""
-    from .forms import zero_cup_table
-
-    grams = _reflexive_grams(d, p, grams)
-    if not grams:
-        return None
-    return zero_cup_table(grams, _charged_space(d, p, grams, box), p)
-
-
-def _mask_rows(mask, P):
-    """Per x, the row sum of the pair mask and its diagonal entry
-    mask[x, x]; every entry is true when there is no mask."""
-    import numpy as np
-
-    if mask is None:
-        return np.full(P, P, dtype=np.int64), np.ones(P, dtype=bool)
-    return np.count_nonzero(mask, axis=1), mask.diagonal()
-
-
 def pair_rows(d, p, grams, box, spaces=()):
     """Per y, the pair mask's row sums over the whole space and then over
     each subspace in `spaces` (boolean masks over F_p^d), as a
     (1 + len(spaces), P) array, and the diagonal mask[y, y].  They are read
     off one block of rows at a time as `forms.zero_cup_blocks` builds the
-    mask, so the whole (P, P) table is never held.  Charged as
-    `pair_mask`."""
+    mask, so the whole (P, P) table is never held.  Charges P * P per Gram
+    array, the scan's only charge for the mask."""
     import numpy as np
 
     from .forms import zero_cup_blocks
@@ -120,13 +93,14 @@ def pair_rows(d, p, grams, box, spaces=()):
     grams = _reflexive_grams(d, p, grams)
     P = p ** d
     if not grams:
-        sums = [P, *map(np.count_nonzero, spaces)]
-        return np.repeat(np.array(sums)[:, None], P, axis=1), np.ones(P, bool)
+        sums = np.array([P, *map(np.count_nonzero, spaces)])[:, None]
+        return np.broadcast_to(sums, (len(sums), P)), np.ones(P, bool)
+    for _ in grams:
+        spend(box, P * P)
     columns = [slice(None), *map(np.flatnonzero, spaces)]
     sums = np.empty((len(columns), P), dtype=np.int64)
     diag = np.empty(P, dtype=bool)
-    for lo, run in zero_cup_blocks(grams, _charged_space(d, p, grams, box),
-                                   p):
+    for lo, run in zero_cup_blocks(grams, vectors_array(d, p), p):
         hi = lo + len(run)
         for row, at in zip(sums, columns):
             row[lo:hi] = np.count_nonzero(run[:, at], axis=1)
@@ -145,6 +119,15 @@ def _free(p, sums, diag):
     f = sums - h
     f[0] = 0
     return f, h
+
+
+def _exact_dot(a, b):
+    """a @ b as a Python int, for int64 arrays whose products lie in
+    [0, len(a)^2], as f(y) (f(y) - (p - 1) h(y)) does (f(y) <= P, and the
+    second factor lies in [0, f(y)] when f(y) > 0).  The sum may pass 2^63,
+    so it is taken in int64 chunks of 2^62 // len(a)^2 products."""
+    k = max(1, 2 ** 62 // len(a) ** 2)
+    return sum(int(a[i:i + k] @ b[i:i + k]) for i in range(0, len(a), k))
 
 
 def _line_table(k, p):
@@ -203,6 +186,69 @@ def count_pairs(d, p, grams, box):
     return int(_free(p, sums, diag)[0].sum())
 
 
+def _walk(d, p, grams, tensors, f, spaces=(), listing=None):
+    """Walk the nonzero x in blocks of whole rows, each holding about
+    fp.BLOCK_CELLS array cells: take all admissible (x, y) pairs of a block
+    at once and build a z-mask row per pair, mask[y, z], or the vanishing of
+    every tensor in `tensors` on (x, y, z), off span(x, y).  `f` is f(x) of
+    `_free`.  Returns the triple count and then N(W) per subspace W in
+    `spaces`; fills `listing`, an (m, 3) int32 array as long as the count,
+    with the (x, y, z) in lexicographic order.  Charges nothing: the whole
+    mask it gathers from is the one `pair_rows` charged."""
+    import numpy as np
+
+    from .forms import zero_cup_table
+
+    P = p ** d
+    V = vectors_array(d, p)
+    mask = zero_cup_table(grams, V, p)  # all true without a Gram array
+    line_of = _line_finder(d, p)
+    every = np.arange(P)
+    lines = line_of(np.zeros(P, dtype=np.int64), every)  # (P, p): the b x
+    if tensors is not None:
+        # z is admissible when it pairs to zero with w = x T y under the dot
+        # product, for each trace tensor T: the row of w's index
+        dot = zero_cup_table([np.eye(d, dtype=np.int64)], V, p)
+        powers = p ** np.arange(d - 1, -1, -1)
+    counts, at = [0] * (1 + len(spaces)), 0
+    for lo, hi in _blocks((f[1:] + 1) * P, fp.BLOCK_CELLS):
+        lo, hi = lo + 1, hi + 1  # x = 0 has no pairs
+        ymask = mask[lo:hi].copy()
+        np.put_along_axis(ymask, lines[lo:hi], False, axis=1)
+        pairs = np.flatnonzero(ymask)
+        rows, iy = np.divmod(pairs, P)
+        ix = rows + lo
+        if tensors is None:
+            zmask = mask[iy]
+        for k, t in enumerate(tensors or ()):
+            # per x of the block, the index of w = (x T) y for every y; the
+            # first tensor's dot rows start the z-mask
+            xt = V[lo:hi] @ t.reshape(d, d * d) % p
+            w = np.matmul(V, xt.reshape(-1, d, d)) % p @ powers
+            rows_w = dot[np.take(w, pairs)]
+            zmask = np.logical_and(zmask, rows_w, out=zmask) if k else rows_w
+        # off span(x, y): the multiples of the line and of y
+        base = (np.arange(len(ix)) * P)[:, None]
+        span = np.take(lines, line_of(ix, iy), axis=0).reshape(-1, p * p)
+        zmask.ravel()[base + span] = False
+        zmask.ravel()[base + np.take(lines, iy, axis=0)] = False
+        found = np.count_nonzero(zmask)
+        counts[0] += found
+        for k, space in enumerate(spaces, 1):
+            counts[k] += np.count_nonzero(zmask[space[ix]][:, space])
+        if listing is None:
+            continue
+        # int32 columns in zmask's row-major order: x and y once per z of
+        # their pair, then the z themselves
+        piece, at = listing[at:at + found], at + found
+        per_pair = np.count_nonzero(zmask, axis=1)
+        piece[:, 0] = np.repeat(ix.astype(np.int32), per_pair)
+        piece[:, 1] = np.repeat(iy.astype(np.int32), per_pair)
+        piece[:, 2] = np.broadcast_to(every.astype(np.int32),
+                                      zmask.shape)[zmask]
+    return counts
+
+
 def count_triples(d, p, grams, box, tensors=None, spaces=(),
                   want_list=False):
     """The triple scan over F_p^d.  `grams` are the Gram arrays of the pair
@@ -212,80 +258,23 @@ def count_triples(d, p, grams, box, tensors=None, spaces=(),
     array when `want_list`, and per subspace W in `spaces` (boolean masks
     over F_p^d) the count N(W) of the triples whose x and z lie in W.
 
-    Without tensors or a listing every count is the per-y sum of the module
-    notes, read off the pair mask's rows as they are built.  Otherwise the
-    whole mask is built and the nonzero x are walked in blocks of whole
-    rows, for the whole space only: `spaces` must be empty.  A listing off
-    the mask is allocated once at the per-y count and filled block by
-    block; s3 pieces are joined once."""
+    The pair mask's rows are streamed and charged once (`pair_rows`), then
+    the scan is charged in full.  Without tensors the counts are the per-y
+    sums of the module notes; with them, one `_walk`.  A listing is then
+    allocated at the count and filled by one more walk."""
     import numpy as np
 
-    from .forms import zero_cup_table
-
     P = p ** d
-    if tensors is None and not want_list:
-        sums, diag = pair_rows(d, p, grams, box, spaces)
-        free = [_free(p, row, diag & w)
-                for row, w in zip(sums, [True, *spaces])]
-        spend(box, int(free[0][0].sum()) * P)
-        count, *on = (int(f @ (f - (p - 1) * h)) for f, h in free)
-        return count, None, on
-    mask = pair_mask(d, p, grams, box)
-    f, h = _free(p, *_mask_rows(mask, P))  # f[x]: the admissible y of x
+    sums, diag = pair_rows(d, p, grams, box, spaces)
+    free = [_free(p, row, diag & w) for row, w in zip(sums, [True, *spaces])]
+    f = free[0][0]  # f[x]: the admissible y of x
     spend(box, int(f.sum()) * P * (1 if tensors is None else len(tensors)))
-    line_of = _line_finder(d, p)
-    every = np.arange(P)
-    lines = line_of(np.zeros(P, dtype=np.int64), every)  # (P, p): the b x
-    if tensors is None:  # a listing as long as the per-y count
-        listing, at = np.empty((int(f @ (f - (p - 1) * h)), 3),
-                               dtype=np.int32), 0
-    else:
-        # z is admissible when it pairs to zero with w = x T y under the dot
-        # product, for each trace tensor T: the row of w's index
-        V = vectors_array(d, p)
-        dot = zero_cup_table([np.eye(d, dtype=np.int64)], V, p)
-        powers = p ** np.arange(d - 1, -1, -1)
-        count, pieces = 0, [np.empty((0, 3), dtype=np.int32)]
-    # per block: the y-mask rows, then a z-mask row per pair
-    for lo, hi in _blocks((f[1:] + 1) * P, fp.BLOCK_CELLS):
-        lo, hi = lo + 1, hi + 1  # x = 0 has no pairs
-        ymask = (np.ones((hi - lo, P), dtype=bool) if mask is None
-                 else mask[lo:hi].copy())
-        np.put_along_axis(ymask, lines[lo:hi], False, axis=1)
-        pairs = np.flatnonzero(ymask)
-        rows, iy = np.divmod(pairs, P)
-        ix = rows + lo
-        if tensors is None:
-            zmask = (np.ones((len(ix), P), dtype=bool) if mask is None
-                     else mask[iy])
-        else:
-            zmask = np.ones((len(ix), P), dtype=bool)
-            for t in tensors:
-                # per x of the block, the index of w = (x T) y for every y
-                xt = V[lo:hi] @ t.reshape(d, d * d) % p
-                w = np.matmul(V, xt.reshape(-1, d, d)) % p @ powers
-                zmask &= dot[np.take(w, pairs)]
-        # off span(x, y): the multiples of the line and of y
-        base = (np.arange(len(ix)) * P)[:, None]
-        span = np.take(lines, line_of(ix, iy), axis=0).reshape(-1, p * p)
-        zmask.ravel()[base + span] = False
-        zmask.ravel()[base + np.take(lines, iy, axis=0)] = False
-        found = np.count_nonzero(zmask)
-        if tensors is None:
-            piece, at = listing[at:at + found], at + found
-        else:
-            count += found
-            if not want_list:
-                continue
-            piece = np.empty((found, 3), dtype=np.int32)
-            pieces.append(piece)
-        # int32 columns in zmask's row-major order: x and y once per z of
-        # their pair, then the z themselves
-        per_pair = np.count_nonzero(zmask, axis=1)
-        piece[:, 0] = np.repeat(ix.astype(np.int32), per_pair)
-        piece[:, 1] = np.repeat(iy.astype(np.int32), per_pair)
-        piece[:, 2] = np.broadcast_to(every.astype(np.int32),
-                                      zmask.shape)[zmask]
     if tensors is None:
-        return len(listing), listing, []
-    return count, np.concatenate(pieces) if want_list else None, []
+        counts = [_exact_dot(f, f - (p - 1) * h) for f, h in free]
+    else:
+        counts = _walk(d, p, grams, tensors, f, spaces)
+    listing = None
+    if want_list:
+        listing = np.empty((counts[0], 3), dtype=np.int32)
+        _walk(d, p, grams, tensors, f, listing=listing)
+    return counts[0], listing, counts[1:]

@@ -215,6 +215,17 @@ def test_scan_charges_up_front(monkeypatch):
     # nothing more: one charge per Gram array, then one for the scan
     epi_count(model, 3, method="tmp_sum")
     assert charges == [81 * 81, 1920 * 81]
+    charges.clear()
+    # a listing charges exactly what its count does
+    tmp_enumerate(model, 3, want_list=True)
+    assert charges == [81 * 81, 1920 * 81]
+    charges.clear()
+    # an s3 listing walks twice, to count and to fill, and charges once:
+    # 80 nonzero x, 81 - 3 y-candidates, 81 z-candidates, one tensor
+    s3 = preset_model("counterexample1")
+    tmp_enumerate(s3, 3, want_list=True)
+    assert charges == [80 * 78 * 81]
+    charges.clear()
     dd, p = GroupModel.dd(2, 3, 2, 3), 3
     P, grams = p ** dd.rank, census._model_forms(dd, p)[0]
     pairs = cp_count(dd, p, "enumerate")
@@ -330,7 +341,15 @@ def s3_models(draw):
 @given(s3_models())
 def test_scan_matches_literal_definition_s3(case):
     model, p = case
-    _check_against_naive(model, p, _naive_s3_triples(model, p))
+    naive = _naive_s3_triples(model, p)
+    _check_against_naive(model, p, naive)
+    # N(W), the triples with x and z in W, off the walk: W the vectors with
+    # first coordinate 0, and the whole space
+    grams, tensors = census._model_forms(model, p)
+    V = fp.vectors_array(model.rank, p)
+    _, _, on = scan.count_triples(model.rank, p, grams, [0, 10 ** 9], tensors,
+                                  [V[:, 0] == 0, V[:, 0] >= 0])
+    assert on == [sum(x[0] == z[0] == 0 for x, _y, z in naive), len(naive)]
 
 
 def _naive_s3_triples(model, p):
@@ -421,7 +440,8 @@ def test_every_model_gram_array_is_reflexive():
         P = p ** model.rank
         assert len(scan._reflexive_grams(model.rank, p, grams)) == len(grams)
         if grams and P <= 729:
-            mask = scan.pair_mask(model.rank, p, grams, [0, 10 ** 9])
+            mask = forms.zero_cup_table(grams, fp.vectors_array(model.rank, p),
+                                        p)
             assert (mask == mask.T).all(), (model.describe(), p)
 
 
@@ -440,9 +460,10 @@ def test_pair_mask_refuses_what_is_not_reflexive():
         with pytest.raises(ValueError, match=match):
             tmp_enumerate_forms(forms, p)
         box = [0, 10 ** 9]
-        for build in (scan.pair_mask, scan.pair_rows):
+        for scan_it in (scan.pair_rows, functools.partial(scan.count_triples,
+                                                          want_list=True)):
             with pytest.raises(ValueError, match=match):
-                build(2, p, forms, box)
+                scan_it(2, p, forms, box)
         assert box[0] == 0  # refused before any charge
     # symmetric with a diagonal, and skew, mod p: both pass
     assert tmp_enumerate_forms([[[1, 4], [1, 0]]], 3) == tmp_enumerate_forms(
@@ -456,13 +477,14 @@ def test_pair_rows_stream_the_pair_mask():
                      (GroupModel.free(3), 2)):
         grams = census._model_forms(model, p)[0]
         P = p ** model.rank
-        mask = scan.pair_mask(model.rank, p, grams, [0, 10 ** 9])
-        sums, diag = scan._mask_rows(mask, P)
-        mask = np.ones((P, P), dtype=bool) if mask is None else mask
+        V = fp.vectors_array(model.rank, p)
+        mask = forms.zero_cup_table(grams, V, p)  # all true without grams
+        assert mask.shape == (P, P)
         # the central subspaces, and one that is not a block of coordinates
         spaces = census._central_spaces(model, p)
-        spaces.append(fp.vectors_array(model.rank, p).sum(axis=1) % p == 0)
-        whole = [sums, *(mask[:, w].sum(axis=1) for w in spaces)]
+        spaces.append(V.sum(axis=1) % p == 0)
+        whole = [mask.sum(axis=1), *(mask[:, w].sum(axis=1) for w in spaces)]
+        diag = mask.diagonal()
         for cap in (1, 7, 10 ** 6):
             with mock.patch.object(fp, "BLOCK_CELLS", cap):
                 rows, streamed = scan.pair_rows(model.rank, p, grams,
@@ -586,19 +608,20 @@ def test_triple_listing_is_a_read_only_sequence():
 
 
 def test_listing_costs_its_index_array():
-    # 34560 triples of 12 B each; the listing must not hold a python object
-    # per triple (about 136 B each when it did), nor its blocks' pieces
-    # beside their join (32 B each when it did)
-    model, p = GroupModel.demushkin(4, 3), 3
-    tmp_enumerate(model, p)  # read the cup pairing off the relators first
-    tracemalloc.start()
-    try:
-        count, triples = tmp_enumerate(model, p, want_list=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert count == len(triples) == 34560
-    assert peak < 2 * 12 * count, peak
+    # triples of 12 B each; the listing must not hold a python object per
+    # triple (about 136 B each when it did), nor its blocks' pieces beside
+    # their join (32 B each when it did, and about 24 B for an s3 listing)
+    for model, p, size in ((GroupModel.demushkin(4, 3), 3, 34560),
+                           (preset_model("counterexample1"), 3, 195264)):
+        tmp_enumerate(model, p)  # read the forms off the relators first
+        tracemalloc.start()
+        try:
+            count, triples = tmp_enumerate(model, p, want_list=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == len(triples) == size
+        assert peak < 2 * 12 * count, (model.describe(), peak)
 
 
 def test_over_budget_scan_builds_no_block(monkeypatch):
@@ -643,6 +666,20 @@ def test_scan_memory_is_bounded():
     closed = census._closed_classes(model, p, 10 ** 8)
     assert {cls: n for cls, (n, _) in report.z1_breakdown.items()} == {
         cls: n for cls, n in closed.items() if n}
+
+
+def test_counts_past_2_63_are_exact():
+    # free(22) at p = 2: every pair admissible, so (P - 1)(P - 2)(P - 4)
+    # triples, and with W the vectors of first coordinate 0 (Q = P / 2 of
+    # them), N(W) = (Q - 1)((Q - 2)(Q - 4) + Q (Q - 2)): y in W or not
+    P = 2 ** 22
+    Q = P // 2
+    count = tmp_enumerate(GroupModel.free(22), 2, budget=10 ** 20)[0]
+    assert count == (P - 1) * (P - 2) * (P - 4) > 2 ** 63
+    _, _, on = scan.count_triples(22, 2, [], [0, 10 ** 20],
+                                  spaces=[np.arange(P) < Q])
+    assert on == [(Q - 1) * ((Q - 2) * (Q - 4) + Q * (Q - 2))]
+    assert on[0] > 2 ** 63
 
 
 def test_cup_pairing_walked_once_per_model_and_prime(monkeypatch):
