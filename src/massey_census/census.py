@@ -216,16 +216,16 @@ def _model_forms(model, p):
     return tuple(grams), tuple(tensors) or None
 
 
-def _central_spaces(model, p):
-    """Per one-relator factor, the boolean mask over F_p^rank of the vectors
-    zero on its block of coordinates."""
+def _central_spaces(model):
+    """Per one-relator factor, the unit rows of F_p^rank off its block of
+    coordinates: they span the vectors zero on that block."""
     import numpy as np
 
-    every, out, off = np.arange(p ** model.rank), [], 0
+    eye, out, off = np.eye(model.rank, dtype=np.int64), [], 0
     for kind, size, _q, _case in model.factors:
-        off += size
         if kind == "demushkin":
-            out.append(every // p ** (model.rank - off) % p ** size == 0)
+            out.append(np.delete(eye, range(off, off + size), axis=0))
+        off += size
     return out
 
 
@@ -248,14 +248,20 @@ def _tmp_scan(model, p, budget, want_list, want_classes):
     factors: the scan's N(W_S), the triples with x and z in W_S, counts
     those central on at least S, so by inclusion-exclusion the class
     central on exactly C holds sum_{S >= C} (-1)^|S - C| N(W_S)."""
+    import numpy as np
+
     from .scan import count_triples
 
     p = model_check(model, p)
     grams, tensors = _model_forms(model, p)
-    zero = _central_spaces(model, p) if want_classes else []
+    zero = _central_spaces(model) if want_classes else []
     # per factor, whether S holds it, in `_classify_keys` order: S empty last
     sets = list(itertools.product((True, False), repeat=len(zero)))
-    spaces = [functools.reduce(operator.and_, itertools.compress(zero, S))
+    # W_S is spanned by the unit rows that every factor of S keeps, those
+    # of the coordinates they all cover
+    eye = np.eye(model.rank, dtype=np.int64)
+    spaces = [eye[np.logical_and.reduce([B.any(axis=0) for B in
+                                         itertools.compress(zero, S)])]
               for S in sets[:-1]]
     count, listing, on = count_triples(model.rank, p, grams, [0, budget],
                                        tensors, spaces, want_list)

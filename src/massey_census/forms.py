@@ -75,11 +75,10 @@ def triple_tensors(pres: Presentation, p) -> list:
     return _corners(pres, p, 4)
 
 
-def zero_cup_blocks(grams, U, p):
-    """Yield (lo, block): the table of `zero_cup_table`, one run of rows at a
-    time, fp.BLOCK_CELLS cells each.  `block` holds rows lo, lo + 1, ... and
-    is one buffer, overwritten by the next run, so a caller that reduces
-    each run never holds the whole table.
+def zero_cup_table(grams, U, p) -> np.ndarray:
+    """The (len U, p^d) table of whether row U[i] and the vector of index j
+    have zero cup product under every Gram array, built a run of rows at a
+    time, about fp.BLOCK_CELLS cells each.
 
     Split each y into a head of d // 2 coordinates and a tail.  Then
     x G y^T = (x G)_head . y_head + (x G)_tail . y_tail, and the cup is zero
@@ -92,13 +91,12 @@ def zero_cup_blocks(grams, U, p):
     h = d // 2
     head = vectors_array(h, p)
     tail = vectors_array(d - h, p)
+    ok = np.ones((len(U), len(head), len(tail)), dtype=bool)
     rows = max(1, fp.BLOCK_CELLS // (len(head) * len(tail)))
-    buffer = np.ones((min(rows, len(U)), len(head) * len(tail)), dtype=bool)
     per = 31 // p.bit_length()  # p^per < 2^31
     grams = [np.asarray(g, dtype=np.int64) % p for g in grams]
     for lo in range(0, len(U), rows):
-        run = buffer[:min(rows, len(U) - lo)]
-        block = run.reshape(-1, len(head), len(tail))
+        block = ok[lo:lo + rows]
         for start in range(0, len(grams), per):
             a = b = 0
             for k, gram in enumerate(grams[start:start + per]):
@@ -108,21 +106,9 @@ def zero_cup_blocks(grams, U, p):
             a, b = a.astype(np.int32)[:, :, None], b.astype(np.int32)[:, None, :]
             if start:
                 block &= a == b
-            else:  # the first code overwrites the last run's rows
+            else:
                 np.equal(a, b, out=block)
-        yield lo, run
-
-
-def zero_cup_table(grams, U, p) -> np.ndarray:
-    """The (len U, p^d) table of whether row U[i] and the vector of index j
-    have zero cup product under every Gram array, assembled from
-    `zero_cup_blocks`."""
-    import numpy as np
-
-    ok = np.empty((len(U), p ** U.shape[1]), dtype=bool)
-    for lo, run in zero_cup_blocks(grams, U, p):
-        ok[lo:lo + len(run)] = run
-    return ok
+    return ok.reshape(len(U), -1)
 
 
 def cup_chain(grams, d: int, p: int, length: int):

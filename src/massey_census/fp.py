@@ -76,10 +76,11 @@ def rank_mod(a, p: int):
     shape (..., rows, cols): a python int for a 2-dimensional input, an
     array of shape (...) otherwise.
 
-    Gaussian elimination runs over _RANK_SLICE matrices at a time in int32.
-    That is exact: entries stay below p after each reduction and a product
-    of two reaches (p-1)^2 <= 36 in magnitude, since check_prime caps p at
-    MAX_PRIME = 7."""
+    Gaussian elimination runs over _RANK_SLICE matrices at a time in int16,
+    matrix index last.  That is exact: entries stay below p after each
+    reduction and a product of two reaches (p-1)^2 <= 36 in magnitude, since
+    check_prime caps p at MAX_PRIME = 7.  Entries are reduced as
+    s - (s // p) * p, which numpy runs far faster than s % p."""
     import numpy as np
 
     a = np.asarray(a)
@@ -92,30 +93,36 @@ def rank_mod(a, p: int):
     flat = a.reshape(math.prod(a.shape[:-2]), rows, cols)
     ranks = np.empty(len(flat), dtype=np.int64)
     for lo in range(0, len(flat), _RANK_SLICE):
-        s = (flat[lo:lo + _RANK_SLICE] % p).astype(np.int32)
-        ranks[lo:lo + len(s)] = _echelon_rank(s, p)
+        s = flat[lo:lo + _RANK_SLICE]
+        s = np.ascontiguousarray((s - s // p * p).astype(np.int16).T)
+        ranks[lo:lo + s.shape[2]] = _echelon_rank(s, p)
     if a.ndim == 2:
         return int(ranks[0])
     return ranks.reshape(a.shape[:-2])
 
 
 def _echelon_rank(s, p):
-    """Ranks of a (m, rows, cols) stack reduced mod p, cols <= rows.  Column
-    by column, each matrix picks a row with a nonzero entry as pivot and
-    clears that column from every row by cross-multiplying, so no inverse is
-    needed.  The pivot row clears itself to zero and stays zero."""
+    """Ranks of a (cols, rows, m) stack of m matrices reduced mod p,
+    cols <= rows.  Column by column, each matrix takes its last row with a
+    nonzero entry as pivot and clears that column from every row by
+    cross-multiplying, so no inverse is needed; the cleared column is
+    dropped.  The pivot row clears itself to zero and stays zero.  With the
+    matrix index last, every step is an elementwise pass over rows of m
+    entries."""
     import numpy as np
 
-    ranks = np.zeros(len(s), dtype=np.int64)
-    every = np.arange(len(s))
-    for j in range(s.shape[2]):
-        nonzero = s[:, :, j] != 0
-        found = nonzero.any(axis=1)
-        prow = s[every, nonzero.argmax(axis=1)]
-        scale = np.where(found, prow[:, j], 1)
+    ranks = np.zeros(s.shape[2], dtype=np.int64)
+    for left in range(len(s), 0, -1):
+        nonzero = s[0] != 0
+        found = nonzero.any(axis=0)
         ranks += found
-        s = (s * scale[:, None, None]
-             - s[:, :, j:j + 1] * prow[:, None, :]) % p
+        if left == 1:
+            break
+        pivot = s[:, 0]
+        for i, here in enumerate(nonzero[1:], 1):
+            pivot = np.where(here, s[:, i], pivot)
+        s = s[1:] * np.where(found, pivot[0], 1) - s[:1] * pivot[1:, None]
+        s -= s // p * p
     return ranks
 
 

@@ -1,44 +1,62 @@
-"""The census triple scan over F_p^d: the pair mask, the admissible pairs
-and the triple-counting kernel.
+"""The census triple scan over F_p^d: the pair counts per y by ranks, the
+triple counts, and the walk that fills a listing.
 
 The pair mask is reflexive, mask[x, y] = mask[y, x]: every Gram array is
 symmetric or skew-symmetric mod p, as a cup pairing is, and the scan
-refuses any other.  So counts read off y alone.  Let h(y) be the vectors
-of span(y) that pair to zero with y, p when mask[y, y] and else 1 (just 0),
-and f(y) = rowsum(y) - h(y), with f(0) = 0: the vectors outside span(y)
-that pair to zero with y, whether they stand as x or as z.  An admissible
-pair (x, y) has x nonzero, y outside span(x) and mask[x, y]; a triple adds
-a z outside span(x, y) with mask[y, z].  The z of span(x, y) outside
-span(y) are the a (x + b y), a != 0, and mask[y, x + b y] = mask[y, b y]
-for b != 0, so (p - 1) h(y) of them pair to zero with y, whatever x is:
+refuses any other.  So counts read off y alone, and the row of y is the
+kernel of its stacked Gram rows y G_i: of the vectors of a subspace
+span(B), p^(rank B - rank(y G B^T)) pair to zero with y (B = I for the
+whole space), and mask[y, y] is y G_i y^T = 0 for every i.  One batch of
+ranks gives every row sum (`pair_rows`); the P x P mask is never built to
+count.  Let h(y) be the vectors of span(y) that pair to zero with y, p when
+mask[y, y] and else 1 (just 0), and f(y) = rowsum(y) - h(y), with f(0) = 0:
+the vectors outside span(y) that pair to zero with y, whether they stand as
+x or as z.  An admissible pair (x, y) has x nonzero, y outside span(x) and
+mask[x, y]; a triple adds a z outside span(x, y) with mask[y, z].  The z of
+span(x, y) outside span(y) are the a (x + b y), a != 0, and
+mask[y, x + b y] = mask[y, b y] for b != 0, so (p - 1) h(y) of them pair to
+zero with y, whatever x is:
 
     pairs = sum_y f(y),    triples = sum_y f(y) (f(y) - (p - 1) h(y)).
 
 The same sum counts the triples whose x and z lie in a subspace W, y
-anywhere.  Take the row sum over W's columns, and h_W(y) = p when mask[y, y]
-and y is in W, else 1: the vectors of span(y) in W are all of span(y) when
-y is in W and just 0 otherwise.  With x in W, a (x + b y) lies in W exactly
-when b = 0 or y is in W, so (p - 1) h_W(y) of the z above lie in W and
-pair to zero with y, and N(W) = sum_y f_W(y) (f_W(y) - (p - 1) h_W(y)).
+anywhere.  Take the row sum over W, and h_W(y) = p when mask[y, y] and y is
+in W, else 1: the vectors of span(y) in W are all of span(y) when y is in W
+and just 0 otherwise.  With x in W, a (x + b y) lies in W exactly when
+b = 0 or y is in W, so (p - 1) h_W(y) of the z above lie in W and pair to
+zero with y, and N(W) = sum_y f_W(y) (f_W(y) - (p - 1) h_W(y)).  A term
+depends on y only through its class, the row sum, mask[y, y] and whether y
+lies in W, so each sum runs over the classes, weighted by their sizes, in
+python ints: exact past 2^63.  Without a Gram array every row sum is |W|,
+and the classes are sized from P and |W| alone.
 
-Every scan first streams the row sums and mask[y, y] off each block of
-rows as it is built, never holding the whole mask (`pair_rows`), and
-charges the budget in full.  It then counts: by the per-y sums above, or,
-for the s3 triple tensors, by one walk (`_walk`), which builds the whole
-mask and walks the nonzero x in blocks of whole rows, each holding about
-fp.BLOCK_CELLS array cells, taking all admissible (x, y) pairs of a block
-at once; the p indices of the line x + b y come from two small tables, one
-per half of the coordinates.  A listing is allocated once, at that count,
-and filled by the walk.  The budget counts primitive form evaluations
-(P per admissible pair and relator, P * P per Gram array) and is charged
-before any block is walked.  The census imports this module where a scan
-runs, and its functions import numpy where they run, so a closed-form
-count loads neither."""
+For the s3 triple tensors T_k every pair (x, y), x nonzero and y outside
+span(x), stands, and its z are the kernel of W, the stack of the vectors
+x T_k y, outside span(x, y): p^(d - rank W) - p^(2 - rank [W x^T | W y^T])
+of them, the second term counting the a x + b y in the kernel.  N(span B)
+takes the pairs with x in span(B): of span(B) the kernel holds
+p^(rank B - rank(W B^T)) vectors, less those of span(x, y) when y lies in
+span(B) too, else less the p^(1 - rank(W x^T)) of span(x).  The pairs are
+taken a slice of x at a time, and all ranks of a slice are one zero-padded
+`fp.rank_mod` call (`_s3_counts`).
+
+A listing is allocated once at the count and filled by one walk (`_walk`):
+it builds the whole mask (for s3 tensors, the dot table instead) and walks
+the nonzero x in blocks of whole rows, each holding about fp.BLOCK_CELLS
+array cells, taking all admissible (x, y) pairs of a block at once; the p
+indices of the line x + b y come from two small tables, one per half of
+the coordinates, built once per process.  The budget counts primitive form
+evaluations (P per admissible pair and relator, P * P per Gram array) and
+is charged before the triples are counted.  The census imports this module
+where a scan runs, and its functions import numpy where they run, so a
+closed-form count loads neither."""
 
 from __future__ import annotations
 
+import functools
+
 from . import fp
-from .fp import BudgetError, vectors_array
+from .fp import BudgetError, rank_mod, vectors_array
 
 
 def spend(box, amount):
@@ -79,60 +97,167 @@ def _reflexive_grams(d, p, grams):
     return out
 
 
-def pair_rows(d, p, grams, box, spaces=()):
-    """Per y, the pair mask's row sums over the whole space and then over
-    each subspace in `spaces` (boolean masks over F_p^d), as a
-    (1 + len(spaces), P) array, and the diagonal mask[y, y].  They are read
-    off one block of rows at a time as `forms.zero_cup_blocks` builds the
-    mask, so the whole (P, P) table is never held.  Charges P * P per Gram
-    array, the scan's only charge for the mask."""
+def _span_mask(B, d, p):
+    """Boolean mask over F_p^d of the row span of B: the span grows by the
+    multiples of each row outside it."""
     import numpy as np
 
-    from .forms import zero_cup_blocks
+    powers = p ** np.arange(d - 1, -1, -1)
+    span = np.zeros((1, d), dtype=np.int64)
+    out = np.zeros(p ** d, dtype=bool)
+    out[0] = True
+    for row in B:
+        if not out[row @ powers]:
+            span = (span + np.arange(p)[:, None, None] * row) % p
+            span = span.reshape(-1, d)
+            out[span @ powers] = True
+    return out
+
+
+def _rows(d, p, grams, box, spaces):
+    """`pair_rows`, and each subspace's membership mask over F_p^d.  Without
+    a Gram array the masks are None: the sizes |W| come from ranks, and
+    nothing P long is built."""
+    import numpy as np
 
     grams = _reflexive_grams(d, p, grams)
     P = p ** d
+    spaces = [np.asarray(B, dtype=np.int64).reshape(-1, d) % p
+              for B in spaces]
     if not grams:
-        sums = np.array([P, *map(np.count_nonzero, spaces)])[:, None]
-        return np.broadcast_to(sums, (len(sums), P)), np.ones(P, bool)
+        sizes = [P, *(p ** rank_mod(B, p) for B in spaces)]
+        return (np.broadcast_to(np.array(sizes)[:, None], (len(sizes), P)),
+                np.broadcast_to(True, (P,)), None)
     for _ in grams:
         spend(box, P * P)
-    columns = [slice(None), *map(np.flatnonzero, spaces)]
-    sums = np.empty((len(columns), P), dtype=np.int64)
+    inside = [_span_mask(B, d, p) for B in spaces]
+    sizes = np.array([P, *map(np.count_nonzero, inside)])[:, None]
+    r, width = len(grams), max([d, *map(len, spaces)])
+    # y @ G is every y G_i side by side, and y G B^T every subspace's
+    # columns side by side
+    G = np.stack(grams).transpose(1, 0, 2).reshape(d, r * d)
+    B = np.concatenate([np.zeros((0, d), dtype=np.int64), *spaces])
+    ends = np.cumsum([0, *map(len, spaces)])
+    V = vectors_array(d, p)
+    sums = np.empty((len(sizes), P), dtype=np.int64)
     diag = np.empty(P, dtype=bool)
-    for lo, run in zero_cup_blocks(grams, vectors_array(d, p), p):
-        hi = lo + len(run)
-        for row, at in zip(sums, columns):
-            row[lo:hi] = np.count_nonzero(run[:, at], axis=1)
-        diag[lo:hi] = run[:, lo:hi].diagonal()
-    return sums, diag
+    step = max(1, fp.BLOCK_CELLS // (len(sizes) * r * width))
+    for lo in range(0, P, step):
+        y = V[lo:lo + step]
+        yG = (y @ G % p).reshape(len(y), r, d)
+        diag[lo:lo + len(y)] = ~(np.einsum("nkd,nd->nk", yG, y) % p).any(1)
+        yGB = yG @ B.T
+        stack = np.zeros((len(y), len(sizes), r, width), dtype=np.int16)
+        stack[:, 0, :, :d] = yG
+        for j, (start, end) in enumerate(zip(ends, ends[1:]), 1):
+            stack[:, j, :, :end - start] = yGB[:, :, start:end]
+        sums[:, lo:lo + len(y)] = sizes // p ** rank_mod(stack, p).T
+    return sums, diag, inside
 
 
-def _free(p, sums, diag):
-    """Per y, f(y), the vectors that pair to zero with y outside span(y),
-    and h(y), the vectors of span(y) that do: p when mask[y, y], else 1
-    (just 0); f(0) = 0.  By reflexivity f(y) counts both the x and the z
-    that pair with y."""
+def pair_rows(d, p, grams, box, spaces=()):
+    """Per y, the pair mask's row sums over the whole space and then over
+    each subspace span(B), B in `spaces` a (k, d) spanning array, as a
+    (1 + len(spaces), P) array, and the diagonal mask[y, y].  A row sum is
+    p^(rank B - rank(y G B^T)), G the stacked Gram arrays; the ranks are
+    taken a slice of y at a time, about fp.BLOCK_CELLS cells each, all
+    subspaces zero-padded into one `rank_mod` call.  Without a Gram array
+    both are broadcast constants.  Charges P * P per Gram array, the scan's
+    only charge for the mask."""
+    return _rows(d, p, grams, box, spaces)[:2]
+
+
+def _classes(d, p, grams, box, spaces=()):
+    """Per space, the whole space first: the classes of y as (f, h, n), n
+    vectors y with f_W(y) = f and h_W(y) = h (see the module notes), off
+    the row sums of `pair_rows`.  Without a Gram array they are sized from
+    P and |W|, and no P-long array is built."""
     import numpy as np
 
-    h = np.where(diag, p, 1)
-    f = sums - h
-    f[0] = 0
-    return f, h
+    P = p ** d
+    sums, diag, inside = _rows(d, p, grams, box, spaces)
+    if inside is None:
+        # every row sum is |W|: h_W(y) = p for y in W, 1 off it; y = 0
+        # has f(0) = 0 and adds nothing
+        return [[(Q - p, p, Q - 1), (Q - 1, 1, P - Q)]
+                for Q in sums[:, 0].tolist()]
+    out = []
+    for row, on in zip(sums, [True, *inside]):
+        h = np.where(diag & on, p, 1)
+        f = row - h
+        f[0] = 0
+        sizes = np.bincount(2 * f + (h > 1))
+        keys = np.flatnonzero(sizes)
+        out.append([(k >> 1, p if k & 1 else 1, n)
+                    for k, n in zip(keys.tolist(), sizes[keys].tolist())])
+    return out
 
 
-def _exact_dot(a, b):
-    """a @ b as a Python int, for int64 arrays whose products lie in
-    [0, len(a)^2], as f(y) (f(y) - (p - 1) h(y)) does (f(y) <= P, and the
-    second factor lies in [0, f(y)] when f(y) > 0).  The sum may pass 2^63,
-    so it is taken in int64 chunks of 2^62 // len(a)^2 products."""
-    k = max(1, 2 ** 62 // len(a) ** 2)
-    return sum(int(a[i:i + k] @ b[i:i + k]) for i in range(0, len(a), k))
+def count_pairs(d, p, grams, box):
+    """Count the admissible (x, y) pairs: x nonzero, y outside span(x) and
+    every Gram array pairing (x, y) to zero.  There are sum_y f(y) of them
+    (the module notes).  Charges the pair mask, then (P - 1) * P
+    evaluations."""
+    [classes] = _classes(d, p, grams, box)
+    spend(box, (p ** d - 1) * p ** d)
+    return sum(f * n for f, _h, n in classes)
 
 
+def _s3_counts(d, p, tensors, spaces):
+    """The triple count of the s3 tensors, then N(span(B)) per B in
+    `spaces`, from the ranks of the module notes.  A slice of x takes every
+    y, and the y of span(x) are dropped from the sums."""
+    import numpy as np
+
+    V = vectors_array(d, p).astype(np.int16)
+    P, r = len(V), len(tensors)
+    spaces = [np.asarray(B, dtype=np.int64).reshape(-1, d) % p
+              for B in spaces]
+    inside = [_span_mask(B, d, p) for B in spaces]
+    width = max(d, 2, *map(len, spaces))
+    # x @ T is every x T_k side by side, as (d, r * d) per x
+    T = np.stack(tensors).transpose(1, 2, 0, 3).reshape(d, d * r * d)
+    powers = p ** np.arange(d - 1, -1, -1)
+    counts = [0] * (1 + len(spaces))
+    # W, [W x^T | W y^T], then W x^T and W B^T per space
+    slots = 2 + (len(spaces) + 1 if spaces else 0)
+    step = max(1, fp.BLOCK_CELLS // (P * r * width * (slots + 1)))
+    for lo in range(1, P, step):
+        x = V[lo:lo + step]
+        n = len(x)
+        keep = np.ones((n, P), dtype=bool)  # y outside span(x)
+        line = (np.arange(p)[:, None, None] * x % p) @ powers
+        keep[np.arange(n), line] = False
+        xT = (x @ T % p).astype(np.int16).reshape(n, d, r, d)
+        W = (V @ xT.reshape(n, d, r * d)).reshape(n, P, r, d)
+        W -= W // p * p
+        # W x^T = y (x T_k x^T), and W y^T per y
+        Wx = V @ ((xT @ x[:, None, :, None]) % p).reshape(n, d, r)
+        Wy = (W.transpose(1, 0, 2, 3).reshape(P, n * r, d)
+              @ V[:, :, None]).reshape(P, n, r).transpose(1, 0, 2)
+        stack = np.zeros((n, P, slots, r, width), dtype=np.int16)
+        stack[:, :, 0, :, :d] = W
+        stack[:, :, 1, :, 0] = Wx
+        stack[:, :, 1, :, 1] = Wy
+        if spaces:
+            stack[:, :, 2, :, 0] = Wx
+        for j, B in enumerate(spaces, 3):
+            stack[:, :, j, :, :len(B)] = (W.reshape(-1, d) @ B.T).reshape(
+                n, P, r, len(B))
+        ranks = rank_mod(stack, p)
+        inline = p ** (2 - ranks[:, :, 1])  # the kernel's a x + b y
+        counts[0] += int((p ** (d - ranks[:, :, 0]) - inline)[keep].sum())
+        for j, on in enumerate(inside, 1):
+            z = np.count_nonzero(on) // p ** ranks[:, :, j + 2] - np.where(
+                on, inline, p ** (1 - ranks[:, :, 2]))
+            counts[j] += int(z[keep & on[lo:lo + n, None]].sum())
+    return counts
+
+
+@functools.lru_cache(maxsize=None)
 def _line_table(k, p):
-    """(p^k * p^k, p) int32: row u * p^k + v holds the indices in F_p^k of
-    the line u + b v, for b in F_p."""
+    """(p^k * p^k, p) int32, read-only: row u * p^k + v holds the indices in
+    F_p^k of the line u + b v, for b in F_p.  Built once per (k, p)."""
     import numpy as np
 
     V = vectors_array(k, p).astype(np.int32)
@@ -141,7 +266,9 @@ def _line_table(k, p):
     for i in range(k):  # digit by digit, first coordinate most significant
         out *= p
         out += (V[:, None, None, i] + b * V[None, :, None, i]) % p
-    return out.reshape(-1, p)
+    out = out.reshape(-1, p)
+    out.flags.writeable = False
+    return out
 
 
 def _line_finder(d, p):
@@ -152,13 +279,14 @@ def _line_finder(d, p):
     import numpy as np
 
     q = p ** (d - d // 2)
-    head, tail = _line_table(d // 2, p) * q, _line_table(d - d // 2, p)
+    head, tail = _line_table(d // 2, p), _line_table(d - d // 2, p)
     heads = p ** (d // 2)
 
     def lines(ix, iy):
         hx, tx = np.divmod(ix, q)
         hy, ty = np.divmod(iy, q)
         out = np.take(head, hx * heads + hy, axis=0)
+        out *= q
         out += np.take(tail, tx * q + ty, axis=0)
         return out
 
@@ -177,41 +305,33 @@ def _blocks(cells, cap):
     return zip(edges[:-1], edges[1:])
 
 
-def count_pairs(d, p, grams, box):
-    """Count the admissible (x, y) pairs: x nonzero, y outside span(x) and
-    every Gram array pairing (x, y) to zero.  There are sum_y f(y) of them
-    (`_free`).  Charges the pair mask, then (P - 1) * P evaluations."""
-    (sums,), diag = pair_rows(d, p, grams, box)
-    spend(box, (p ** d - 1) * p ** d)
-    return int(_free(p, sums, diag)[0].sum())
-
-
-def _walk(d, p, grams, tensors, f, spaces=(), listing=None):
-    """Walk the nonzero x in blocks of whole rows, each holding about
-    fp.BLOCK_CELLS array cells: take all admissible (x, y) pairs of a block
-    at once and build a z-mask row per pair, mask[y, z], or the vanishing of
-    every tensor in `tensors` on (x, y, z), off span(x, y).  `f` is f(x) of
-    `_free`.  Returns the triple count and then N(W) per subspace W in
-    `spaces`; fills `listing`, an (m, 3) int32 array as long as the count,
-    with the (x, y, z) in lexicographic order.  Charges nothing: the whole
-    mask it gathers from is the one `pair_rows` charged."""
+def _walk(d, p, grams, tensors, listing):
+    """Fill `listing`, an (m, 3) int32 array as long as the triple count,
+    with the (x, y, z) in lexicographic order.  Walk the nonzero x in blocks
+    of whole rows, each holding about fp.BLOCK_CELLS array cells: take all
+    admissible (x, y) pairs of a block at once and build a z-mask row per
+    pair, mask[y, z], or the vanishing of every tensor in `tensors` on
+    (x, y, z), off span(x, y).  Charges nothing: the count it fills was
+    charged."""
     import numpy as np
 
     from .forms import zero_cup_table
 
     P = p ** d
     V = vectors_array(d, p)
-    mask = zero_cup_table(grams, V, p)  # all true without a Gram array
+    if tensors is None:
+        mask = zero_cup_table(grams, V, p)  # all true without a Gram array
+    else:
+        # z is admissible when it pairs to zero with w = x T y under the dot
+        # product, for each trace tensor T: the row of w's index
+        mask = np.broadcast_to(True, (P, P))
+        dot = zero_cup_table([np.eye(d, dtype=np.int64)], V, p)
+        powers = p ** np.arange(d - 1, -1, -1)
     line_of = _line_finder(d, p)
     every = np.arange(P)
     lines = line_of(np.zeros(P, dtype=np.int64), every)  # (P, p): the b x
-    if tensors is not None:
-        # z is admissible when it pairs to zero with w = x T y under the dot
-        # product, for each trace tensor T: the row of w's index
-        dot = zero_cup_table([np.eye(d, dtype=np.int64)], V, p)
-        powers = p ** np.arange(d - 1, -1, -1)
-    counts, at = [0] * (1 + len(spaces)), 0
-    for lo, hi in _blocks((f[1:] + 1) * P, fp.BLOCK_CELLS):
+    at = 0
+    for lo, hi in _blocks((mask[1:].sum(axis=1) + 1) * P, fp.BLOCK_CELLS):
         lo, hi = lo + 1, hi + 1  # x = 0 has no pairs
         ymask = mask[lo:hi].copy()
         np.put_along_axis(ymask, lines[lo:hi], False, axis=1)
@@ -232,49 +352,46 @@ def _walk(d, p, grams, tensors, f, spaces=(), listing=None):
         span = np.take(lines, line_of(ix, iy), axis=0).reshape(-1, p * p)
         zmask.ravel()[base + span] = False
         zmask.ravel()[base + np.take(lines, iy, axis=0)] = False
-        found = np.count_nonzero(zmask)
-        counts[0] += found
-        for k, space in enumerate(spaces, 1):
-            counts[k] += np.count_nonzero(zmask[space[ix]][:, space])
-        if listing is None:
-            continue
         # int32 columns in zmask's row-major order: x and y once per z of
         # their pair, then the z themselves
+        found = np.count_nonzero(zmask)
         piece, at = listing[at:at + found], at + found
         per_pair = np.count_nonzero(zmask, axis=1)
         piece[:, 0] = np.repeat(ix.astype(np.int32), per_pair)
         piece[:, 1] = np.repeat(iy.astype(np.int32), per_pair)
         piece[:, 2] = np.broadcast_to(every.astype(np.int32),
                                       zmask.shape)[zmask]
-    return counts
+    assert at == len(listing), (at, len(listing))
 
 
 def count_triples(d, p, grams, box, tensors=None, spaces=(),
                   want_list=False):
     """The triple scan over F_p^d.  `grams` are the Gram arrays of the pair
     mask (none: every pair admissible); `tensors` are the s3 triple tensors,
-    whose vanishing on (x, y, z) replaces mask[y, z].  Returns the count,
-    the (x, y, z) index triples in lexicographic order as an (m, 3) int32
-    array when `want_list`, and per subspace W in `spaces` (boolean masks
-    over F_p^d) the count N(W) of the triples whose x and z lie in W.
+    whose vanishing on (x, y, z) replaces mask[y, z], and take no Gram
+    array.  Returns the count, the (x, y, z) index triples in lexicographic
+    order as an (m, 3) int32 array when `want_list`, and per subspace
+    span(B), B in `spaces` a (k, d) spanning array, the count N(W) of the
+    triples whose x and z lie in it.
 
-    The pair mask's rows are streamed and charged once (`pair_rows`), then
-    the scan is charged in full.  Without tensors the counts are the per-y
-    sums of the module notes; with them, one `_walk`.  A listing is then
-    allocated at the count and filled by one more walk."""
+    The pair counts come from ranks (`pair_rows`, charged there), then the
+    scan is charged in full.  Without tensors the counts are the per-y
+    class sums of the module notes; with them, `_s3_counts`.  A listing is
+    then allocated at the count and filled by one `_walk`."""
     import numpy as np
 
-    P = p ** d
-    sums, diag = pair_rows(d, p, grams, box, spaces)
-    free = [_free(p, row, diag & w) for row, w in zip(sums, [True, *spaces])]
-    f = free[0][0]  # f[x]: the admissible y of x
-    spend(box, int(f.sum()) * P * (1 if tensors is None else len(tensors)))
+    if tensors is not None and len(grams):
+        raise ValueError("the s3 triple tensors scan with no Gram array")
+    classes = _classes(d, p, grams, box, spaces if tensors is None else ())
+    pairs = sum(f * n for f, _h, n in classes[0])
+    spend(box, pairs * p ** d * (1 if tensors is None else len(tensors)))
     if tensors is None:
-        counts = [_exact_dot(f, f - (p - 1) * h) for f, h in free]
+        counts = [sum(n * f * (f - (p - 1) * h) for f, h, n in c)
+                  for c in classes]
     else:
-        counts = _walk(d, p, grams, tensors, f, spaces)
+        counts = _s3_counts(d, p, tensors, spaces)
     listing = None
     if want_list:
         listing = np.empty((counts[0], 3), dtype=np.int32)
-        _walk(d, p, grams, tensors, f, listing=listing)
+        _walk(d, p, grams, tensors, listing)
     return counts[0], listing, counts[1:]

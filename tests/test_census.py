@@ -343,13 +343,16 @@ def test_scan_matches_literal_definition_s3(case):
     model, p = case
     naive = _naive_s3_triples(model, p)
     _check_against_naive(model, p, naive)
-    # N(W), the triples with x and z in W, off the walk: W the vectors with
-    # first coordinate 0, and the whole space
+    # N(W), the triples with x and z in W, off the ranks: W the vectors with
+    # first coordinate 0, spanned by the other unit rows and then also by
+    # their sum (a dependent spanning array), and the whole space
     grams, tensors = census._model_forms(model, p)
-    V = fp.vectors_array(model.rank, p)
+    eye = np.eye(model.rank, dtype=np.int64)
+    dependent = np.vstack([eye[1:], eye[1:].sum(axis=0)])
     _, _, on = scan.count_triples(model.rank, p, grams, [0, 10 ** 9], tensors,
-                                  [V[:, 0] == 0, V[:, 0] >= 0])
-    assert on == [sum(x[0] == z[0] == 0 for x, _y, z in naive), len(naive)]
+                                  [eye[1:], dependent, eye])
+    first_zero = sum(x[0] == z[0] == 0 for x, _y, z in naive)
+    assert on == [first_zero, first_zero, len(naive)]
 
 
 def _naive_s3_triples(model, p):
@@ -407,9 +410,11 @@ def test_scan_matches_literal_definition_forms(case, spanning):
     drawn = {tuple(np.array(a) @ np.array(gens, dtype=np.int64).reshape(
         -1, d) % p) for a in itertools.product(range(p), repeat=len(gens))}
     subspaces = [{(0,) * d}, drawn, set(space)]
-    masks = [np.array([v in W for v in space]) for W in subspaces]
+    arrays = [np.zeros((0, d), dtype=np.int64),
+              np.array(gens, dtype=np.int64).reshape(-1, d),
+              np.eye(d, dtype=np.int64)]
     count, _, on = scan.count_triples(d, p, forms, [0, 10 ** 9],
-                                      spaces=masks)
+                                      spaces=arrays)
     assert count == len(naive)
     assert on == [sum(x in W and z in W for x, _y, z in naive)
                   for W in subspaces]
@@ -471,6 +476,14 @@ def test_pair_mask_refuses_what_is_not_reflexive():
     assert tmp_enumerate_forms([[[0, 1], [2, 0]]], 3) >= 0
 
 
+def _span_members(B, V, p):
+    """Whether each row of V lies in the row span of B, spelled out: every
+    combination of B's rows."""
+    span = {tuple(np.array(a) @ B % p)
+            for a in itertools.product(range(p), repeat=len(B))}
+    return np.array([tuple(v) in span for v in V.tolist()])
+
+
 def test_pair_rows_stream_the_pair_mask():
     for model, p in ((GroupModel.dd(2, 3, 2, 3), 3),
                      (GroupModel.demushkin(3, 2), 2),
@@ -480,16 +493,102 @@ def test_pair_rows_stream_the_pair_mask():
         V = fp.vectors_array(model.rank, p)
         mask = forms.zero_cup_table(grams, V, p)  # all true without grams
         assert mask.shape == (P, P)
-        # the central subspaces, and one that is not a block of coordinates
-        spaces = census._central_spaces(model, p)
-        spaces.append(V.sum(axis=1) % p == 0)
-        whole = [mask.sum(axis=1), *(mask[:, w].sum(axis=1) for w in spaces)]
+        # the central subspaces, and one that is not a block of coordinates,
+        # the vectors whose coordinates sum to 0, spanned by e_0 - e_j
+        spaces = census._central_spaces(model)
+        eye = np.eye(model.rank, dtype=np.int64)
+        spaces.append(eye[:1] - eye[1:])
+        members = [_span_members(B, V, p) for B in spaces]
+        assert (members[-1] == (V.sum(axis=1) % p == 0)).all()
+        whole = [mask.sum(axis=1), *(mask[:, w].sum(axis=1) for w in members)]
         diag = mask.diagonal()
         for cap in (1, 7, 10 ** 6):
             with mock.patch.object(fp, "BLOCK_CELLS", cap):
                 rows, streamed = scan.pair_rows(model.rank, p, grams,
                                                 [0, 10 ** 9], spaces)
             assert (rows == whole).all() and (streamed == diag).all()
+
+
+@st.composite
+def grams_and_spaces(draw):
+    """Random symmetric or skew Gram arrays at p = 2, 3, 5, and spanning
+    arrays: the zero subspace as no rows and as zero rows, random rows, and
+    rows with their sum and a multiple appended (dependent)."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    d = draw(st.integers(1, {2: 5, 3: 4, 5: 3}[p]))
+    entries = st.integers(0, p - 1)
+    grams = []
+    for _ in range(draw(st.integers(1, 3))):
+        a = np.array(draw(st.lists(entries, min_size=d * d, max_size=d * d)),
+                     dtype=np.int64).reshape(d, d)
+        if draw(st.booleans()):
+            grams.append(np.triu(a) + np.triu(a, 1).T)  # symmetric
+        else:
+            grams.append(np.triu(a, 1) - np.triu(a, 1).T)  # skew
+    rows = np.array(draw(st.lists(st.lists(entries, min_size=d, max_size=d),
+                                  max_size=d)), dtype=np.int64).reshape(-1, d)
+    spaces = [np.zeros((0, d), dtype=np.int64),
+              np.zeros((2, d), dtype=np.int64), rows,
+              np.vstack([rows, rows.sum(axis=0), 2 * rows[:1]])]
+    return grams, spaces, d, p
+
+
+@settings(max_examples=60, deadline=None)
+@given(grams_and_spaces(), st.sampled_from((1, 7, 10 ** 6)))
+def test_pair_rows_by_ranks_match_the_mask(case, cap):
+    # the rank route against the row sums and diagonal of the whole mask,
+    # each subspace's columns picked out by the literal span
+    grams, spaces, d, p = case
+    V = fp.vectors_array(d, p).astype(np.int64)
+    mask = forms.zero_cup_table(grams, V, p)
+    members = [_span_members(B, V, p) for B in spaces]
+    box = [0, 10 ** 9]
+    with mock.patch.object(fp, "BLOCK_CELLS", cap):
+        rows, diag = scan.pair_rows(d, p, grams, box, spaces)
+    assert box[0] == len(grams) * p ** (2 * d)
+    assert rows.tolist() == [mask.sum(axis=1).tolist(),
+                             *(mask[:, w].sum(axis=1).tolist()
+                               for w in members)]
+    assert (diag == mask.diagonal()).all()
+
+
+def test_counts_build_no_mask_and_listings_one(monkeypatch):
+    # a count reads ranks only; a listing builds the mask once and walks
+    # once, for a Gram model and an s3 model alike
+    calls = []
+    for module, name in ((forms, "zero_cup_table"), (scan, "_walk")):
+        def spy(*args, _f=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _f(*args)
+
+        monkeypatch.setattr(module, name, spy)
+    for model, p in ((GroupModel.demushkin(4, 3), 3),
+                     (GroupModel.dd(2, 3, 2, 3), 3),
+                     (preset_model("counterexample1"), 3),
+                     (preset_model("borromean"), 2)):
+        count = tmp_enumerate(model, p)[0]
+        epi_count(model, p, method="tmp_sum")
+        cp_count(model, p, "enumerate")
+        assert calls == []
+        assert len(tmp_enumerate(model, p, want_list=True)[1]) == count
+        assert sorted(calls) == ["_walk", "zero_cup_table"], model.describe()
+        calls.clear()
+
+
+def test_line_tables_are_shared_and_read_only():
+    scan._line_table.cache_clear()
+    tmp_enumerate(GroupModel.demushkin(4, 3), 3, want_list=True)
+    tmp_enumerate(GroupModel.demushkin(4, 3), 3, want_list=True)
+    # d = 4 splits into equal halves: one table, built once
+    info = scan._line_table.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    table = scan._line_table(2, 3)
+    assert table is scan._line_table(2, 3)
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+    # d = 5 reads a table per half
+    tmp_enumerate(GroupModel.df(4, 3, 1), 3, want_list=True)
+    assert scan._line_table.cache_info().currsize == 2
 
 
 def test_cp_count_enumerate_matches_closed_on_a_grid():
@@ -672,14 +771,22 @@ def test_counts_past_2_63_are_exact():
     # free(22) at p = 2: every pair admissible, so (P - 1)(P - 2)(P - 4)
     # triples, and with W the vectors of first coordinate 0 (Q = P / 2 of
     # them), N(W) = (Q - 1)((Q - 2)(Q - 4) + Q (Q - 2)): y in W or not
+    # W is spanned by the other unit rows.  Without a Gram array the
+    # classes of y are sized from P and |W|: no P-long array is built
     P = 2 ** 22
     Q = P // 2
-    count = tmp_enumerate(GroupModel.free(22), 2, budget=10 ** 20)[0]
+    tracemalloc.start()
+    try:
+        count = tmp_enumerate(GroupModel.free(22), 2, budget=10 ** 20)[0]
+        _, _, on = scan.count_triples(22, 2, [], [0, 10 ** 20],
+                                      spaces=[np.eye(22, dtype=np.int64)[1:]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert count == (P - 1) * (P - 2) * (P - 4) > 2 ** 63
-    _, _, on = scan.count_triples(22, 2, [], [0, 10 ** 20],
-                                  spaces=[np.arange(P) < Q])
     assert on == [(Q - 1) * ((Q - 2) * (Q - 4) + Q * (Q - 2))]
     assert on[0] > 2 ** 63
+    assert peak < 2 ** 20, peak
 
 
 def test_cup_pairing_walked_once_per_model_and_prime(monkeypatch):
