@@ -11,7 +11,7 @@ import operator
 import time
 from collections.abc import Sequence
 
-from .fp import FpVector, check_prime, vectors_array
+from .fp import FpVector, check_prime, vector_from_index
 from .unipotent import aut_order
 from .words import (
     RamifiedRelatorData,
@@ -164,21 +164,27 @@ class TmpTriple:
 
 class TmpTriples(Sequence):
     """A read-only listing of census triples: the scan's (m, 3) index array
-    `indices`, each row decoded to a TmpTriple on access.  FpVector is never
-    mutated, so the triples share one vector per index.  A slice is a list."""
+    `indices`, each row decoded to a TmpTriple on access.  A vector is
+    decoded when an index is first read and kept: FpVector is never mutated,
+    so the triples share one vector per index.  A slice is a list."""
 
     def __init__(self, indices, d, p):
         indices.flags.writeable = False
         self.indices = indices
-        self._vectors = [FpVector(row, p)
-                         for row in vectors_array(d, p).tolist()]
+        self._shape = d, p
+        self._vectors = {}
+
+    def _vector(self, i):
+        v = self._vectors.get(i)
+        if v is None:
+            v = self._vectors[i] = vector_from_index(i, *self._shape)
+        return v
 
     def __len__(self):
         return len(self.indices)
 
     def _triple(self, row):
-        v = self._vectors
-        return TmpTriple(v[row[0]], v[row[1]], v[row[2]])
+        return TmpTriple(*map(self._vector, row))
 
     def __getitem__(self, i):
         if isinstance(i, slice):

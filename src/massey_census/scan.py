@@ -30,13 +30,26 @@ lies in W, so each sum runs over the classes, weighted by their sizes, in
 python ints: exact past 2^63.  Without a Gram array every row sum is |W|,
 and the classes are sized from P and |W| alone.
 
+Every one of these terms is constant on the lines through 0: the pair and
+triple conditions are homogeneous, so the row sums, mask[y, y] and
+membership of W are the same at y and at a y for a != 0.  The counts
+therefore rank one point per line, the (P - 1) / (p - 1) nonzero vectors
+whose first nonzero coordinate is 1 (`_points`, one read-only table per
+(d, p); at p = 2 every nonzero vector is its own point, the slice V[1:]),
+and a point's class stands for its p - 1 nonzero multiples; y = 0 has
+f(0) = 0 and drops out.  `pair_rows` still ranks every y, through the same
+`_rows`.
+
 For the s3 triple tensors T_k every pair (x, y), x nonzero and y outside
 span(x), stands, and its z are the kernel of W, the stack of the vectors
 x T_k y, outside span(x, y): p^(d - rank W) - p^(2 - rank [W x^T | W y^T])
 of them, the second term counting the a x + b y in the kernel.  N(span B)
 takes the pairs with x in span(B): of span(B) the kernel holds
 p^(rank B - rank(W B^T)) vectors, less those of span(x, y) when y lies in
-span(B) too, else less the p^(1 - rank(W x^T)) of span(x).  The pairs are
+span(B) too, else less the p^(1 - rank(W x^T)) of span(x).  These terms
+are constant on lines too (W scales by a b when x and y do), so x and y
+run over the points: y outside span(x) is a point other than x's, and
+each pair of points stands for (p - 1)^2 pairs (x, y).  The pairs are
 taken a slice of x at a time, and all ranks of a slice are one zero-padded
 `fp.rank_mod` call (`_s3_counts`).
 
@@ -47,9 +60,10 @@ array cells, taking all admissible (x, y) pairs of a block at once; the p
 indices of the line x + b y come from two small tables, one per half of
 the coordinates, built once per process.  The budget counts primitive form
 evaluations (P per admissible pair and relator, P * P per Gram array) and
-is charged before the triples are counted.  The census imports this module
-where a scan runs, and its functions import numpy where they run, so a
-closed-form count loads neither."""
+is charged before the triples are counted.  It stays nominal, the work
+over every vector, however few points the counts rank.  The census imports
+this module where a scan runs, and its functions import numpy where they
+run, so a closed-form count loads neither."""
 
 from __future__ import annotations
 
@@ -114,9 +128,29 @@ def _span_mask(B, d, p):
     return out
 
 
-def _rows(d, p, grams, box, spaces):
-    """`pair_rows`, and each subspace's membership mask over F_p^d.  Without
-    a Gram array the masks are None: the sizes |W| come from ranks, and
+@functools.lru_cache(maxsize=None)
+def _points(d, p):
+    """(n, d) int8, read-only, n = (p^d - 1) / (p - 1): one point per line
+    through 0 of F_p^d, the nonzero vectors whose first nonzero coordinate
+    is 1, in index order.  Their indices are the runs [p^k, 2 p^k), so at
+    p = 2, where every nonzero vector is its own point, the table is the
+    slice V[1:].  Built once per (d, p)."""
+    import numpy as np
+
+    V = vectors_array(d, p)
+    if p == 2:
+        out = V[1:]
+    else:
+        out = V[np.concatenate([np.arange(p ** k, 2 * p ** k)
+                                for k in range(d)])]
+    out.flags.writeable = False
+    return out
+
+
+def _rows(d, p, grams, box, spaces, lines=False):
+    """`pair_rows` over every y, or with `lines` over the points
+    (`_points`), and each subspace's membership mask of those y.  Without a
+    Gram array the masks are None: the sizes |W| come from ranks, and
     nothing P long is built."""
     import numpy as np
 
@@ -132,17 +166,20 @@ def _rows(d, p, grams, box, spaces):
         spend(box, P * P)
     inside = [_span_mask(B, d, p) for B in spaces]
     sizes = np.array([P, *map(np.count_nonzero, inside)])[:, None]
+    V = _points(d, p) if lines else vectors_array(d, p)
+    if lines:
+        at = V @ p ** np.arange(d - 1, -1, -1)
+        inside = [on[at] for on in inside]
     r, width = len(grams), max([d, *map(len, spaces)])
     # y @ G is every y G_i side by side, and y G B^T every subspace's
     # columns side by side
     G = np.stack(grams).transpose(1, 0, 2).reshape(d, r * d)
     B = np.concatenate([np.zeros((0, d), dtype=np.int64), *spaces])
     ends = np.cumsum([0, *map(len, spaces)])
-    V = vectors_array(d, p)
-    sums = np.empty((len(sizes), P), dtype=np.int64)
-    diag = np.empty(P, dtype=bool)
+    sums = np.empty((len(sizes), len(V)), dtype=np.int64)
+    diag = np.empty(len(V), dtype=bool)
     step = max(1, fp.BLOCK_CELLS // (len(sizes) * r * width))
-    for lo in range(0, P, step):
+    for lo in range(0, len(V), step):
         y = V[lo:lo + step]
         yG = (y @ G % p).reshape(len(y), r, d)
         diag[lo:lo + len(y)] = ~(np.einsum("nkd,nd->nk", yG, y) % p).any(1)
@@ -169,13 +206,14 @@ def pair_rows(d, p, grams, box, spaces=()):
 
 def _classes(d, p, grams, box, spaces=()):
     """Per space, the whole space first: the classes of y as (f, h, n), n
-    vectors y with f_W(y) = f and h_W(y) = h (see the module notes), off
-    the row sums of `pair_rows`.  Without a Gram array they are sized from
-    P and |W|, and no P-long array is built."""
+    vectors y with f_W(y) = f and h_W(y) = h (see the module notes).  The
+    rows are ranked at the points (`_points`), and a point's class holds its
+    p - 1 nonzero multiples.  Without a Gram array the classes are sized
+    from P and |W|, and no P-long array is built."""
     import numpy as np
 
     P = p ** d
-    sums, diag, inside = _rows(d, p, grams, box, spaces)
+    sums, diag, inside = _rows(d, p, grams, box, spaces, lines=True)
     if inside is None:
         # every row sum is |W|: h_W(y) = p for y in W, 1 off it; y = 0
         # has f(0) = 0 and adds nothing
@@ -184,11 +222,9 @@ def _classes(d, p, grams, box, spaces=()):
     out = []
     for row, on in zip(sums, [True, *inside]):
         h = np.where(diag & on, p, 1)
-        f = row - h
-        f[0] = 0
-        sizes = np.bincount(2 * f + (h > 1))
+        sizes = np.bincount(2 * (row - h) + (h > 1))
         keys = np.flatnonzero(sizes)
-        out.append([(k >> 1, p if k & 1 else 1, n)
+        out.append([(k >> 1, p if k & 1 else 1, (p - 1) * n)
                     for k, n in zip(keys.tolist(), sizes[keys].tolist())])
     return out
 
@@ -205,37 +241,40 @@ def count_pairs(d, p, grams, box):
 
 def _s3_counts(d, p, tensors, spaces):
     """The triple count of the s3 tensors, then N(span(B)) per B in
-    `spaces`, from the ranks of the module notes.  A slice of x takes every
-    y, and the y of span(x) are dropped from the sums."""
+    `spaces`, from the ranks of the module notes.  x and y run over the
+    points (`_points`): a slice of x takes every point y but its own, and
+    each pair of points stands for the (p - 1)^2 pairs of their multiples."""
     import numpy as np
 
-    V = vectors_array(d, p).astype(np.int16)
-    P, r = len(V), len(tensors)
+    V = _points(d, p)
+    at = V @ p ** np.arange(d - 1, -1, -1)
+    V = V.astype(np.int16)
+    L, r = len(V), len(tensors)  # L points, one per line
     spaces = [np.asarray(B, dtype=np.int64).reshape(-1, d) % p
               for B in spaces]
     inside = [_span_mask(B, d, p) for B in spaces]
+    sizes = list(map(np.count_nonzero, inside))
+    inside = [on[at] for on in inside]
     width = max(d, 2, *map(len, spaces))
     # x @ T is every x T_k side by side, as (d, r * d) per x
     T = np.stack(tensors).transpose(1, 2, 0, 3).reshape(d, d * r * d)
-    powers = p ** np.arange(d - 1, -1, -1)
     counts = [0] * (1 + len(spaces))
     # W, [W x^T | W y^T], then W x^T and W B^T per space
     slots = 2 + (len(spaces) + 1 if spaces else 0)
-    step = max(1, fp.BLOCK_CELLS // (P * r * width * (slots + 1)))
-    for lo in range(1, P, step):
+    step = max(1, fp.BLOCK_CELLS // (L * r * width * (slots + 1)))
+    for lo in range(0, L, step):
         x = V[lo:lo + step]
         n = len(x)
-        keep = np.ones((n, P), dtype=bool)  # y outside span(x)
-        line = (np.arange(p)[:, None, None] * x % p) @ powers
-        keep[np.arange(n), line] = False
+        keep = np.ones((n, L), dtype=bool)  # y another point than x
+        keep[np.arange(n), np.arange(lo, lo + n)] = False
         xT = (x @ T % p).astype(np.int16).reshape(n, d, r, d)
-        W = (V @ xT.reshape(n, d, r * d)).reshape(n, P, r, d)
+        W = (V @ xT.reshape(n, d, r * d)).reshape(n, L, r, d)
         W -= W // p * p
         # W x^T = y (x T_k x^T), and W y^T per y
         Wx = V @ ((xT @ x[:, None, :, None]) % p).reshape(n, d, r)
-        Wy = (W.transpose(1, 0, 2, 3).reshape(P, n * r, d)
-              @ V[:, :, None]).reshape(P, n, r).transpose(1, 0, 2)
-        stack = np.zeros((n, P, slots, r, width), dtype=np.int16)
+        Wy = (W.transpose(1, 0, 2, 3).reshape(L, n * r, d)
+              @ V[:, :, None]).reshape(L, n, r).transpose(1, 0, 2)
+        stack = np.zeros((n, L, slots, r, width), dtype=np.int16)
         stack[:, :, 0, :, :d] = W
         stack[:, :, 1, :, 0] = Wx
         stack[:, :, 1, :, 1] = Wy
@@ -243,15 +282,15 @@ def _s3_counts(d, p, tensors, spaces):
             stack[:, :, 2, :, 0] = Wx
         for j, B in enumerate(spaces, 3):
             stack[:, :, j, :, :len(B)] = (W.reshape(-1, d) @ B.T).reshape(
-                n, P, r, len(B))
+                n, L, r, len(B))
         ranks = rank_mod(stack, p)
         inline = p ** (2 - ranks[:, :, 1])  # the kernel's a x + b y
         counts[0] += int((p ** (d - ranks[:, :, 0]) - inline)[keep].sum())
-        for j, on in enumerate(inside, 1):
-            z = np.count_nonzero(on) // p ** ranks[:, :, j + 2] - np.where(
+        for j, (on, size) in enumerate(zip(inside, sizes), 1):
+            z = size // p ** ranks[:, :, j + 2] - np.where(
                 on, inline, p ** (1 - ranks[:, :, 2]))
             counts[j] += int(z[keep & on[lo:lo + n, None]].sum())
-    return counts
+    return [(p - 1) ** 2 * c for c in counts]
 
 
 @functools.lru_cache(maxsize=None)

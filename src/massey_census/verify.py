@@ -287,27 +287,41 @@ def _formula_vs_scan(model, p, frozen, _threads):
 
 
 def _scan_reach(_threads):
-    """The scan's largest cells: P = 5^6 vectors, whose 244 MB pair mask the
-    per-y counts read a block of rows at a time; tmp_sum reads its class
-    subspaces off the same rows.  demushkin(6,5) charges 7.6e11 form
-    evaluations and dd(4,5,2,5) 1.8e11, over the default budget."""
-    dem, dd = GroupModel.demushkin(6, 5), GroupModel.dd(4, 5, 2, 5)
-    scanned = epi_count(dd, 5, method="tmp_sum", budget=10 ** 12)
-    classes = {cls: n for cls, (n, _) in scanned.z1_breakdown.items()}
-    frozen = {"central+noncentral": 299520, "noncentral+central": 239616000,
-              "noncentral+noncentral": 11598612480}
-    rows = [
-        _check_eq("demushkin(6,5) tmp_enumerate = tmp_closed = frozen",
-                  tmp_enumerate(dem, 5, budget=10 ** 12)[0],
-                  tmp_closed(dem, 5), 151115328000),
-        _check_eq("tmp_sum = formula = frozen",
-                  epi_count(dem, 5, method="tmp_sum", budget=10 ** 12).epi,
-                  epi_count(dem, 5).epi, 115291845703125000000000),
-        _check_eq("dd(4,5,2,5) tmp_sum = formula = frozen", scanned.epi,
-                  epi_count(dd, 5).epi, 1952848828125000000000),
-        (classes == frozen, "classes " + ", ".join(
-            f"{cls} {n}" for cls, n in classes.items())),
-    ]
+    """The scan's largest cells, P = p^6 vectors at p = 5 and 7.  The
+    counts rank the stacked y G_i at one point per line through 0,
+    (P - 1) / (p - 1) of them, and build no pair mask; tmp_sum reads its
+    class subspaces off the same ranks.  Charges stay nominal, over the
+    default budget: demushkin(6,5) 7.6e11 form evaluations, dd(4,5,2,5)
+    1.8e11, demushkin(6,7) 2.3e14 and dd(4,7,2,7) 3.7e13."""
+    frozen = {
+        5: (151115328000, 115291845703125000000000, 1952848828125000000000,
+            {"central+noncentral": 299520,
+             "noncentral+central": 239616000,
+             "noncentral+noncentral": 11598612480}),
+        7: (33121959091200, 7705178367649099654146278400,
+            47203552630877937146496000,
+            {"central+noncentral": 4838400,
+             "noncentral+central": 13750732800,
+             "noncentral+noncentral": 1324095897600}),
+    }
+    rows = []
+    for p, (tmp, dem_epi, dd_epi, classes) in frozen.items():
+        dem, dd = GroupModel.demushkin(6, p), GroupModel.dd(4, p, 2, p)
+        scanned = epi_count(dd, p, method="tmp_sum", budget=10 ** 15)
+        got = {cls: n for cls, (n, _) in scanned.z1_breakdown.items()}
+        rows += [
+            _check_eq(f"demushkin(6,{p}) tmp_enumerate = tmp_closed = frozen",
+                      tmp_enumerate(dem, p, budget=10 ** 15)[0],
+                      tmp_closed(dem, p), tmp),
+            _check_eq("tmp_sum = formula = frozen",
+                      epi_count(dem, p, method="tmp_sum",
+                                budget=10 ** 15).epi,
+                      epi_count(dem, p).epi, dem_epi),
+            _check_eq(f"dd(4,{p},2,{p}) tmp_sum = formula = frozen",
+                      scanned.epi, epi_count(dd, p).epi, dd_epi),
+            (got == classes, "classes " + ", ".join(
+                f"{cls} {n}" for cls, n in got.items())),
+        ]
     return all(ok for ok, _ in rows), "; ".join(detail for _, detail in rows)
 
 
@@ -391,7 +405,7 @@ CHECKS = (
           _free_rank2_u4_vanishes, "extended"),
     Check("triple counts are invariant under a change of basis",
           _basis_invariance, "extended"),
-    Check("P=5^6 p=5 scans = closed: demushkin(6,5), dd(4,5,2,5)",
+    Check("P=p^6 p=5,7 scans = closed: demushkin(6,p), dd(4,p,2,p)",
           _scan_reach, "extended"),
 ) + tuple(
     # rank 5: 2^30 nominal assignments, within the extended budget; rank 6:

@@ -194,6 +194,6 @@ def test_basis_invariance_row():
 
 
 def test_scan_reach_row():
-    # P = 5^6: the count and tmp_sum's class counts read the 244 MB pair
-    # mask a block of rows at a time, never whole
-    passed("P=5^6 p=5 scans = closed: demushkin(6,5), dd(4,5,2,5)")
+    # P = 5^6 and 7^6: the count and tmp_sum's class counts rank one point
+    # per line through 0 and never build the pair mask
+    passed("P=p^6 p=5,7 scans = closed: demushkin(6,p), dd(4,p,2,p)")

@@ -575,6 +575,156 @@ def test_counts_build_no_mask_and_listings_one(monkeypatch):
         calls.clear()
 
 
+@st.composite
+def line_cases(draw):
+    """At p = 2, 3, 5, 7: random symmetric or skew Gram arrays or random
+    triple tensors, and spanning arrays: no rows, the unit rows off the
+    first coordinate, and random rows."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    tensors = draw(st.booleans())
+    # the literal s3 loop is P^3 cells: p = 7 stays at d = 2 there, and
+    # d = 3 is one fixed example
+    top = {2: 4, 3: 3, 5: 3, 7: 2 if tensors else 3}[p]
+    d = draw(st.integers(2 if tensors else 1, top))
+    entries = st.integers(0, p - 1)
+
+    def array(*shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(entries, min_size=size,
+                                      max_size=size)),
+                        dtype=np.int64).reshape(shape)
+
+    forms = []
+    for _ in range(draw(st.integers(1, 2))):
+        if tensors:
+            forms.append(array(d, d, d))
+        elif draw(st.booleans()):
+            a = array(d, d)
+            forms.append(np.triu(a) + np.triu(a, 1).T)  # symmetric
+        else:
+            a = array(d, d)
+            forms.append(np.triu(a, 1) - np.triu(a, 1).T)  # skew
+    spaces = [np.zeros((0, d), dtype=np.int64),
+              np.eye(d, dtype=np.int64)[1:],
+              array(draw(st.integers(1, d)), d)]
+    return forms, tensors, spaces, d, p
+
+
+def _literal_s3_counts(tensors, d, p, members):
+    """The s3 triple count and N(W) per membership mask, literally: for
+    each nonzero x and each y outside span(x), the z outside span(x, y) on
+    which every tensor vanishes, counted when x and z lie in W."""
+    V = fp.vectors_array(d, p).astype(np.int64)
+    P = len(V)
+    powers = p ** np.arange(d - 1, -1, -1)
+    a, b = np.divmod(np.arange(p * p), p)
+    counts = [0] * (1 + len(members))
+    for ix in range(1, P):
+        x = V[ix]
+        # zero[y, z]: sum x_a y_b z_c T[a, b, c] = 0 mod p for every T
+        zero = np.ones((P, P), dtype=bool)
+        for t in tensors:
+            zero &= V @ np.einsum("a,abc->bc", x, t) @ V.T % p == 0
+        # span(x, y) per y, as the indices of a x + b y
+        span = (a[:, None, None] * x + b[:, None, None] * V) % p @ powers
+        zero[np.broadcast_to(np.arange(P), span.shape), span] = False
+        on_line = np.zeros(P, dtype=bool)  # the y of span(x)
+        on_line[np.arange(p)[:, None] * x % p @ powers] = True
+        zero[on_line] = False
+        counts[0] += int(zero.sum())
+        for j, on in enumerate(members, 1):
+            if on[ix]:
+                counts[j] += int(zero[:, on].sum())
+    return counts
+
+
+def _seeded_s3_case(p, d, seed):
+    rng = np.random.default_rng(seed)
+    return ([rng.integers(0, p, (d, d, d)) for _ in range(2)], True,
+            [np.zeros((0, d), dtype=np.int64), np.eye(d, dtype=np.int64)[1:],
+             rng.integers(0, p, (2, d))], d, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(line_cases())
+@example(_seeded_s3_case(7, 3, 25))
+def test_counts_over_lines_match_every_vector(case):
+    # counts summed over one point per line against, for Gram arrays, the
+    # module notes' sums over pair_rows' every-y output, and, for tensors,
+    # a literal loop; each subspace's N(W) beside them
+    forms, tensors, spaces, d, p = case
+    P = p ** d
+    V = fp.vectors_array(d, p)
+    members = [_span_members(B, V, p) for B in spaces]
+    points = scan._points(d, p)
+    assert len(points) == (P - 1) // (p - 1)
+    assert not points.flags.writeable
+    with pytest.raises(ValueError):
+        points[0, 0] = 1
+    # each point is nonzero with first nonzero coordinate 1, and their
+    # nonzero multiples are every nonzero vector once: one per line
+    lead = points[np.arange(len(points)), (points != 0).argmax(axis=1)]
+    assert (lead == 1).all()
+    multiples = [tuple(c * v % p) for v in points.astype(np.int64)
+                 for c in range(1, p)]
+    assert len(set(multiples)) == len(multiples) == P - 1
+    box = [0, 10 ** 12]
+    if tensors:
+        count, _, on = scan.count_triples(d, p, [], box, forms, spaces)
+        assert [count, *on] == _literal_s3_counts(forms, d, p, members)
+        return
+    rows, diag = scan.pair_rows(d, p, forms, box, spaces)
+    assert rows.shape == (1 + len(spaces), P)
+    sums = []
+    for row, on in zip(rows, [True, *members]):
+        h = np.where(diag & on, p, 1)
+        f = row - h
+        f[0] = 0
+        sums.append(int((f * (f - (p - 1) * h)).sum()))
+        if on is True:
+            pairs = int(f.sum())
+    assert scan.count_pairs(d, p, forms, box) == pairs
+    count, _, on = scan.count_triples(d, p, forms, box, spaces=spaces)
+    assert [count, *on] == sums
+
+
+def test_counts_rank_one_point_per_line(monkeypatch):
+    # a count ranks the rows y G of one y per line through 0,
+    # (P - 1) / (p - 1) of them, and an s3 count one pair per two points;
+    # pair_rows ranks every y
+    ranked = []
+
+    def spy(a, p, _f=scan.rank_mod):
+        ranked.append(np.shape(a))
+        return _f(a, p)
+
+    def rows_ranked(run, ndim=4):
+        ranked.clear()
+        run()
+        return sum(int(np.prod(s[:ndim - 3])) for s in ranked
+                   if len(s) == ndim)
+
+    monkeypatch.setattr(scan, "rank_mod", spy)
+    for model, p in ((GroupModel.demushkin(4, 3), 3),
+                     (GroupModel.dd(2, 5, 2, 5), 5),
+                     (GroupModel.demushkin(2, 7), 7),
+                     (GroupModel.dd(2, 4, 2, 4), 2)):
+        P = p ** model.rank
+        lines = (P - 1) // (p - 1)
+        for count_it in (lambda: tmp_enumerate(model, p),
+                         lambda: epi_count(model, p, method="tmp_sum"),
+                         lambda: cp_count(model, p, "enumerate")):
+            assert rows_ranked(count_it) == lines, (model.describe(), p)
+        grams = census._model_forms(model, p)[0]
+        assert rows_ranked(lambda: scan.pair_rows(
+            model.rank, p, grams, [0, 10 ** 12])) == P
+    for model, p in ((preset_model("counterexample1"), 3),
+                     (preset_model("borromean"), 5)):
+        lines = (p ** model.rank - 1) // (p - 1)
+        assert rows_ranked(lambda: tmp_enumerate(model, p, budget=10 ** 12),
+                           ndim=5) == lines ** 2
+
+
 def test_line_tables_are_shared_and_read_only():
     scan._line_table.cache_clear()
     tmp_enumerate(GroupModel.demushkin(4, 3), 3, want_list=True)
