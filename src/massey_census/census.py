@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import operator
 import time
 from collections.abc import Sequence
@@ -245,9 +244,8 @@ def _classify_keys(model):
                  itertools.product(("central", "noncentral"), repeat=bits))
 
 
-def _tmp_scan(model, p, budget, want_list, want_classes):
-    """The triple count, the listing when `want_list`, and the triples per
-    image class when `want_classes`.
+def _scan_classes(model, p, budget):
+    """The triples per image class, off the scan's subspace counts.
 
     A triple is central on the one-relator factors on whose blocks both x
     and z vanish.  Let W_S be the vectors zero on every block of a set S of
@@ -260,7 +258,7 @@ def _tmp_scan(model, p, budget, want_list, want_classes):
 
     p = model_check(model, p)
     grams, tensors = _model_forms(model, p)
-    zero = _central_spaces(model) if want_classes else []
+    zero = _central_spaces(model)
     # per factor, whether S holds it, in `_classify_keys` order: S empty last
     sets = list(itertools.product((True, False), repeat=len(zero)))
     # W_S is spanned by the unit rows that every factor of S keeps, those
@@ -269,15 +267,12 @@ def _tmp_scan(model, p, budget, want_list, want_classes):
     spaces = [eye[np.logical_and.reduce([B.any(axis=0) for B in
                                          itertools.compress(zero, S)])]
               for S in sets[:-1]]
-    count, listing, on = count_triples(model.rank, p, grams, [0, budget],
-                                       tensors, spaces, want_list)
-    if not want_classes:
-        return count, listing, None
+    count, _, on = count_triples(model.rank, p, grams, [0, budget], tensors,
+                                 spaces)
     N = dict(zip(sets, [*on, count]))
-    return count, listing, {
-        key: sum((-1) ** (sum(S) - sum(C)) * n for S, n in N.items()
-                 if all(map(operator.ge, S, C)))
-        for key, C in zip(_classify_keys(model), sets)}
+    return {key: sum((-1) ** (sum(S) - sum(C)) * n for S, n in N.items()
+                     if all(map(operator.ge, S, C)))
+            for key, C in zip(_classify_keys(model), sets)}
 
 
 def tmp_enumerate(model, p, budget=DEFAULT_TMP_BUDGET, want_list=False):
@@ -288,7 +283,12 @@ def tmp_enumerate(model, p, budget=DEFAULT_TMP_BUDGET, want_list=False):
     The budget counts primitive form evaluations; exceeding it raises a
     BudgetError suggesting the closed form, before any scanning.
     """
-    count, listing, _ = _tmp_scan(model, p, budget, want_list, False)
+    from .scan import count_triples
+
+    p = model_check(model, p)
+    grams, tensors = _model_forms(model, p)
+    count, listing, _ = count_triples(model.rank, p, grams, [0, budget],
+                                      tensors, want_list=want_list)
     return count, (TmpTriples(listing, model.rank, p) if want_list else None)
 
 
@@ -369,7 +369,7 @@ def _closed_classes(model: GroupModel, p: int, budget) -> dict:
     """Closed triple counts per image class, keyed as the scan counts them;
     s3 models have no closed count and are scanned."""
     if model.kind == "s3":
-        return {"any": _tmp_scan(model, p, budget, False, False)[0]}
+        return {"any": tmp_enumerate(model, p, budget)[0]}
     if model.kind == "free":
         P = p ** model.rank
         return {"any": (P - 1) * (P - p) * (P - p ** 2)}
@@ -495,9 +495,6 @@ class CensusReport:
         out["ms"] = self.ms
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     def __repr__(self):
         return f"CensusReport({self.to_json_dict()})"
 
@@ -548,7 +545,7 @@ def epi_count(model: GroupModel, p: int, target: int = 4, method="formula",
         if method == "formula":
             classes = _closed_classes(model, p, budget)
         else:
-            _, _, classes = _tmp_scan(model, p, budget, False, True)
+            classes = _scan_classes(model, p, budget)
             if model.kind == "demushkin":
                 assert classes["central"] == 0  # independence forbids it
         tmp = sum(classes.values())

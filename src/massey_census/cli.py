@@ -40,6 +40,20 @@ CONFIG_KEYS = {"threads": "threads", "tmp_budget": "budget",
 # read as text and converted in main, so bad text exits 1 naming the flag
 _INT_FLAGS = ("d", "p", "e", "d2", "threads", "budget", "oracle_budget",
               "local_degree", "k")
+# the least value of each settings flag: a value below it is bad input, so
+# exit 2 stays a budget verdict
+_LEAST = {"threads": 1, "budget": 0, "oracle_budget": 0}
+
+
+def _setting(value, key, name):
+    """The integer text `value` of the setting `key` (a `_LEAST` key), or a
+    ValueError naming `name`, the flag, config key or variable it came
+    from, for text that is no integer or an integer below the least."""
+    value = parse_int(value, name)
+    if value < _LEAST[key]:
+        raise ValueError(f"{name} must be at least {_LEAST[key]}, got "
+                         f"{value}")
+    return value
 
 
 def _add_model_flags(sub):
@@ -159,7 +173,7 @@ def _load_config(path, args):
                     f"{where}: unknown config key {key!r}; only budgets and "
                     f"thread counts belong here: {', '.join(CONFIG_KEYS)}"
                 )
-            out[key] = parse_int(value, f"{where}: {key}")
+            out[key] = _setting(value, CONFIG_KEYS[key], f"{where}: {key}")
             if CONFIG_KEYS[key] not in args:
                 raise ValueError(
                     f"{where}: {args.command} does not read config key "
@@ -182,8 +196,8 @@ def _settings(args):
     if "threads" in args:
         threads, env = args.threads, os.environ.get("MASSEY_CENSUS_THREADS")
         if threads is None and env:
-            threads = parse_int(env, "MASSEY_CENSUS_THREADS")
-        settings["threads"] = max(1, _first(threads, config.get("threads"), 1))
+            threads = _setting(env, "threads", "MASSEY_CENSUS_THREADS")
+        settings["threads"] = _first(threads, config.get("threads"), 1)
     if "budget" in args:
         settings["tmp_budget"] = _first(args.budget, config.get("tmp_budget"),
                                         census.DEFAULT_TMP_BUDGET)
@@ -411,7 +425,8 @@ def main(argv=None) -> int:
             value = getattr(args, name, None)
             if value is not None:
                 flag = "--" + name.replace("_", "-")
-                setattr(args, name, parse_int(value, flag))
+                setattr(args, name, _setting(value, name, flag)
+                        if name in _LEAST else parse_int(value, flag))
         return handlers[args.command](args)
     except BudgetError as exc:
         _emit_error(args, str(exc))

@@ -1,21 +1,20 @@
-"""The census triple scan over F_p^d: the pair counts per y by ranks, the
-triple counts, and the walk that fills a listing.
+"""The census triple scan over F_p^d: the pair and triple counts by ranks,
+and the walk that fills a listing.
 
 The pair mask is reflexive, mask[x, y] = mask[y, x]: every Gram array is
 symmetric or skew-symmetric mod p, as a cup pairing is, and the scan
 refuses any other.  So counts read off y alone, and the row of y is the
 kernel of its stacked Gram rows y G_i: of the vectors of a subspace
 span(B), p^(rank B - rank(y G B^T)) pair to zero with y (B = I for the
-whole space), and mask[y, y] is y G_i y^T = 0 for every i.  One batch of
-ranks gives every row sum (`pair_rows`); the P x P mask is never built to
-count.  Let h(y) be the vectors of span(y) that pair to zero with y, p when
-mask[y, y] and else 1 (just 0), and f(y) = rowsum(y) - h(y), with f(0) = 0:
-the vectors outside span(y) that pair to zero with y, whether they stand as
-x or as z.  An admissible pair (x, y) has x nonzero, y outside span(x) and
-mask[x, y]; a triple adds a z outside span(x, y) with mask[y, z].  The z of
-span(x, y) outside span(y) are the a (x + b y), a != 0, and
-mask[y, x + b y] = mask[y, b y] for b != 0, so (p - 1) h(y) of them pair to
-zero with y, whatever x is:
+whole space), and mask[y, y] is y G_i y^T = 0 for every i.  The P x P mask
+is never built to count.  Let h(y) be the vectors of span(y) that pair to
+zero with y, p when mask[y, y] and else 1 (just 0), and f(y) =
+rowsum(y) - h(y), with f(0) = 0: the vectors outside span(y) that pair to
+zero with y, whether they stand as x or as z.  An admissible pair (x, y)
+has x nonzero, y outside span(x) and mask[x, y]; a triple adds a z outside
+span(x, y) with mask[y, z].  The z of span(x, y) outside span(y) are the
+a (x + b y), a != 0, and mask[y, x + b y] = mask[y, b y] for b != 0, so
+(p - 1) h(y) of them pair to zero with y, whatever x is:
 
     pairs = sum_y f(y),    triples = sum_y f(y) (f(y) - (p - 1) h(y)).
 
@@ -37,21 +36,17 @@ therefore rank one point per line, the (P - 1) / (p - 1) nonzero vectors
 whose first nonzero coordinate is 1 (`_points`, one read-only table per
 (d, p); at p = 2 every nonzero vector is its own point, the slice V[1:]),
 and a point's class stands for its p - 1 nonzero multiples; y = 0 has
-f(0) = 0 and drops out.  `pair_rows` still ranks every y, through the same
-`_rows`.
+f(0) = 0 and drops out.
 
 For the s3 triple tensors T_k every pair (x, y), x nonzero and y outside
 span(x), stands, and its z are the kernel of W, the stack of the vectors
 x T_k y, outside span(x, y): p^(d - rank W) - p^(2 - rank [W x^T | W y^T])
-of them, the second term counting the a x + b y in the kernel.  N(span B)
-takes the pairs with x in span(B): of span(B) the kernel holds
-p^(rank B - rank(W B^T)) vectors, less those of span(x, y) when y lies in
-span(B) too, else less the p^(1 - rank(W x^T)) of span(x).  These terms
-are constant on lines too (W scales by a b when x and y do), so x and y
-run over the points: y outside span(x) is a point other than x's, and
-each pair of points stands for (p - 1)^2 pairs (x, y).  The pairs are
-taken a slice of x at a time, and all ranks of a slice are one zero-padded
-`fp.rank_mod` call (`_s3_counts`).
+of them, the second term counting the a x + b y in the kernel.  These
+terms are constant on lines too (W scales by a b when x and y do), so x
+and y run over the points: y outside span(x) is a point other than x's,
+and each pair of points stands for (p - 1)^2 pairs (x, y).  The pairs are
+taken a slice of x at a time, and all ranks of a slice are one
+zero-padded `fp.rank_mod` call (`_s3_count`).
 
 A listing is allocated once at the count and filled by one walk (`_walk`):
 it builds the whole mask (for s3 tensors, the dot table instead) and walks
@@ -147,11 +142,16 @@ def _points(d, p):
     return out
 
 
-def _rows(d, p, grams, box, spaces, lines=False):
-    """`pair_rows` over every y, or with `lines` over the points
-    (`_points`), and each subspace's membership mask of those y.  Without a
-    Gram array the masks are None: the sizes |W| come from ranks, and
-    nothing P long is built."""
+def _classes(d, p, grams, box, spaces=()):
+    """Per space, the whole space first: the classes of y as (f, h, n), n
+    vectors y with f_W(y) = f and h_W(y) = h (see the module notes).  Each
+    W is span(B), B in `spaces` a (k, d) spanning array.  A row sum is
+    p^(rank B - rank(y G B^T)), G the stacked Gram arrays, ranked at the
+    points (`_points`) a slice of y at a time, about fp.BLOCK_CELLS cells
+    each, every space zero-padded into one `rank_mod` call; a point's class
+    holds its p - 1 nonzero multiples.  Charges P * P per Gram array, the
+    scan's only charge for the mask.  Without a Gram array the classes are
+    sized from P and |W|, and nothing P long is built."""
     import numpy as np
 
     grams = _reflexive_grams(d, p, grams)
@@ -159,17 +159,16 @@ def _rows(d, p, grams, box, spaces, lines=False):
     spaces = [np.asarray(B, dtype=np.int64).reshape(-1, d) % p
               for B in spaces]
     if not grams:
-        sizes = [P, *(p ** rank_mod(B, p) for B in spaces)]
-        return (np.broadcast_to(np.array(sizes)[:, None], (len(sizes), P)),
-                np.broadcast_to(True, (P,)), None)
+        # every row sum is |W|: h_W(y) = p for y in W, 1 off it; y = 0
+        # has f(0) = 0 and adds nothing
+        return [[(Q - p, p, Q - 1), (Q - 1, 1, P - Q)]
+                for Q in [P, *(p ** rank_mod(B, p) for B in spaces)]]
     for _ in grams:
         spend(box, P * P)
+    V = _points(d, p)
+    at = V @ p ** np.arange(d - 1, -1, -1)
     inside = [_span_mask(B, d, p) for B in spaces]
     sizes = np.array([P, *map(np.count_nonzero, inside)])[:, None]
-    V = _points(d, p) if lines else vectors_array(d, p)
-    if lines:
-        at = V @ p ** np.arange(d - 1, -1, -1)
-        inside = [on[at] for on in inside]
     r, width = len(grams), max([d, *map(len, spaces)])
     # y @ G is every y G_i side by side, and y G B^T every subspace's
     # columns side by side
@@ -189,43 +188,13 @@ def _rows(d, p, grams, box, spaces, lines=False):
         for j, (start, end) in enumerate(zip(ends, ends[1:]), 1):
             stack[:, j, :, :end - start] = yGB[:, :, start:end]
         sums[:, lo:lo + len(y)] = sizes // p ** rank_mod(stack, p).T
-    return sums, diag, inside
-
-
-def pair_rows(d, p, grams, box, spaces=()):
-    """Per y, the pair mask's row sums over the whole space and then over
-    each subspace span(B), B in `spaces` a (k, d) spanning array, as a
-    (1 + len(spaces), P) array, and the diagonal mask[y, y].  A row sum is
-    p^(rank B - rank(y G B^T)), G the stacked Gram arrays; the ranks are
-    taken a slice of y at a time, about fp.BLOCK_CELLS cells each, all
-    subspaces zero-padded into one `rank_mod` call.  Without a Gram array
-    both are broadcast constants.  Charges P * P per Gram array, the scan's
-    only charge for the mask."""
-    return _rows(d, p, grams, box, spaces)[:2]
-
-
-def _classes(d, p, grams, box, spaces=()):
-    """Per space, the whole space first: the classes of y as (f, h, n), n
-    vectors y with f_W(y) = f and h_W(y) = h (see the module notes).  The
-    rows are ranked at the points (`_points`), and a point's class holds its
-    p - 1 nonzero multiples.  Without a Gram array the classes are sized
-    from P and |W|, and no P-long array is built."""
-    import numpy as np
-
-    P = p ** d
-    sums, diag, inside = _rows(d, p, grams, box, spaces, lines=True)
-    if inside is None:
-        # every row sum is |W|: h_W(y) = p for y in W, 1 off it; y = 0
-        # has f(0) = 0 and adds nothing
-        return [[(Q - p, p, Q - 1), (Q - 1, 1, P - Q)]
-                for Q in sums[:, 0].tolist()]
     out = []
-    for row, on in zip(sums, [True, *inside]):
+    for row, on in zip(sums, [True, *(w[at] for w in inside)]):
         h = np.where(diag & on, p, 1)
-        sizes = np.bincount(2 * (row - h) + (h > 1))
-        keys = np.flatnonzero(sizes)
+        counts = np.bincount(2 * (row - h) + (h > 1))
+        keys = np.flatnonzero(counts)
         out.append([(k >> 1, p if k & 1 else 1, (p - 1) * n)
-                    for k, n in zip(keys.tolist(), sizes[keys].tolist())])
+                    for k, n in zip(keys.tolist(), counts[keys].tolist())])
     return out
 
 
@@ -239,29 +208,21 @@ def count_pairs(d, p, grams, box):
     return sum(f * n for f, _h, n in classes)
 
 
-def _s3_counts(d, p, tensors, spaces):
-    """The triple count of the s3 tensors, then N(span(B)) per B in
-    `spaces`, from the ranks of the module notes.  x and y run over the
-    points (`_points`): a slice of x takes every point y but its own, and
-    each pair of points stands for the (p - 1)^2 pairs of their multiples."""
+def _s3_count(d, p, tensors):
+    """The triple count of the s3 tensors, from the ranks of the module
+    notes.  x and y run over the points (`_points`): a slice of x takes
+    every point y but its own, and each pair of points stands for the
+    (p - 1)^2 pairs of their multiples."""
     import numpy as np
 
-    V = _points(d, p)
-    at = V @ p ** np.arange(d - 1, -1, -1)
-    V = V.astype(np.int16)
+    V = _points(d, p).astype(np.int16)
     L, r = len(V), len(tensors)  # L points, one per line
-    spaces = [np.asarray(B, dtype=np.int64).reshape(-1, d) % p
-              for B in spaces]
-    inside = [_span_mask(B, d, p) for B in spaces]
-    sizes = list(map(np.count_nonzero, inside))
-    inside = [on[at] for on in inside]
-    width = max(d, 2, *map(len, spaces))
+    width = max(d, 2)
     # x @ T is every x T_k side by side, as (d, r * d) per x
     T = np.stack(tensors).transpose(1, 2, 0, 3).reshape(d, d * r * d)
-    counts = [0] * (1 + len(spaces))
-    # W, [W x^T | W y^T], then W x^T and W B^T per space
-    slots = 2 + (len(spaces) + 1 if spaces else 0)
-    step = max(1, fp.BLOCK_CELLS // (L * r * width * (slots + 1)))
+    count = 0
+    # per pair of points, the stack's two slots and W beside them
+    step = max(1, fp.BLOCK_CELLS // (L * r * width * 3))
     for lo in range(0, L, step):
         x = V[lo:lo + step]
         n = len(x)
@@ -274,23 +235,15 @@ def _s3_counts(d, p, tensors, spaces):
         Wx = V @ ((xT @ x[:, None, :, None]) % p).reshape(n, d, r)
         Wy = (W.transpose(1, 0, 2, 3).reshape(L, n * r, d)
               @ V[:, :, None]).reshape(L, n, r).transpose(1, 0, 2)
-        stack = np.zeros((n, L, slots, r, width), dtype=np.int16)
+        # W, then [W x^T | W y^T]
+        stack = np.zeros((n, L, 2, r, width), dtype=np.int16)
         stack[:, :, 0, :, :d] = W
         stack[:, :, 1, :, 0] = Wx
         stack[:, :, 1, :, 1] = Wy
-        if spaces:
-            stack[:, :, 2, :, 0] = Wx
-        for j, B in enumerate(spaces, 3):
-            stack[:, :, j, :, :len(B)] = (W.reshape(-1, d) @ B.T).reshape(
-                n, L, r, len(B))
         ranks = rank_mod(stack, p)
-        inline = p ** (2 - ranks[:, :, 1])  # the kernel's a x + b y
-        counts[0] += int((p ** (d - ranks[:, :, 0]) - inline)[keep].sum())
-        for j, (on, size) in enumerate(zip(inside, sizes), 1):
-            z = size // p ** ranks[:, :, j + 2] - np.where(
-                on, inline, p ** (1 - ranks[:, :, 2]))
-            counts[j] += int(z[keep & on[lo:lo + n, None]].sum())
-    return [(p - 1) ** 2 * c for c in counts]
+        z = p ** (d - ranks[:, :, 0]) - p ** (2 - ranks[:, :, 1])
+        count += int(z[keep].sum())
+    return (p - 1) ** 2 * count
 
 
 @functools.lru_cache(maxsize=None)
@@ -408,29 +361,30 @@ def count_triples(d, p, grams, box, tensors=None, spaces=(),
     """The triple scan over F_p^d.  `grams` are the Gram arrays of the pair
     mask (none: every pair admissible); `tensors` are the s3 triple tensors,
     whose vanishing on (x, y, z) replaces mask[y, z], and take no Gram
-    array.  Returns the count, the (x, y, z) index triples in lexicographic
-    order as an (m, 3) int32 array when `want_list`, and per subspace
-    span(B), B in `spaces` a (k, d) spanning array, the count N(W) of the
-    triples whose x and z lie in it.
+    array and no subspace.  Returns the count, the (x, y, z) index triples
+    in lexicographic order as an (m, 3) int32 array when `want_list`, and
+    per subspace span(B), B in `spaces` a (k, d) spanning array, the count
+    N(W) of the triples whose x and z lie in it.
 
-    The pair counts come from ranks (`pair_rows`, charged there), then the
+    The pair counts come from ranks (`_classes`, charged there), then the
     scan is charged in full.  Without tensors the counts are the per-y
-    class sums of the module notes; with them, `_s3_counts`.  A listing is
+    class sums of the module notes; with them, `_s3_count`.  A listing is
     then allocated at the count and filled by one `_walk`."""
     import numpy as np
 
-    if tensors is not None and len(grams):
-        raise ValueError("the s3 triple tensors scan with no Gram array")
-    classes = _classes(d, p, grams, box, spaces if tensors is None else ())
+    if tensors is not None and (len(grams) or len(spaces)):
+        raise ValueError("the s3 triple tensors scan with no Gram array and "
+                         "no subspace")
+    classes = _classes(d, p, grams, box, spaces)
     pairs = sum(f * n for f, _h, n in classes[0])
     spend(box, pairs * p ** d * (1 if tensors is None else len(tensors)))
     if tensors is None:
-        counts = [sum(n * f * (f - (p - 1) * h) for f, h, n in c)
-                  for c in classes]
+        count, *on = [sum(n * f * (f - (p - 1) * h) for f, h, n in c)
+                      for c in classes]
     else:
-        counts = _s3_counts(d, p, tensors, spaces)
+        count, on = _s3_count(d, p, tensors), []
     listing = None
     if want_list:
-        listing = np.empty((counts[0], 3), dtype=np.int32)
+        listing = np.empty((count, 3), dtype=np.int32)
         _walk(d, p, grams, tensors, listing)
-    return counts[0], listing, counts[1:]
+    return count, listing, on

@@ -33,7 +33,7 @@ from massey_census.census import (
     z1_closed,
 )
 from massey_census.fp import BudgetError, FpVector, rank_mod
-from massey_census.forms import cup_grams, trilinear_trace
+from massey_census.forms import cup_grams, trilinear_trace, zero_cup_table
 from massey_census.oracle import count_epi_bruteforce, count_lifts_bruteforce
 from massey_census.words import (
     Comm,
@@ -285,7 +285,7 @@ def _check_against_naive(model, p, naive):
     count, triples = tmp_enumerate(model, p, want_list=True)
     assert count == len(naive)
     assert _as_tuples(triples) == naive
-    _, _, classes = census._tmp_scan(model, p, 10 ** 8, False, True)
+    classes = census._scan_classes(model, p, 10 ** 8)
     expected = Counter(_naive_class(model, x, z) for x, _y, z in naive)
     assert {k: v for k, v in classes.items() if v} == dict(expected)
 
@@ -343,14 +343,22 @@ def test_scan_matches_literal_definition_s3(case):
     model, p = case
     naive = _naive_s3_triples(model, p)
     _check_against_naive(model, p, naive)
-    # N(W), the triples with x and z in W, off the ranks: W the vectors with
-    # first coordinate 0, spanned by the other unit rows and then also by
-    # their sum (a dependent spanning array), and the whole space
+    # W the vectors with first coordinate 0, spanned by the other unit rows
+    # and then also by their sum (a dependent spanning array), and the whole
+    # space.  s3 tensors take no subspace: refused before any charge.  A
+    # model none of whose relators survives mod p scans as the free group,
+    # and N(W), the triples with x and z in W, comes off the ranks
     grams, tensors = census._model_forms(model, p)
     eye = np.eye(model.rank, dtype=np.int64)
     dependent = np.vstack([eye[1:], eye[1:].sum(axis=0)])
-    _, _, on = scan.count_triples(model.rank, p, grams, [0, 10 ** 9], tensors,
-                                  [eye[1:], dependent, eye])
+    spaces = [eye[1:], dependent, eye]
+    box = [0, 10 ** 9]
+    if tensors is not None:
+        with pytest.raises(ValueError, match="no subspace"):
+            scan.count_triples(model.rank, p, grams, box, tensors, spaces)
+        assert box[0] == 0
+        return
+    _, _, on = scan.count_triples(model.rank, p, grams, box, tensors, spaces)
     first_zero = sum(x[0] == z[0] == 0 for x, _y, z in naive)
     assert on == [first_zero, first_zero, len(naive)]
 
@@ -465,8 +473,8 @@ def test_pair_mask_refuses_what_is_not_reflexive():
         with pytest.raises(ValueError, match=match):
             tmp_enumerate_forms(forms, p)
         box = [0, 10 ** 9]
-        for scan_it in (scan.pair_rows, functools.partial(scan.count_triples,
-                                                          want_list=True)):
+        for scan_it in (scan._classes, scan.count_pairs,
+                        functools.partial(scan.count_triples, want_list=True)):
             with pytest.raises(ValueError, match=match):
                 scan_it(2, p, forms, box)
         assert box[0] == 0  # refused before any charge
@@ -484,7 +492,29 @@ def _span_members(B, V, p):
     return np.array([tuple(v) in span for v in V.tolist()])
 
 
-def test_pair_rows_stream_the_pair_mask():
+def _literal_classes(mask, members, p):
+    """Per space, the whole space first, the classes (f, h, n) of the scan's
+    module notes read off the literal pair mask at every nonzero y: the row
+    sum over W less h_W(y), p when mask[y, y] and y lies in W, else 1."""
+    diag = mask.diagonal()
+    out = []
+    for on in [np.ones(len(mask), dtype=bool), *members]:
+        h = np.where(diag & on, p, 1)
+        f = mask[:, on].sum(axis=1) - h
+        tally = Counter(zip(f[1:].tolist(), h[1:].tolist()))
+        out.append({(*key, n) for key, n in tally.items()})
+    return out
+
+
+def _literal_sums(classes, p):
+    """The pair count and, per space, the triple count of the module notes'
+    sums over the classes."""
+    pairs = sum(f * n for f, _h, n in classes[0])
+    return pairs, [sum(n * f * (f - (p - 1) * h) for f, h, n in c)
+                   for c in classes]
+
+
+def test_classes_match_the_pair_mask_on_model_spaces():
     for model, p in ((GroupModel.dd(2, 3, 2, 3), 3),
                      (GroupModel.demushkin(3, 2), 2),
                      (GroupModel.free(3), 2)):
@@ -500,13 +530,17 @@ def test_pair_rows_stream_the_pair_mask():
         spaces.append(eye[:1] - eye[1:])
         members = [_span_members(B, V, p) for B in spaces]
         assert (members[-1] == (V.sum(axis=1) % p == 0)).all()
-        whole = [mask.sum(axis=1), *(mask[:, w].sum(axis=1) for w in members)]
-        diag = mask.diagonal()
+        literal = _literal_classes(mask, members, p)
+        pairs, triples = _literal_sums(literal, p)
         for cap in (1, 7, 10 ** 6):
+            box = [0, 10 ** 9]
             with mock.patch.object(fp, "BLOCK_CELLS", cap):
-                rows, streamed = scan.pair_rows(model.rank, p, grams,
-                                                [0, 10 ** 9], spaces)
-            assert (rows == whole).all() and (streamed == diag).all()
+                classes = scan._classes(model.rank, p, grams, box, spaces)
+                assert [{c for c in cs if c[2]} for cs in classes] == literal
+                assert scan.count_pairs(model.rank, p, grams, box) == pairs
+                count, _, on = scan.count_triples(model.rank, p, grams, box,
+                                                  spaces=spaces)
+            assert [count, *on] == triples
 
 
 @st.composite
@@ -535,21 +569,23 @@ def grams_and_spaces(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(grams_and_spaces(), st.sampled_from((1, 7, 10 ** 6)))
-def test_pair_rows_by_ranks_match_the_mask(case, cap):
-    # the rank route against the row sums and diagonal of the whole mask,
-    # each subspace's columns picked out by the literal span
+def test_classes_by_ranks_match_the_mask(case, cap):
+    # the rank route against the row sums and diagonal of the whole mask
+    # at every y, each subspace's columns picked out by the literal span
     grams, spaces, d, p = case
     V = fp.vectors_array(d, p).astype(np.int64)
     mask = forms.zero_cup_table(grams, V, p)
     members = [_span_members(B, V, p) for B in spaces]
+    literal = _literal_classes(mask, members, p)
+    pairs, triples = _literal_sums(literal, p)
     box = [0, 10 ** 9]
     with mock.patch.object(fp, "BLOCK_CELLS", cap):
-        rows, diag = scan.pair_rows(d, p, grams, box, spaces)
-    assert box[0] == len(grams) * p ** (2 * d)
-    assert rows.tolist() == [mask.sum(axis=1).tolist(),
-                             *(mask[:, w].sum(axis=1).tolist()
-                               for w in members)]
-    assert (diag == mask.diagonal()).all()
+        classes = scan._classes(d, p, grams, box, spaces)
+        assert box[0] == len(grams) * p ** (2 * d)
+        assert [{c for c in cs if c[2]} for cs in classes] == literal
+        assert scan.count_pairs(d, p, grams, box) == pairs
+        count, _, on = scan.count_triples(d, p, grams, box, spaces=spaces)
+    assert [count, *on] == triples
 
 
 def test_counts_build_no_mask_and_listings_one(monkeypatch):
@@ -610,15 +646,15 @@ def line_cases(draw):
     return forms, tensors, spaces, d, p
 
 
-def _literal_s3_counts(tensors, d, p, members):
-    """The s3 triple count and N(W) per membership mask, literally: for
-    each nonzero x and each y outside span(x), the z outside span(x, y) on
-    which every tensor vanishes, counted when x and z lie in W."""
+def _literal_s3_count(tensors, d, p):
+    """The s3 triple count, literally: for each nonzero x and each y
+    outside span(x), the z outside span(x, y) on which every tensor
+    vanishes."""
     V = fp.vectors_array(d, p).astype(np.int64)
     P = len(V)
     powers = p ** np.arange(d - 1, -1, -1)
     a, b = np.divmod(np.arange(p * p), p)
-    counts = [0] * (1 + len(members))
+    count = 0
     for ix in range(1, P):
         x = V[ix]
         # zero[y, z]: sum x_a y_b z_c T[a, b, c] = 0 mod p for every T
@@ -631,11 +667,8 @@ def _literal_s3_counts(tensors, d, p, members):
         on_line = np.zeros(P, dtype=bool)  # the y of span(x)
         on_line[np.arange(p)[:, None] * x % p @ powers] = True
         zero[on_line] = False
-        counts[0] += int(zero.sum())
-        for j, on in enumerate(members, 1):
-            if on[ix]:
-                counts[j] += int(zero[:, on].sum())
-    return counts
+        count += int(zero.sum())
+    return count
 
 
 def _seeded_s3_case(p, d, seed):
@@ -650,12 +683,11 @@ def _seeded_s3_case(p, d, seed):
 @example(_seeded_s3_case(7, 3, 25))
 def test_counts_over_lines_match_every_vector(case):
     # counts summed over one point per line against, for Gram arrays, the
-    # module notes' sums over pair_rows' every-y output, and, for tensors,
-    # a literal loop; each subspace's N(W) beside them
+    # module notes' sums over the literal mask at every y, each subspace's
+    # N(W) beside them, and, for tensors, a literal loop
     forms, tensors, spaces, d, p = case
     P = p ** d
     V = fp.vectors_array(d, p)
-    members = [_span_members(B, V, p) for B in spaces]
     points = scan._points(d, p)
     assert len(points) == (P - 1) // (p - 1)
     assert not points.flags.writeable
@@ -670,11 +702,13 @@ def test_counts_over_lines_match_every_vector(case):
     assert len(set(multiples)) == len(multiples) == P - 1
     box = [0, 10 ** 12]
     if tensors:
-        count, _, on = scan.count_triples(d, p, [], box, forms, spaces)
-        assert [count, *on] == _literal_s3_counts(forms, d, p, members)
+        count, _, on = scan.count_triples(d, p, [], box, forms)
+        assert (count, on) == (_literal_s3_count(forms, d, p), [])
         return
-    rows, diag = scan.pair_rows(d, p, forms, box, spaces)
-    assert rows.shape == (1 + len(spaces), P)
+    members = [_span_members(B, V, p) for B in spaces]
+    mask = zero_cup_table(forms, V, p)
+    rows = [mask.sum(axis=1), *(mask[:, w].sum(axis=1) for w in members)]
+    diag = mask.diagonal()
     sums = []
     for row, on in zip(rows, [True, *members]):
         h = np.where(diag & on, p, 1)
@@ -690,8 +724,7 @@ def test_counts_over_lines_match_every_vector(case):
 
 def test_counts_rank_one_point_per_line(monkeypatch):
     # a count ranks the rows y G of one y per line through 0,
-    # (P - 1) / (p - 1) of them, and an s3 count one pair per two points;
-    # pair_rows ranks every y
+    # (P - 1) / (p - 1) of them, and an s3 count one pair per two points
     ranked = []
 
     def spy(a, p, _f=scan.rank_mod):
@@ -715,9 +748,6 @@ def test_counts_rank_one_point_per_line(monkeypatch):
                          lambda: epi_count(model, p, method="tmp_sum"),
                          lambda: cp_count(model, p, "enumerate")):
             assert rows_ranked(count_it) == lines, (model.describe(), p)
-        grams = census._model_forms(model, p)[0]
-        assert rows_ranked(lambda: scan.pair_rows(
-            model.rank, p, grams, [0, 10 ** 12])) == P
     for model, p in ((preset_model("counterexample1"), 3),
                      (preset_model("borromean"), 5)):
         lines = (p ** model.rank - 1) // (p - 1)
@@ -785,10 +815,11 @@ def block_models(draw):
 def _scan_outputs(model, p, listing):
     """Count, class counts and, when asked, the index listing."""
     count = tmp_enumerate(model, p, budget=10 ** 12)[0]
-    classes = census._tmp_scan(model, p, 10 ** 12, False, True)[2]
+    classes = census._scan_classes(model, p, 10 ** 12)
     triples = None
     if listing:
-        triples = census._tmp_scan(model, p, 10 ** 12, True, False)[1].tolist()
+        triples = tmp_enumerate(model, p, budget=10 ** 12,
+                                want_list=True)[1].indices.tolist()
     return count, classes, triples
 
 
@@ -823,7 +854,8 @@ def test_listing_matches_literal_loop_at_any_block_cap(case, cap):
     model, p = case
     naive = _naive_gram_triples(model, p)
     with mock.patch.object(fp, "BLOCK_CELLS", cap):
-        listing = census._tmp_scan(model, p, 10 ** 12, True, False)[1]
+        listing = tmp_enumerate(model, p, budget=10 ** 12,
+                                want_list=True)[1].indices
     assert listing.dtype == np.int32 and listing.shape == (len(naive), 3)
     V = [tuple(v) for v in fp.vectors_array(model.rank, p).tolist()]
     assert [tuple(V[i] for i in row) for row in listing.tolist()] == naive
@@ -1033,7 +1065,7 @@ IDENTITY_CELLS = (
 def test_closed_classes_match_scan_tally():
     for model, p in IDENTITY_CELLS:
         where = (model.describe(), p)
-        _, _, tally = census._tmp_scan(model, p, 10 ** 10, False, True)
+        tally = census._scan_classes(model, p, 10 ** 10)
         assert census._closed_classes(model, p, 10 ** 10) == tally, where
         formula = epi_count(model, p)
         assert formula.tmp == sum(tally.values()), where
@@ -1169,7 +1201,7 @@ def test_report_json_and_csv():
     assert isinstance(d["p"], int) and isinstance(d["target"], int)
     assert isinstance(d["ms"], int)
     assert d["method"] == "formula"
-    parsed = json.loads(rep.to_json())
+    parsed = json.loads(json.dumps(d))
     assert parsed["epi"] == "6144"
 
     rep2 = epi_count(GroupModel.demushkin(3, 2), 2, method="tmp_sum")

@@ -281,6 +281,47 @@ def test_bad_integer_flags_exit_1_name_the_flag(capsys):
     assert json.loads(out) == {"error": "--threads must be an integer, got 'two'"}
 
 
+def test_settings_below_their_least_exit_1_name_the_source(capsys, tmp_path,
+                                                          monkeypatch):
+    # a negative budget or a thread count below 1 is bad input, not a
+    # budget verdict, from a flag, a config key or the thread variable
+    model = ["--model", "demushkin", "--d", "4", "--q", "3", "--p", "3"]
+    oracle = ["count-epi", *model, "--method", "oracle"]
+    for argv, error in (
+        ([*oracle, "--oracle-budget", "-1"],
+         "--oracle-budget must be at least 0, got -1"),
+        (["tmp", *model, "--budget", "-5"],
+         "--budget must be at least 0, got -5"),
+        (["count-epi", *model, "--method", "tmp-sum", "--budget", "-5"],
+         "--budget must be at least 0, got -5"),
+        ([*oracle, "--threads", "-4"], "--threads must be at least 1, got -4"),
+        ([*oracle, "--threads", "0"], "--threads must be at least 1, got 0"),
+        (["verify", "--threads", "0"], "--threads must be at least 1, got 0"),
+    ):
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 1 and err == "", argv
+        assert json.loads(out) == {"error": error}
+    cfg = tmp_path / "census.cfg"
+    for key, value, least in (("tmp_budget", -5, 0), ("oracle_budget", -1, 0),
+                              ("threads", 0, 1), ("threads", -4, 1)):
+        cfg.write_text(f"# budgets\n{key} = {value}\n")
+        code, out, err = run(capsys, "count-epi", *model, "--config", str(cfg))
+        assert code == 1 and out == "", key
+        assert (f"config {cfg} line 2: {key} must be at least {least}, got "
+                f"{value}") in err
+    for value in ("0", "-4"):
+        monkeypatch.setenv("MASSEY_CENSUS_THREADS", value)
+        code, out, err = run(capsys, *oracle)
+        assert code == 1 and out == ""
+        assert f"MASSEY_CENSUS_THREADS must be at least 1, got {value}" in err
+    monkeypatch.delenv("MASSEY_CENSUS_THREADS")
+    # the least values are settings: a zero budget is a budget verdict
+    for argv in (["tmp", *model, "--budget", "0"],
+                 [*oracle, "--threads", "1", "--oracle-budget", "0"]):
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 2 and "budget" in json.loads(out)["error"], argv
+
+
 def test_usage_errors_exit_1(capsys):
     # argparse's own errors are bad input too, not the budget code 2
     base = ["count-epi", "--model", "free", "--d", "3"]
