@@ -48,17 +48,20 @@ and each pair of points stands for (p - 1)^2 pairs (x, y).  The pairs are
 taken a slice of x at a time, and all ranks of a slice are one
 zero-padded `fp.rank_mod` call (`_s3_count`).
 
-A listing is allocated once at the count and filled by one walk (`_walk`):
-it builds the whole mask (for s3 tensors, the dot table instead) and walks
-the nonzero x in blocks of whole rows, each holding about fp.BLOCK_CELLS
-array cells, taking all admissible (x, y) pairs of a block at once; the p
-indices of the line x + b y come from two small tables, one per half of
-the coordinates, built once per process.  The budget counts primitive form
-evaluations (P per admissible pair and relator, P * P per Gram array) and
-is charged before the triples are counted.  It stays nominal, the work
-over every vector, however few points the counts rank.  The census imports
-this module where a scan runs, and its functions import numpy where they
-run, so a closed-form count loads neither."""
+A listing is allocated once at the count and filled by one walk (`_walk`)
+off tables built per call: dot, u . v = 0, and add, the index of u + v,
+both P x P, and times, the P x p indices of the multiples a v.  Every
+admissible set is then a kernel minus a span: the mask row of x is the
+AND of the dot rows of the x G_i, an s3 pair's z-row the AND of the dot
+rows of the x T_k y, and span(x, y) the sums of the multiples of x and of
+y.  The walk takes the nonzero x in blocks of whole rows, each holding
+about fp.BLOCK_CELLS array cells, and all admissible (x, y) pairs of a
+block at once.  The budget counts primitive form evaluations (P per
+admissible pair and relator, P * P per Gram array) and is charged before
+the triples are counted.  It stays nominal, the work over every vector,
+however few points the counts rank.  The census imports this module where
+a scan runs, and its functions import numpy where they run, so a
+closed-form count loads neither."""
 
 from __future__ import annotations
 
@@ -246,45 +249,6 @@ def _s3_count(d, p, tensors):
     return (p - 1) ** 2 * count
 
 
-@functools.lru_cache(maxsize=None)
-def _line_table(k, p):
-    """(p^k * p^k, p) int32, read-only: row u * p^k + v holds the indices in
-    F_p^k of the line u + b v, for b in F_p.  Built once per (k, p)."""
-    import numpy as np
-
-    V = vectors_array(k, p).astype(np.int32)
-    b = np.arange(p, dtype=np.int32)
-    out = np.zeros((len(V), len(V), p), dtype=np.int32)
-    for i in range(k):  # digit by digit, first coordinate most significant
-        out *= p
-        out += (V[:, None, None, i] + b * V[None, :, None, i]) % p
-    out = out.reshape(-1, p)
-    out.flags.writeable = False
-    return out
-
-
-def _line_finder(d, p):
-    """A function (ix, iy) -> (n, p) array of the indices of x + b y, for
-    b in F_p.  A vector's index is head * q + tail, q = p^(d - d // 2), and
-    the head and tail of x + b y are lines of the smaller spaces: one
-    gather from each half's line table per pair."""
-    import numpy as np
-
-    q = p ** (d - d // 2)
-    head, tail = _line_table(d // 2, p), _line_table(d - d // 2, p)
-    heads = p ** (d // 2)
-
-    def lines(ix, iy):
-        hx, tx = np.divmod(ix, q)
-        hy, ty = np.divmod(iy, q)
-        out = np.take(head, hx * heads + hy, axis=0)
-        out *= q
-        out += np.take(tail, tx * q + ty, axis=0)
-        return out
-
-    return lines
-
-
 def _blocks(cells, cap):
     """Runs [lo, hi) of consecutive rows: a run takes rows while the cells
     before it stay under the cap, so it holds at most the cap plus one
@@ -299,51 +263,48 @@ def _blocks(cells, cap):
 
 def _walk(d, p, grams, tensors, listing):
     """Fill `listing`, an (m, 3) int32 array as long as the triple count,
-    with the (x, y, z) in lexicographic order.  Walk the nonzero x in blocks
-    of whole rows, each holding about fp.BLOCK_CELLS array cells: take all
-    admissible (x, y) pairs of a block at once and build a z-mask row per
-    pair, mask[y, z], or the vanishing of every tensor in `tensors` on
-    (x, y, z), off span(x, y).  Charges nothing: the count it fills was
-    charged."""
+    with the (x, y, z) in lexicographic order, off the index tables of the
+    module notes: a block of x at a time, all its admissible (x, y) pairs
+    at once, and per pair a z-mask row, mask[y, z] or the AND over the
+    tensors of the dot rows of x T_k y, off span(x, y).  Charges nothing:
+    the count it fills was charged."""
     import numpy as np
-
-    from .forms import zero_cup_table
 
     P = p ** d
     V = vectors_array(d, p)
-    if tensors is None:
-        mask = zero_cup_table(grams, V, p)  # all true without a Gram array
-    else:
-        # z is admissible when it pairs to zero with w = x T y under the dot
-        # product, for each trace tensor T: the row of w's index
-        mask = np.broadcast_to(True, (P, P))
-        dot = zero_cup_table([np.eye(d, dtype=np.int64)], V, p)
-        powers = p ** np.arange(d - 1, -1, -1)
-    line_of = _line_finder(d, p)
-    every = np.arange(P)
-    lines = line_of(np.zeros(P, dtype=np.int64), every)  # (P, p): the b x
+    powers = p ** np.arange(d - 1, -1, -1)
+    every = np.arange(P, dtype=np.int32)
+    a = np.arange(p, dtype=np.int8)
+    plus, prod = (a[:, None, None] + a) % p, a[:, None, None] * a % p
+    add, dot = np.zeros((1, 1), np.int32), np.zeros((1, 1), np.int8)
+    for n in p ** np.arange(1, d + 1):  # digit by digit, first one highest
+        add = (add[:, None, :, None] * p + plus).reshape(n, n)
+        dot = ((dot[:, None, :, None] + prod) % p).reshape(n, n)
+    dot = dot == 0
+    times = (np.arange(p)[:, None] * V[:, None, :] % p) @ powers  # (P, p)
+    mask = np.broadcast_to(True, (P, P))
+    for gram in grams:
+        mask = mask & dot[V @ gram % p @ powers]
     at = 0
     for lo, hi in _blocks((mask[1:].sum(axis=1) + 1) * P, fp.BLOCK_CELLS):
         lo, hi = lo + 1, hi + 1  # x = 0 has no pairs
         ymask = mask[lo:hi].copy()
-        np.put_along_axis(ymask, lines[lo:hi], False, axis=1)
+        np.put_along_axis(ymask, times[lo:hi], False, axis=1)
         pairs = np.flatnonzero(ymask)
         rows, iy = np.divmod(pairs, P)
         ix = rows + lo
         if tensors is None:
             zmask = mask[iy]
         for k, t in enumerate(tensors or ()):
-            # per x of the block, the index of w = (x T) y for every y; the
-            # first tensor's dot rows start the z-mask
+            # per x of the block, the index of w = (x T) y for every y
             xt = V[lo:hi] @ t.reshape(d, d * d) % p
             w = np.matmul(V, xt.reshape(-1, d, d)) % p @ powers
             rows_w = dot[np.take(w, pairs)]
             zmask = np.logical_and(zmask, rows_w, out=zmask) if k else rows_w
-        # off span(x, y): the multiples of the line and of y
-        base = (np.arange(len(ix)) * P)[:, None]
-        span = np.take(lines, line_of(ix, iy), axis=0).reshape(-1, p * p)
-        zmask.ravel()[base + span] = False
-        zmask.ravel()[base + np.take(lines, iy, axis=0)] = False
+        # off span(x, y): every a x + b y
+        span = np.take(add, (times[ix] * P)[:, :, None] + times[iy][:, None])
+        zmask.ravel()[(np.arange(len(ix)) * P)[:, None]
+                      + span.reshape(-1, p * p)] = False
         # int32 columns in zmask's row-major order: x and y once per z of
         # their pair, then the z themselves
         found = np.count_nonzero(zmask)
@@ -351,8 +312,7 @@ def _walk(d, p, grams, tensors, listing):
         per_pair = np.count_nonzero(zmask, axis=1)
         piece[:, 0] = np.repeat(ix.astype(np.int32), per_pair)
         piece[:, 1] = np.repeat(iy.astype(np.int32), per_pair)
-        piece[:, 2] = np.broadcast_to(every.astype(np.int32),
-                                      zmask.shape)[zmask]
+        piece[:, 2] = np.broadcast_to(every, zmask.shape)[zmask]
     assert at == len(listing), (at, len(listing))
 
 

@@ -39,6 +39,13 @@ def test_census_and_oracle_stay_independent():
         assert not [n for n in names if n.split(".")[-1] == other], module
 
 
+def test_scan_imports_nothing_from_forms():
+    # a listing reads its own index tables; forms.zero_cup_table stays the
+    # tests' independent reference mask
+    names = _imported_names(Path(massey_census.__file__).parent / "scan.py")
+    assert not [n for n in names if n.split(".")[-1] == "forms"]
+
+
 _CLOSED_COMMANDS = (
     ["count-extensions", "--local-degree", "2", "--p", "2", "--q", "4"],
     ["count-epi", "--model", "dd", "--d", "2", "--q", "4", "--d2", "2",
