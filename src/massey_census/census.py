@@ -222,14 +222,12 @@ def _model_forms(model, p):
 
 
 def _central_spaces(model):
-    """Per one-relator factor, the unit rows of F_p^rank off its block of
-    coordinates: they span the vectors zero on that block."""
-    import numpy as np
-
-    eye, out, off = np.eye(model.rank, dtype=np.int64), [], 0
+    """Per one-relator factor, the mask of the coordinates off its block:
+    the vectors zero off the mask are those zero on the block."""
+    out, off = [], 0
     for kind, size, _q, _case in model.factors:
         if kind == "demushkin":
-            out.append(np.delete(eye, range(off, off + size), axis=0))
+            out.append([not off <= i < off + size for i in range(model.rank)])
         off += size
     return out
 
@@ -252,8 +250,6 @@ def _scan_classes(model, p, budget):
     factors: the scan's N(W_S), the triples with x and z in W_S, counts
     those central on at least S, so by inclusion-exclusion the class
     central on exactly C holds sum_{S >= C} (-1)^|S - C| N(W_S)."""
-    import numpy as np
-
     from .scan import count_triples
 
     p = model_check(model, p)
@@ -261,11 +257,8 @@ def _scan_classes(model, p, budget):
     zero = _central_spaces(model)
     # per factor, whether S holds it, in `_classify_keys` order: S empty last
     sets = list(itertools.product((True, False), repeat=len(zero)))
-    # W_S is spanned by the unit rows that every factor of S keeps, those
-    # of the coordinates they all cover
-    eye = np.eye(model.rank, dtype=np.int64)
-    spaces = [eye[np.logical_and.reduce([B.any(axis=0) for B in
-                                         itertools.compress(zero, S)])]
+    # W_S leaves free the coordinates that every factor of S leaves free
+    spaces = [list(map(all, zip(*itertools.compress(zero, S))))
               for S in sets[:-1]]
     count, _, on = count_triples(model.rank, p, grams, [0, budget], tensors,
                                  spaces)
@@ -503,20 +496,16 @@ CSV_FIELDS = ("model", "p", "target", "tmp", "epi", "nu", "method", "ms")
 
 
 def reports_to_csv(reports) -> str:
-    lines = [",".join(CSV_FIELDS)]
-    for r in reports:
-        row = {
-            "model": f"\"{r.model}\"" if "," in r.model else r.model,
-            "p": r.p,
-            "target": r.target,
-            "tmp": "" if r.tmp is None else r.tmp,
-            "epi": r.epi,
-            "nu": "" if r.nu is None else r.nu,
-            "method": r.method,
-            "ms": r.ms,
-        }
-        lines.append(",".join(str(row[f]) for f in CSV_FIELDS))
-    return "\n".join(lines) + "\n"
+    """One header line and one line per report, quoted as `csv` reads it
+    back; a count that is None is an empty field."""
+    import csv
+    import io
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_FIELDS)
+    writer.writerows([getattr(r, f) for f in CSV_FIELDS] for r in reports)
+    return out.getvalue()
 
 
 METHODS = ("formula", "tmp_sum")

@@ -217,24 +217,12 @@ def ramified_from_redei(table) -> RamifiedRelatorData:
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for k in range(1, j + 1):
-                needed = False
-                for m in range(1, n + 1):
-                    applies = (
-                        (m == j and m != k)
-                        or (m != j and m == k)
-                        or (m == i and j == k)
-                        or (m == j == k)
-                    )
-                    if not applies:
-                        continue
-                    needed = True
-                    if (i, j, k) not in symbols:
-                        raise ValueError(
-                            f"missing symbol for triple ({i},{j},{k})"
-                        )
-                    if symbols[(i, j, k)] == -1:
+                if (i, j, k) not in symbols:
+                    raise ValueError(f"missing symbol for triple ({i},{j},{k})")
+                if symbols[(i, j, k)] == -1:
+                    # the four rows: m in {j, k}, or m in {i, j} when j = k
+                    for m in sorted({j, i if j == k else k}):
                         e[(i, j, k, m)] = 1
-                assert needed  # every (i<j, k<=j) triple is consulted
     return RamifiedRelatorData(n, e, r=n)
 
 

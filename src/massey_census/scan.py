@@ -4,49 +4,41 @@ and the walk that fills a listing.
 The pair mask is reflexive, mask[x, y] = mask[y, x]: every Gram array is
 symmetric or skew-symmetric mod p, as a cup pairing is, and the scan
 refuses any other.  So counts read off y alone, and the row of y is the
-kernel of its stacked Gram rows y G_i: of the vectors of a subspace
-span(B), p^(rank B - rank(y G B^T)) pair to zero with y (B = I for the
-whole space), and mask[y, y] is y G_i y^T = 0 for every i.  The P x P mask
-is never built to count.  Let h(y) be the vectors of span(y) that pair to
-zero with y, p when mask[y, y] and else 1 (just 0), and f(y) =
-rowsum(y) - h(y), with f(0) = 0: the vectors outside span(y) that pair to
-zero with y, whether they stand as x or as z.  An admissible pair (x, y)
-has x nonzero, y outside span(x) and mask[x, y]; a triple adds a z outside
-span(x, y) with mask[y, z].  The z of span(x, y) outside span(y) are the
-a (x + b y), a != 0, and mask[y, x + b y] = mask[y, b y] for b != 0, so
-(p - 1) h(y) of them pair to zero with y, whatever x is:
+kernel of its stacked Gram rows y G_i: of the vectors zero off a set S of
+coordinates, p^(|S| - rank((y G)_S)) pair to zero with y, (y G)_S the
+S-columns of the y G_i, and mask[y, y] is y G_i y^T = 0 for every i.  The
+P x P mask is never built to count.  Let h(y) be the vectors of span(y)
+that pair to zero with y, p when mask[y, y] and else 1 (just 0), and
+f(y) = rowsum(y) - h(y), with f(0) = 0: the vectors outside span(y) that
+pair to zero with y, whether they stand as x or as z.  An admissible pair
+(x, y) has x nonzero, y outside span(x) and mask[x, y]; a triple adds a z
+outside span(x, y) with mask[y, z].  The z of span(x, y) outside span(y)
+are the a (x + b y), a != 0, and mask[y, x + b y] = mask[y, b y] for
+b != 0, so (p - 1) h(y) of them pair to zero with y, whatever x is:
 
     pairs = sum_y f(y),    triples = sum_y f(y) (f(y) - (p - 1) h(y)).
 
-The same sum counts the triples whose x and z lie in a subspace W, y
-anywhere.  Take the row sum over W, and h_W(y) = p when mask[y, y] and y is
-in W, else 1: the vectors of span(y) in W are all of span(y) when y is in W
-and just 0 otherwise.  With x in W, a (x + b y) lies in W exactly when
-b = 0 or y is in W, so (p - 1) h_W(y) of the z above lie in W and pair to
-zero with y, and N(W) = sum_y f_W(y) (f_W(y) - (p - 1) h_W(y)).  A term
-depends on y only through its class, the row sum, mask[y, y] and whether y
-lies in W, so each sum runs over the classes, weighted by their sizes, in
-python ints: exact past 2^63.  Without a Gram array every row sum is |W|,
-and the classes are sized from P and |W| alone.
+The same sum counts the triples whose x and z lie in W, the vectors zero
+off S, y anywhere.  Take the row sum over W, and h_W(y) = p when mask[y, y]
+and y is in W, else 1.  With x in W, a (x + b y) lies in W exactly when
+b = 0 or y is in W, so N(W) = sum_y f_W(y) (f_W(y) - (p - 1) h_W(y)).  A
+term depends on y only through its class, the row sum, mask[y, y] and
+whether y lies in W, so each sum runs over the classes, weighted by their
+sizes, in python ints: exact past 2^63.  Without a Gram array every row sum
+is |W|, and the classes are sized from P and |W| alone.
 
-Every one of these terms is constant on the lines through 0: the pair and
-triple conditions are homogeneous, so the row sums, mask[y, y] and
-membership of W are the same at y and at a y for a != 0.  The counts
-therefore rank one point per line, the (P - 1) / (p - 1) nonzero vectors
-whose first nonzero coordinate is 1 (`_points`, one read-only table per
-(d, p); at p = 2 every nonzero vector is its own point, the slice V[1:]),
-and a point's class stands for its p - 1 nonzero multiples; y = 0 has
-f(0) = 0 and drops out.
+Every one of these terms is constant on the lines through 0, so the counts
+rank one point per line, the (P - 1) / (p - 1) nonzero vectors whose first
+nonzero coordinate is 1 (`_points`), and a point's class stands for its
+p - 1 nonzero multiples; y = 0 has f(0) = 0 and drops out.
 
 For the s3 triple tensors T_k every pair (x, y), x nonzero and y outside
 span(x), stands, and its z are the kernel of W, the stack of the vectors
 x T_k y, outside span(x, y): p^(d - rank W) - p^(2 - rank [W x^T | W y^T])
 of them, the second term counting the a x + b y in the kernel.  These
-terms are constant on lines too (W scales by a b when x and y do), so x
-and y run over the points: y outside span(x) is a point other than x's,
-and each pair of points stands for (p - 1)^2 pairs (x, y).  The pairs are
-taken a slice of x at a time, and all ranks of a slice are one
-zero-padded `fp.rank_mod` call (`_s3_count`).
+terms are constant on lines too, so x and y run over pairs of distinct
+points, each standing for (p - 1)^2 pairs (x, y), all ranks of a slice of
+x in one zero-padded `fp.rank_mod` call (`_s3_count`).
 
 A listing is allocated once at the count and filled by one walk (`_walk`)
 off tables built per call: dot, u . v = 0, and add, the index of u + v,
@@ -55,10 +47,9 @@ admissible set is then a kernel minus a span: the mask row of x is the
 AND of the dot rows of the x G_i, an s3 pair's z-row the AND of the dot
 rows of the x T_k y, and span(x, y) the sums of the multiples of x and of
 y.  The walk takes the nonzero x in blocks of whole rows, each holding
-about fp.BLOCK_CELLS array cells, and all admissible (x, y) pairs of a
-block at once.  The budget counts primitive form evaluations (P per
-admissible pair and relator, P * P per Gram array) and is charged before
-the triples are counted.  It stays nominal, the work over every vector,
+about fp.BLOCK_CELLS array cells.  The budget counts primitive form
+evaluations (P per admissible pair and relator, P * P per Gram array),
+charged before the triples are counted: the work over every vector,
 however few points the counts rank.  The census imports this module where
 a scan runs, and its functions import numpy where they run, so a
 closed-form count loads neither."""
@@ -109,23 +100,6 @@ def _reflexive_grams(d, p, grams):
     return out
 
 
-def _span_mask(B, d, p):
-    """Boolean mask over F_p^d of the row span of B: the span grows by the
-    multiples of each row outside it."""
-    import numpy as np
-
-    powers = p ** np.arange(d - 1, -1, -1)
-    span = np.zeros((1, d), dtype=np.int64)
-    out = np.zeros(p ** d, dtype=bool)
-    out[0] = True
-    for row in B:
-        if not out[row @ powers]:
-            span = (span + np.arange(p)[:, None, None] * row) % p
-            span = span.reshape(-1, d)
-            out[span @ powers] = True
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def _points(d, p):
     """(n, d) int8, read-only, n = (p^d - 1) / (p - 1): one point per line
@@ -148,52 +122,46 @@ def _points(d, p):
 def _classes(d, p, grams, box, spaces=()):
     """Per space, the whole space first: the classes of y as (f, h, n), n
     vectors y with f_W(y) = f and h_W(y) = h (see the module notes).  Each
-    W is span(B), B in `spaces` a (k, d) spanning array.  A row sum is
-    p^(rank B - rank(y G B^T)), G the stacked Gram arrays, ranked at the
-    points (`_points`) a slice of y at a time, about fp.BLOCK_CELLS cells
-    each, every space zero-padded into one `rank_mod` call; a point's class
-    holds its p - 1 nonzero multiples.  Charges P * P per Gram array, the
-    scan's only charge for the mask.  Without a Gram array the classes are
-    sized from P and |W|, and nothing P long is built."""
+    W is a block of coordinates, S in `spaces` a (d,) boolean mask of the
+    coordinates it leaves free: |W| = p^|S|, and y lies in W when it is
+    zero off S.  A row sum is p^(|S| - rank((y G)_S)), G the stacked Gram
+    arrays, ranked at the points (`_points`) a slice of y at a time, about
+    fp.BLOCK_CELLS cells each, every space's columns zero-padded into one
+    `rank_mod` call; a point's class holds its p - 1 nonzero multiples.
+    Charges P * P per Gram array, the scan's only charge for the mask.
+    Without a Gram array the classes are sized from P and |W|, and nothing
+    P long is built."""
     import numpy as np
 
     grams = _reflexive_grams(d, p, grams)
     P = p ** d
-    spaces = [np.asarray(B, dtype=np.int64).reshape(-1, d) % p
-              for B in spaces]
+    masks = np.array([[True] * d, *spaces], dtype=bool)
+    free = np.count_nonzero(masks, axis=1)
     if not grams:
         # every row sum is |W|: h_W(y) = p for y in W, 1 off it; y = 0
         # has f(0) = 0 and adds nothing
         return [[(Q - p, p, Q - 1), (Q - 1, 1, P - Q)]
-                for Q in [P, *(p ** rank_mod(B, p) for B in spaces)]]
+                for Q in (p ** k for k in free.tolist())]
     for _ in grams:
         spend(box, P * P)
     V = _points(d, p)
-    at = V @ p ** np.arange(d - 1, -1, -1)
-    inside = [_span_mask(B, d, p) for B in spaces]
-    sizes = np.array([P, *map(np.count_nonzero, inside)])[:, None]
-    r, width = len(grams), max([d, *map(len, spaces)])
-    # y @ G is every y G_i side by side, and y G B^T every subspace's
-    # columns side by side
+    sizes = p ** free[:, None]
+    r = len(grams)
+    # y @ G is every y G_i side by side
     G = np.stack(grams).transpose(1, 0, 2).reshape(d, r * d)
-    B = np.concatenate([np.zeros((0, d), dtype=np.int64), *spaces])
-    ends = np.cumsum([0, *map(len, spaces)])
-    sums = np.empty((len(sizes), len(V)), dtype=np.int64)
+    sums = np.empty((len(masks), len(V)), dtype=np.int64)
     diag = np.empty(len(V), dtype=bool)
-    step = max(1, fp.BLOCK_CELLS // (len(sizes) * r * width))
+    step = max(1, fp.BLOCK_CELLS // (len(masks) * r * d))
     for lo in range(0, len(V), step):
         y = V[lo:lo + step]
         yG = (y @ G % p).reshape(len(y), r, d)
         diag[lo:lo + len(y)] = ~(np.einsum("nkd,nd->nk", yG, y) % p).any(1)
-        yGB = yG @ B.T
-        stack = np.zeros((len(y), len(sizes), r, width), dtype=np.int16)
-        stack[:, 0, :, :d] = yG
-        for j, (start, end) in enumerate(zip(ends, ends[1:]), 1):
-            stack[:, j, :, :end - start] = yGB[:, :, start:end]
+        # per space, the y G_i with the columns off S zeroed
+        stack = yG.astype(np.int16)[:, None] * masks[:, None]
         sums[:, lo:lo + len(y)] = sizes // p ** rank_mod(stack, p).T
     out = []
-    for row, on in zip(sums, [True, *(w[at] for w in inside)]):
-        h = np.where(diag & on, p, 1)
+    for row, S in zip(sums, masks):
+        h = np.where(diag & ~V[:, ~S].any(axis=1), p, 1)
         counts = np.bincount(2 * (row - h) + (h > 1))
         keys = np.flatnonzero(counts)
         out.append([(k >> 1, p if k & 1 else 1, (p - 1) * n)
@@ -323,8 +291,9 @@ def count_triples(d, p, grams, box, tensors=None, spaces=(),
     whose vanishing on (x, y, z) replaces mask[y, z], and take no Gram
     array and no subspace.  Returns the count, the (x, y, z) index triples
     in lexicographic order as an (m, 3) int32 array when `want_list`, and
-    per subspace span(B), B in `spaces` a (k, d) spanning array, the count
-    N(W) of the triples whose x and z lie in it.
+    per block of coordinates W, S in `spaces` a (d,) boolean mask of the
+    coordinates it leaves free, the count N(W) of the triples whose x and z
+    lie in it.
 
     The pair counts come from ranks (`_classes`, charged there), then the
     scan is charged in full.  Without tensors the counts are the per-y

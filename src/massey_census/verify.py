@@ -26,6 +26,7 @@ from .forms import cup_chain, cup_grams
 from .fp import FpVector, rank_mod
 from .oracle import (
     CHUNK,
+    ORACLE_BUDGET,
     ORACLE_BUDGET_EXTENDED,
     count_epi_bruteforce,
     count_lifts_bruteforce,
@@ -261,15 +262,6 @@ def _sum_identity_d3(_threads):
     return total == brute, f"sum of lifts {total}, oracle {brute}"
 
 
-def _df_oracle(threads):
-    model = GroupModel.df(3, 2, 1)
-    formula = epi_count(model, 2).epi
-    brute = count_epi_bruteforce(model_presentation(model, 2), 4, 2,
-                                 threads=threads)
-    ok = formula == brute == 1327104
-    return ok, f"formula {formula}, oracle {brute}"
-
-
 def _three_engines(model, p, frozen, threads):
     return _check_eq(
         "formula = tmp_sum = oracle = frozen",
@@ -323,15 +315,6 @@ def _scan_reach(_threads):
                 f"{cls} {n}" for cls, n in got.items())),
         ]
     return all(ok for ok, _ in rows), "; ".join(detail for _, detail in rows)
-
-
-def _free_rank2_u4_vanishes(_threads):
-    model = GroupModel.free(2)
-    formula = epi_count(model, 3).epi
-    brute = count_epi_bruteforce(free_presentation(2), 4, 3,
-                                 budget=ORACLE_BUDGET_EXTENDED)
-    ok = formula == brute == 0
-    return ok, f"rank 2 onto U_4(F_3): formula {formula}, oracle {brute}"
 
 
 def _wide_oracle(model, frozen, budget, threads):
@@ -396,13 +379,15 @@ CHECKS = (
     Check("rank-4 symplectic oracle: epi 737280, nu 1920", _d1_oracle,
           "extended"),
     Check("rank-4 lifts constant; sums = oracle", _lifts_rank4, "extended"),
-    Check("product with free factor: formula = oracle 1327104", _df_oracle,
-          "extended"),
+    Check("product with free factor: formula = oracle 1327104",
+          functools.partial(_wide_oracle, GroupModel.df(3, 2, 1), 1327104,
+                            ORACLE_BUDGET), "extended"),
     Check("rank-2 double product: formula = tmp_sum = oracle 184320",
           functools.partial(_three_engines, GroupModel.dd(2, 4, 2, 4), 2,
                             184320), "extended"),
     Check("rank 2 has no U_4 surjections (formula = oracle = 0)",
-          _free_rank2_u4_vanishes, "extended"),
+          functools.partial(_three_engines, GroupModel.free(2), 3, 0),
+          "extended"),
     Check("triple counts are invariant under a change of basis",
           _basis_invariance, "extended"),
     Check("P=p^6 p=5,7 scans = closed: demushkin(6,p), dd(4,p,2,p)",

@@ -1,7 +1,9 @@
 """Census pathway tests: enumeration vs closed forms vs hand-frozen counts."""
 
 import collections.abc
+import csv
 import functools
+import io
 import itertools
 import json
 import random
@@ -43,6 +45,7 @@ from massey_census.words import (
     RamifiedRelatorData,
     demushkin_case,
     demushkin_presentation,
+    preset_tensor,
 )
 
 
@@ -343,15 +346,14 @@ def test_scan_matches_literal_definition_s3(case):
     model, p = case
     naive = _naive_s3_triples(model, p)
     _check_against_naive(model, p, naive)
-    # W the vectors with first coordinate 0, spanned by the other unit rows
-    # and then also by their sum (a dependent spanning array), and the whole
-    # space.  s3 tensors take no subspace: refused before any charge.  A
-    # model none of whose relators survives mod p scans as the free group,
-    # and N(W), the triples with x and z in W, comes off the ranks
+    # W the vectors with first coordinate 0, the whole space and 0, as
+    # masks of the coordinates they leave free.  s3 tensors take no
+    # subspace: refused before any charge.  A model none of whose relators
+    # survives mod p scans as the free group, and N(W), the triples with x
+    # and z in W, comes off the ranks
     grams, tensors = census._model_forms(model, p)
-    eye = np.eye(model.rank, dtype=np.int64)
-    dependent = np.vstack([eye[1:], eye[1:].sum(axis=0)])
-    spaces = [eye[1:], dependent, eye]
+    d = model.rank
+    spaces = [[False] + [True] * (d - 1), [True] * d, [False] * d]
     box = [0, 10 ** 9]
     if tensors is not None:
         with pytest.raises(ValueError, match="no subspace"):
@@ -360,7 +362,7 @@ def test_scan_matches_literal_definition_s3(case):
         return
     _, _, on = scan.count_triples(model.rank, p, grams, box, tensors, spaces)
     first_zero = sum(x[0] == z[0] == 0 for x, _y, z in naive)
-    assert on == [first_zero, first_zero, len(naive)]
+    assert on == [first_zero, len(naive), 0]
 
 
 def _naive_s3_triples(model, p):
@@ -394,13 +396,12 @@ def explicit_forms(draw):
 
 
 @settings(max_examples=30, deadline=None)
-@given(explicit_forms(),
-       st.lists(st.lists(st.integers(0, 4), min_size=4, max_size=4),
-                max_size=3))
+@given(explicit_forms(), st.lists(st.booleans(), min_size=4, max_size=4))
 @example(([np.eye(3, dtype=np.int64)], 3, 3),  # the dot product: y.y != 0
-         [[1, 2, 0, 0]])
-@example(([np.diag([1, 0, 1]), np.diag([0, 1, 1])], 3, 2), [[0, 1, 1, 0]])
-def test_scan_matches_literal_definition_forms(case, spanning):
+         [True, False, True, False])
+@example(([np.diag([1, 0, 1]), np.diag([0, 1, 1])], 3, 2),
+         [False, True, True, False])
+def test_scan_matches_literal_definition_forms(case, drawn_mask):
     forms, d, p = case
 
     def pairs(u, v):
@@ -412,17 +413,14 @@ def test_scan_matches_literal_definition_forms(case, spanning):
     naive_pairs = sum(pairs(x, y) and rank_mod(np.array([x, y]), p) == 2
                       for x in space for y in space)
     assert scan.count_pairs(d, p, forms, [0, 10 ** 9]) == naive_pairs
-    # N(W) on 0, on the drawn span and on the whole space: the triples
-    # with x and z in W, y anywhere
-    gens = [[c % p for c in v[:d]] for v in spanning]
-    drawn = {tuple(np.array(a) @ np.array(gens, dtype=np.int64).reshape(
-        -1, d) % p) for a in itertools.product(range(p), repeat=len(gens))}
-    subspaces = [{(0,) * d}, drawn, set(space)]
-    arrays = [np.zeros((0, d), dtype=np.int64),
-              np.array(gens, dtype=np.int64).reshape(-1, d),
-              np.eye(d, dtype=np.int64)]
+    # N(W) on 0, on the drawn block and on the whole space: the triples
+    # with x and z in W, y anywhere; W holds the vectors zero off the mask
+    masks = [[False] * d, drawn_mask[:d], [True] * d]
+    subspaces = [{v for v in space
+                  if all(c == 0 for c, free in zip(v, S) if not free)}
+                 for S in masks]
     count, _, on = scan.count_triples(d, p, forms, [0, 10 ** 9],
-                                      spaces=arrays)
+                                      spaces=masks)
     assert count == len(naive)
     assert on == [sum(x in W and z in W for x, _y, z in naive)
                   for W in subspaces]
@@ -484,12 +482,11 @@ def test_pair_mask_refuses_what_is_not_reflexive():
     assert tmp_enumerate_forms([[[0, 1], [2, 0]]], 3) >= 0
 
 
-def _span_members(B, V, p):
-    """Whether each row of V lies in the row span of B, spelled out: every
-    combination of B's rows."""
-    span = {tuple(np.array(a) @ B % p)
-            for a in itertools.product(range(p), repeat=len(B))}
-    return np.array([tuple(v) in span for v in V.tolist()])
+def _block_members(S, V):
+    """Whether each row of V is zero off the mask S, spelled out: a loop
+    over the vectors and their coordinates."""
+    return np.array([all(c == 0 for c, free in zip(v, S) if not free)
+                     for v in V.tolist()], dtype=bool)
 
 
 def _literal_classes(mask, members, p):
@@ -523,13 +520,10 @@ def test_classes_match_the_pair_mask_on_model_spaces():
         V = fp.vectors_array(model.rank, p)
         mask = forms.zero_cup_table(grams, V, p)  # all true without grams
         assert mask.shape == (P, P)
-        # the central subspaces, and one that is not a block of coordinates,
-        # the vectors whose coordinates sum to 0, spanned by e_0 - e_j
-        spaces = census._central_spaces(model)
-        eye = np.eye(model.rank, dtype=np.int64)
-        spaces.append(eye[:1] - eye[1:])
-        members = [_span_members(B, V, p) for B in spaces]
-        assert (members[-1] == (V.sum(axis=1) % p == 0)).all()
+        # the central subspaces, 0 and the whole space
+        d = model.rank
+        spaces = [*census._central_spaces(model), [False] * d, [True] * d]
+        members = [_block_members(S, V) for S in spaces]
         literal = _literal_classes(mask, members, p)
         pairs, triples = _literal_sums(literal, p)
         for cap in (1, 7, 10 ** 6):
@@ -545,9 +539,9 @@ def test_classes_match_the_pair_mask_on_model_spaces():
 
 @st.composite
 def grams_and_spaces(draw):
-    """Random symmetric or skew Gram arrays at p = 2, 3, 5, and spanning
-    arrays: the zero subspace as no rows and as zero rows, random rows, and
-    rows with their sum and a multiple appended (dependent)."""
+    """Random symmetric or skew Gram arrays at p = 2, 3, 5, and masks of
+    the coordinates a block leaves free: none (the zero subspace), all (the
+    whole space) and random ones."""
     p = draw(st.sampled_from((2, 3, 5)))
     d = draw(st.integers(1, {2: 5, 3: 4, 5: 3}[p]))
     entries = st.integers(0, p - 1)
@@ -559,11 +553,9 @@ def grams_and_spaces(draw):
             grams.append(np.triu(a) + np.triu(a, 1).T)  # symmetric
         else:
             grams.append(np.triu(a, 1) - np.triu(a, 1).T)  # skew
-    rows = np.array(draw(st.lists(st.lists(entries, min_size=d, max_size=d),
-                                  max_size=d)), dtype=np.int64).reshape(-1, d)
-    spaces = [np.zeros((0, d), dtype=np.int64),
-              np.zeros((2, d), dtype=np.int64), rows,
-              np.vstack([rows, rows.sum(axis=0), 2 * rows[:1]])]
+    masks = st.lists(st.booleans(), min_size=d, max_size=d)
+    spaces = [[False] * d, [True] * d,
+              *draw(st.lists(masks, min_size=1, max_size=3))]
     return grams, spaces, d, p
 
 
@@ -571,11 +563,11 @@ def grams_and_spaces(draw):
 @given(grams_and_spaces(), st.sampled_from((1, 7, 10 ** 6)))
 def test_classes_by_ranks_match_the_mask(case, cap):
     # the rank route against the row sums and diagonal of the whole mask
-    # at every y, each subspace's columns picked out by the literal span
+    # at every y, each subspace's columns picked out by the literal block
     grams, spaces, d, p = case
     V = fp.vectors_array(d, p).astype(np.int64)
     mask = forms.zero_cup_table(grams, V, p)
-    members = [_span_members(B, V, p) for B in spaces]
+    members = [_block_members(S, V) for S in spaces]
     literal = _literal_classes(mask, members, p)
     pairs, triples = _literal_sums(literal, p)
     box = [0, 10 ** 9]
@@ -614,8 +606,8 @@ def test_counts_build_no_mask_and_listings_one(monkeypatch):
 @st.composite
 def line_cases(draw):
     """At p = 2, 3, 5, 7: random symmetric or skew Gram arrays or random
-    triple tensors, and spanning arrays: no rows, the unit rows off the
-    first coordinate, and random rows."""
+    triple tensors, and masks of the coordinates a block leaves free: none,
+    all but the first, and a random one."""
     p = draw(st.sampled_from((2, 3, 5, 7)))
     tensors = draw(st.booleans())
     # the literal s3 loop is P^3 cells: p = 7 stays at d = 2 there, and
@@ -640,9 +632,8 @@ def line_cases(draw):
         else:
             a = array(d, d)
             forms.append(np.triu(a, 1) - np.triu(a, 1).T)  # skew
-    spaces = [np.zeros((0, d), dtype=np.int64),
-              np.eye(d, dtype=np.int64)[1:],
-              array(draw(st.integers(1, d)), d)]
+    spaces = [[False] * d, [False] + [True] * (d - 1),
+              draw(st.lists(st.booleans(), min_size=d, max_size=d))]
     return forms, tensors, spaces, d, p
 
 
@@ -674,8 +665,8 @@ def _literal_s3_count(tensors, d, p):
 def _seeded_s3_case(p, d, seed):
     rng = np.random.default_rng(seed)
     return ([rng.integers(0, p, (d, d, d)) for _ in range(2)], True,
-            [np.zeros((0, d), dtype=np.int64), np.eye(d, dtype=np.int64)[1:],
-             rng.integers(0, p, (2, d))], d, p)
+            [[False] * d, [False] + [True] * (d - 1),
+             rng.integers(0, 2, d).astype(bool).tolist()], d, p)
 
 
 @settings(max_examples=40, deadline=None)
@@ -705,7 +696,7 @@ def test_counts_over_lines_match_every_vector(case):
         count, _, on = scan.count_triples(d, p, [], box, forms)
         assert (count, on) == (_literal_s3_count(forms, d, p), [])
         return
-    members = [_span_members(B, V, p) for B in spaces]
+    members = [_block_members(S, V) for S in spaces]
     mask = zero_cup_table(forms, V, p)
     rows = [mask.sum(axis=1), *(mask[:, w].sum(axis=1) for w in members)]
     diag = mask.diagonal()
@@ -943,16 +934,16 @@ def test_scan_memory_is_bounded():
 def test_counts_past_2_63_are_exact():
     # free(22) at p = 2: every pair admissible, so (P - 1)(P - 2)(P - 4)
     # triples, and with W the vectors of first coordinate 0 (Q = P / 2 of
-    # them), N(W) = (Q - 1)((Q - 2)(Q - 4) + Q (Q - 2)): y in W or not
-    # W is spanned by the other unit rows.  Without a Gram array the
-    # classes of y are sized from P and |W|: no P-long array is built
+    # them), N(W) = (Q - 1)((Q - 2)(Q - 4) + Q (Q - 2)): y in W or not.
+    # W leaves every coordinate but the first free.  Without a Gram array
+    # the classes of y are sized from P and |W|: no P-long array is built
     P = 2 ** 22
     Q = P // 2
     tracemalloc.start()
     try:
         count = tmp_enumerate(GroupModel.free(22), 2, budget=10 ** 20)[0]
         _, _, on = scan.count_triples(22, 2, [], [0, 10 ** 20],
-                                      spaces=[np.eye(22, dtype=np.int64)[1:]])
+                                      spaces=[[False] + [True] * 21])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1204,6 +1195,23 @@ def test_report_json_and_csv():
     lines = csv_text.strip().split("\n")
     assert lines[0] == "model,p,target,tmp,epi,nu,method,ms"
     assert "6144" in lines[1] and "16" in lines[1]
+
+
+def test_csv_reads_back_any_model_name():
+    # an s3 name from a file may hold a comma, a quote and a newline; each
+    # row still reads back field for field
+    name = 'tri,"x"\n.json'
+    model = GroupModel.s3(preset_tensor("borromean"), name=name)
+    reports = [nu_extensions(model, 2), epi_count(model, 2, target=2)]
+    rows = list(csv.reader(io.StringIO(reports_to_csv(reports))))
+    assert rows[0] == ["model", "p", "target", "tmp", "epi", "nu", "method",
+                       "ms"]
+    assert [row[0] for row in rows[1:]] == [f"s3({name})"] * 2
+    for rep, row in zip(reports, rows[1:]):
+        assert row[1:] == [str(rep.p), str(rep.target),
+                           "" if rep.tmp is None else str(rep.tmp),
+                           str(rep.epi), "" if rep.nu is None else str(rep.nu),
+                           rep.method, str(rep.ms)]
 
 
 def test_internal_consistency_guard():

@@ -395,6 +395,54 @@ def test_redei_validation():
         )
 
 
+def _four_row_exponents(n, symbols):
+    """The docstring's four rows, literally: every relator m against every
+    i < j, k <= j triple, failing at the first triple a row consults
+    without its symbol."""
+    e = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for k in range(1, j + 1):
+                for m in range(1, n + 1):
+                    if not ((m == j and m != k) or (m != j and m == k)
+                            or (m == i and j == k) or (m == j == k)):
+                        continue
+                    if (i, j, k) not in symbols:
+                        raise ValueError(
+                            f"missing symbol for triple ({i},{j},{k})")
+                    if symbols[(i, j, k)] == -1:
+                        e[(i, j, k, m)] = 1
+    return e
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_redei_rule_matches_the_four_rows(data):
+    # complete tables in any order, then the same tables less a few
+    # symbols: the same exponents, or the same first missing triple
+    n = data.draw(st.integers(2, 5))
+    triples = [(i, j, k) for i in range(1, n + 1)
+               for j in range(i + 1, n + 1) for k in range(1, j + 1)]
+    signs = st.sampled_from((1, -1))
+    symbols = {t: data.draw(signs) for t in triples}
+    order = data.draw(st.permutations(triples))
+    dropped = data.draw(st.sets(st.sampled_from(triples), max_size=2))
+    for kept in (order, [t for t in order if t not in dropped]):
+        table = {"primes": [2, 3, 5, 7, 11][:n],
+                 "symbols": [{"triple": list(t), "value": symbols[t]}
+                             for t in kept]}
+        try:
+            expected = _four_row_exponents(n, {t: symbols[t] for t in kept})
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                ramified_from_redei(table)
+            assert str(got.value) == str(err)
+            continue
+        data_out = ramified_from_redei(table)
+        assert (data_out.n, data_out.r) == (n, n)
+        assert list(data_out.e.items()) == list(expected.items())
+
+
 def test_load_input_file_redei(tmp_path):
     import json
 
