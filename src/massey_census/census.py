@@ -257,12 +257,14 @@ def _scan_classes(model, p, budget):
     zero = _central_spaces(model)
     # per factor, whether S holds it, in `_classify_keys` order: S empty last
     sets = list(itertools.product((True, False), repeat=len(zero)))
-    # W_S leaves free the coordinates that every factor of S leaves free
+    # W_S leaves free the coordinates that every factor of S leaves free;
+    # with none free, W_S = {0} and N(W_S) = 0 without a scan
     spaces = [list(map(all, zip(*itertools.compress(zero, S))))
               for S in sets[:-1]]
     count, _, on = count_triples(model.rank, p, grams, [0, budget], tensors,
-                                 spaces)
-    N = dict(zip(sets, [*on, count]))
+                                 [W for W in spaces if any(W)])
+    on = iter(on)
+    N = dict(zip(sets, [next(on) if any(W) else 0 for W in spaces] + [count]))
     return {key: sum((-1) ** (sum(S) - sum(C)) * n for S, n in N.items()
                      if all(map(operator.ge, S, C)))
             for key, C in zip(_classify_keys(model), sets)}
@@ -535,8 +537,6 @@ def epi_count(model: GroupModel, p: int, target: int = 4, method="formula",
             classes = _closed_classes(model, p, budget)
         else:
             classes = _scan_classes(model, p, budget)
-            if model.kind == "demushkin":
-                assert classes["central"] == 0  # independence forbids it
         tmp = sum(classes.values())
         breakdown = {cls: (n, z1_closed(model, p, cls))
                      for cls, n in classes.items() if n}

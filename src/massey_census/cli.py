@@ -39,7 +39,7 @@ CONFIG_KEYS = {"threads": "threads", "tmp_budget": "budget",
                "oracle_budget": "oracle_budget"}
 # read as text and converted in main, so bad text exits 1 naming the flag
 _INT_FLAGS = ("d", "p", "e", "d2", "threads", "budget", "oracle_budget",
-              "local_degree", "k")
+              "local_degree")
 # the least value of each settings flag: a value below it is bad input, so
 # exit 2 stays a budget verdict
 _LEAST = {"threads": 1, "budget": 0, "oracle_budget": 0}
@@ -147,7 +147,6 @@ def build_parser():
                "--extended")
     ma.add_argument("--chars", required=True,
                     help="JSON list of characters, e.g. [[1,0,0],[0,1,0]]")
-    ma.add_argument("--k", help="expected fold count (consistency)")
 
     ve = subs.add_parser("verify", help="run a self-check suite")
     ve.add_argument("--suite", default="desk", choices=["desk", "extended"])
@@ -382,10 +381,6 @@ def _cmd_massey(args):
             raise ValueError(
                 f"--chars coordinates must be integers, got {json.dumps(x)}")
     chars = [FpVector(c, p) for c in raw]
-    if args.k is not None and args.k != len(chars):
-        raise ValueError(
-            f"--k {args.k} does not match the {len(chars)} characters given"
-        )
     from . import oracle
 
     exists = oracle.massey_system_exists(

@@ -76,39 +76,24 @@ def triple_tensors(pres: Presentation, p) -> list:
 
 
 def zero_cup_table(grams, U, p) -> np.ndarray:
-    """The (len U, p^d) table of whether row U[i] and the vector of index j
-    have zero cup product under every Gram array, built a run of rows at a
-    time, about fp.BLOCK_CELLS cells each.
-
-    Split each y into a head of d // 2 coordinates and a tail.  Then
-    x G y^T = (x G)_head . y_head + (x G)_tail . y_tail, and the cup is zero
-    exactly when the head's sum mod p equals minus the tail's.  The residues
-    of up to 31 // p.bit_length() arrays pack into one int32 code, so a run
-    of rows is one broadcast comparison of head codes against tail codes."""
+    """The (len U, p^d) table whose cell (i, j) is whether (U[i] G) v_j^T
+    = 0 mod p for every Gram array G, v_j row j of `vectors_array(d, p)`:
+    whether U[i] and v_j have zero cup product.  Built a run of rows at a
+    time, so that one run's int64 product holds about fp.BLOCK_CELLS
+    cells."""
     import numpy as np
 
-    d = U.shape[1]
-    h = d // 2
-    head = vectors_array(h, p)
-    tail = vectors_array(d - h, p)
-    ok = np.ones((len(U), len(head), len(tail)), dtype=bool)
-    rows = max(1, fp.BLOCK_CELLS // (len(head) * len(tail)))
-    per = 31 // p.bit_length()  # p^per < 2^31
-    grams = [np.asarray(g, dtype=np.int64) % p for g in grams]
-    for lo in range(0, len(U), rows):
-        block = ok[lo:lo + rows]
-        for start in range(0, len(grams), per):
-            a = b = 0
-            for k, gram in enumerate(grams[start:start + per]):
-                xg = U[lo:lo + rows] @ gram % p
-                a = a + (xg[:, :h] @ head.T % p) * p ** k
-                b = b + (-(xg[:, h:] @ tail.T) % p) * p ** k
-            a, b = a.astype(np.int32)[:, :, None], b.astype(np.int32)[:, None, :]
-            if start:
-                block &= a == b
-            else:
-                np.equal(a, b, out=block)
-    return ok.reshape(len(U), -1)
+    V = vectors_array(U.shape[1], p).astype(np.int64)
+    ok = np.ones((len(U), len(V)), dtype=bool)
+    rows = max(1, fp.BLOCK_CELLS // len(V))
+    for gram in grams:
+        G = np.asarray(gram, dtype=np.int64) % p
+        for lo in range(0, len(U), rows):
+            run = U[lo:lo + rows] @ G  # frees the last run's product first
+            run = run @ V.T
+            run %= p
+            ok[lo:lo + rows] &= run == 0
+    return ok
 
 
 def cup_chain(grams, d: int, p: int, length: int):

@@ -1055,6 +1055,38 @@ def test_closed_classes_match_scan_tally():
                                         budget=10 ** 10).epi, where
 
 
+def test_scan_classes_skip_spaces_with_no_free_coordinate(monkeypatch):
+    # a space with no free coordinate is {0}, whose N(W) is 0 unscanned:
+    # a dd model scans its two single-factor spaces and a demushkin model
+    # none, while every class count stays the closed one
+    seen, classes = [], scan._classes
+
+    def spy(d, p, grams, box, spaces=()):
+        seen.extend(list(S) for S in spaces)
+        return classes(d, p, grams, box, spaces)
+
+    monkeypatch.setattr(scan, "_classes", spy)
+    cells = IDENTITY_CELLS + ((GroupModel.demushkin(4, 4), 2),
+                              (GroupModel.demushkin(4, 3), 3),
+                              (GroupModel.demushkin(3, 2), 2))
+    for model, p in cells:
+        where = (model.describe(), p)
+        seen.clear()
+        tally = census._scan_classes(model, p, 10 ** 10)
+        assert tally == census._closed_classes(model, p, 10 ** 10), where
+        assert len(seen) == (2 if model.kind == "dd" else
+                             1 if model.kind == "df" else 0), where
+        assert all(any(S) for S in seen), where
+        seen.clear()
+        report = epi_count(model, p, method="tmp_sum", budget=10 ** 10)
+        assert all(any(S) for S in seen), where
+        assert report.z1_breakdown == {
+            key: (n, z1_closed(model, p, key)) for key, n in tally.items()
+            if n}, where
+    # the last cell, demushkin(3,2), still reports its central class as 0
+    assert tally == {"central": 0, "noncentral": 24}
+
+
 def test_rank2_lifts_equal_z1():
     """Every triple's oracle lift count is the cocycle count of its class:
     all triples at p = 2 on rank-2 cells, seeded samples per class beyond."""

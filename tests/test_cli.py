@@ -206,7 +206,7 @@ def test_massey_counterexample(capsys):
     chars = "[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]"
     code, out, _ = run(
         capsys, "massey", "--model", "preset", "--name", "counterexample1",
-        "--p", "2", "--chars", chars, "--k", "4",
+        "--p", "2", "--chars", chars,
     )
     assert code == 0
     payload = json.loads(out)
@@ -259,7 +259,7 @@ def test_bad_integer_flags_exit_1_name_the_flag(capsys):
         "count-epi": ("--d", "--p", "--threads", "--budget",
                       "--oracle-budget"),
         "tmp": ("--e", "--d2"),
-        "massey": ("--k",),
+        "massey": ("--oracle-budget",),
     }
     for command, flags in bad.items():
         for flag in flags:
@@ -362,15 +362,6 @@ def test_massey_chars_must_be_integers(capsys):
         assert json.loads(out) == {
             "error": f"--chars coordinates must be integers, got {named}"
         }
-
-
-def test_k_mismatch(capsys):
-    code, _, err = run(
-        capsys, "massey", "--model", "free", "--d", "3", "--p", "2",
-        "--chars", "[[1,0,0],[0,1,0]]", "--k", "3",
-    )
-    assert code == 1
-    assert "does not match" in err
 
 
 def test_config_file(tmp_path, capsys):

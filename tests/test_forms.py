@@ -1,6 +1,8 @@
 """Tests for the cup pairing and triple form read off relators, cup chains,
 and trilinear traces."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -142,19 +144,26 @@ def test_zero_cup_table_is_the_literal_product(p, monkeypatch):
     assert zero_cup_table([], V[:3], p).all()
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_zero_cup_table_at_the_vector_budget(p):
-    # every entry p - 1 at the largest d with p^d vectors in the budget:
-    # the row is checked against the literal product on sampled columns
-    d = max(k for k in range(1, 40) if p ** k <= fp.VECTOR_BUDGET)
-    top = np.full((d, d), p - 1)
-    U = np.full((1, d), p - 1)
-    row = zero_cup_table([top], U, p)[0]
-    assert len(row) == p ** d
+@pytest.mark.parametrize("p, d", [(2, 10), (3, 7)])
+def test_zero_cup_table_working_set(p, d, monkeypatch):
+    # beside the table it returns, the build holds one int64 vector table
+    # and one run of rows: its int64 product and that product's comparison
+    # with 0, 9 B per cell; 4 KiB covers the small arrays
     rng = np.random.default_rng(p)
-    idx = np.concatenate([[0, 1, p ** d - 1], rng.integers(0, p ** d, 4000)])
-    W = idx[:, None] // p ** np.arange(d - 1, -1, -1) % p
-    assert (row[idx] == _literal_table([top], U, W, p)[0]).all()
+    grams = [rng.integers(0, p, (d, d)) for _ in range(2)]
+    U = vectors_array(d, p)
+    P = p ** d
+    for cap in (1, fp.BLOCK_CELLS):
+        monkeypatch.setattr(fp, "BLOCK_CELLS", cap)
+        tracemalloc.start()
+        try:
+            table = zero_cup_table(grams, U, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        run = min(max(1, cap // P), len(U)) * P
+        assert peak <= table.nbytes + P * d * 8 + run * 9 + 2 ** 12, cap
+        assert (table == _literal_table(grams, U, U, p)).all()
 
 
 def check_consecutive(g, p, chain):

@@ -767,6 +767,88 @@ def test_cup_grams_match_massey_systems(data):
         assert table[i, j] == massey_system_exists(pres, [x, y, zero], p)
 
 
+def _literal_failures(pres, p, tuples):
+    """The tuples of k = 3 or 4 characters (int tuples, all of one k) with
+    no defining system, read off dense matrices.  A system puts -c_1, ...,
+    -c_k on the superdiagonal of the corner-dropped U_(k+1)(F_p), where a
+    relator passes exactly when it multiplies out to the identity on the
+    principal blocks of rows 1..k and of rows 2..k+1: two elements of
+    U_k(F_p) that share rows 2..k.  With every exponent sum 0 mod p a
+    block's corner is central and changes no relator, so it is pinned at 0.
+    At k = 4 each block's (1,3) and (2,4) entries range freely, the upper
+    block's (2,4) being the lower block's (1,3); at k = 3 nothing does."""
+    k, rank = len(tuples[0]), pres.rank
+    free = ((1, 3), (2, 4)) if k == 4 else ()
+    chains = sorted({t[i:i + k - 1] for t in tuples for i in (0, 1)})
+    digits = np.array(
+        list(itertools.product(range(p), repeat=len(free) * rank)),
+        dtype=np.int64).reshape(p ** (len(free) * rank), len(free), rank)
+    # per generator, per chain and per free digits, a U_k matrix
+    images = np.tile(np.eye(k, dtype=np.int64),
+                     (rank, len(chains), len(digits), 1, 1))
+    sup = -np.array(chains, dtype=np.int64) % p
+    for s in range(k - 1):
+        images[..., s, s + 1] = sup[:, s].T[:, :, None]
+    for f, (i, j) in enumerate(free):
+        images[..., i - 1, j - 1] = digits[:, f].T[:, None, :]
+    ok = np.ones(images.shape[1:3], dtype=bool)
+    for r in pres.relators:
+        ok &= (_dense_word(r, images, p) % p == np.eye(k)).all(axis=(-2, -1))
+    # per chain, a scalar (k = 3) or a table over (1,3) by (2,4) (k = 4)
+    ok = ok.reshape(len(chains), *(p ** rank,) * len(free))
+    index = {c: i for i, c in enumerate(chains)}
+    failures = []
+    for t in tuples:
+        upper, lower = ok[index[t[:-1]]], ok[index[t[1:]]]
+        if free:  # some shared entry admitted by both blocks
+            upper, lower = upper.any(axis=0), lower.any(axis=1)
+        if not (upper & lower).any():
+            failures.append(t)
+    return failures
+
+
+def _check_defining_failures(pres, p, k):
+    """`cup_defining_check` against the tuples whose consecutive cups vanish
+    under the Gram arrays, and against `_literal_failures`; returns the
+    failures it reports."""
+    grams = cup_grams(pres, p)
+    V = [tuple(v) for v in vectors_array(pres.rank, p).tolist()]
+    zero = {(x, y) for x in V for y in V
+            if all(np.array(x) @ g @ np.array(y) % p == 0 for g in grams)}
+    tuples = [t for t in itertools.product(V, repeat=k)
+              if all(pair in zero for pair in zip(t, t[1:]))]
+    report = cup_defining_check(pres, p, k, budget=2 ** 31)
+    assert report["checked"] == len(tuples)
+    assert sorted(report["failures"]) == _literal_failures(pres, p, tuples)
+    return report["failures"]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_cup_defining_failures_match_literal(data):
+    # every tuple with vanishing consecutive cups is checked, and the
+    # failures are exactly the tuples with no system by dense matrices; at
+    # k = 3 every such tuple has one, at k = 4 some need not
+    p, rank, k = data.draw(st.sampled_from(
+        ((2, 2, 4), (2, 3, 4), (3, 2, 3), (3, 2, 4))))
+    pres = data.draw(cup_presentations(rank, p))
+    _check_defining_failures(pres, p, k)
+
+
+def test_cup_defining_finds_failures():
+    # U_5(F_3) has exponent 9, so x^3 leaves some 4-fold products undefined
+    # (32 of 81 tuples); a sample of each kind agrees with the literal loop
+    pres = Presentation(1, [Pow(Gen(1), 3)])
+    failures = _check_defining_failures(pres, 3, 4)
+    assert len(failures) == 32
+    passes = [t for t in itertools.product(((0,), (1,), (2,)), repeat=4)
+              if t not in failures]
+    for t in sorted(failures)[::8] + passes[::12]:
+        fixed = {(i, i + 1): [-v[0] % 3] for i, v in enumerate(t, 1)}
+        assert (t in failures) == (
+            _literal_count(pres, 5, 3, fixed, central=True) == 0)
+
+
 # --- differential checks against dense integer matrices ----------------------
 
 
@@ -796,9 +878,10 @@ def _dense(entries, n, bar):
 
 
 def _dense_inv(m, p):
-    nil = np.eye(len(m), dtype=np.int64) - m
-    out = term = np.eye(len(m), dtype=np.int64)
-    for _ in range(len(m) - 1):
+    n = m.shape[-1]
+    nil = np.eye(n, dtype=np.int64) - m
+    out = term = np.eye(n, dtype=np.int64)
+    for _ in range(n - 1):
         term = np.matmul(term, nil) % p
         out = out + term
     return out % p
@@ -807,7 +890,7 @@ def _dense_inv(m, p):
 def _dense_pow(m, e, p):
     if e < 0:
         m, e = _dense_inv(m, p), -e
-    out = np.eye(len(m), dtype=np.int64)
+    out = np.eye(m.shape[-1], dtype=np.int64)
     for _ in range(e):
         out = np.matmul(out, m) % p
     return out
@@ -815,10 +898,12 @@ def _dense_pow(m, e, p):
 
 def _dense_word(word, mats, p):
     """A group word multiplied out in dense matrices, mats[i-1] for Gen(i)
-    and [a, b] = a^-1 b^-1 a b; p-infinity powers are the identity."""
+    and [a, b] = a^-1 b^-1 a b; p-infinity powers are the identity.  The
+    matrices may be stacks (..., n, n), multiplied entrywise over the
+    stack."""
     if isinstance(word, Gen):
         return mats[word.index - 1]
-    out = np.eye(len(mats[0]), dtype=np.int64)
+    out = np.eye(mats[0].shape[-1], dtype=np.int64)
     if isinstance(word, Prod):
         factors = [_dense_word(f, mats, p) for f in word.factors]
     elif isinstance(word, Pow):
