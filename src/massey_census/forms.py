@@ -75,15 +75,14 @@ def triple_tensors(pres: Presentation, p) -> list:
     return _corners(pres, p, 4)
 
 
-def zero_cup_table(grams, U, p) -> np.ndarray:
-    """The (len U, p^d) table whose cell (i, j) is whether (U[i] G) v_j^T
-    = 0 mod p for every Gram array G, v_j row j of `vectors_array(d, p)`:
-    whether U[i] and v_j have zero cup product.  Built a run of rows at a
-    time, so that one run's int64 product holds about fp.BLOCK_CELLS
-    cells."""
+def zero_cup_table(grams, U, V, p) -> np.ndarray:
+    """The (len U, len V) table whose cell (i, j) is whether (U[i] G) V[j]^T
+    = 0 mod p for every Gram array G: whether U[i] and V[j] have zero cup
+    product.  Callers pass the vector table they hold, most often
+    `vectors_array(d, p)` as V.  Built a run of rows at a time, so that one
+    run's int64 product holds about fp.BLOCK_CELLS cells."""
     import numpy as np
 
-    V = vectors_array(U.shape[1], p).astype(np.int64)
     ok = np.ones((len(U), len(V)), dtype=bool)
     rows = max(1, fp.BLOCK_CELLS // len(V))
     for gram in grams:
@@ -116,7 +115,7 @@ def cup_chain(grams, d: int, p: int, length: int):
     def extensions(chain):
         if not chain:
             return range(1, len(V))  # every nonzero vector
-        ok = np.flatnonzero(zero_cup_table(grams, V[chain[-1:]], p)[0])
+        ok = np.flatnonzero(zero_cup_table(grams, V[chain[-1:]], V, p)[0])
         stacks = np.concatenate(
             [np.broadcast_to(V[chain], (len(ok), len(chain), d)),
              V[ok][:, None, :]], axis=1)

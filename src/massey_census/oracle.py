@@ -23,12 +23,13 @@ from .forms import cup_grams, zero_cup_table
 from .unipotent import (
     F2_LANES,
     fp_ring,
+    group_exponent,
     mul_recipe,
     pair_index,
     triangle_pairs,
     walk_word,
 )
-from .words import Presentation, exponent_sums
+from .words import Comm, Gen, Pow, Presentation, Prod, exponent_sums
 
 MIN_N = 3
 MAX_N = 6
@@ -258,12 +259,58 @@ def _all_alive(p, k):
     return _frozen(np.ones(p ** k, dtype=bool))
 
 
-def _block_counter(pres, n, p, bar, fixed, free_pairs, k, stages):
-    """Counts one block of p^k assignments, stage by stage.  A relator
-    passes where its entries, all in [0, p), OR to 0.  Odd p compacts the
-    block to the survivors before each relator; p = 2 ANDs every verdict
-    into its lane words, one word when the block has fewer than 64 lanes."""
+def _reduce_exponents(word, m):
+    """`word` rewritten for a group of exponent m, or None where it is the
+    identity there.  A power is the identity when m divides its exponent or
+    the exponent is p-infinity; any other exponent becomes its residue mod m
+    of least magnitude, m/2 rather than -m/2.  Identity factors leave a
+    product, and a commutator with an identity side is the identity.  A
+    word the rewrite leaves unchanged comes back as the same object."""
+    if isinstance(word, Gen):
+        return word
+    if isinstance(word, Pow):
+        e = word.exponent.value
+        if e is None or e % m == 0:
+            return None
+        inner = _reduce_exponents(word.word, m)
+        if inner is None:
+            return None
+        r = e % m
+        if r > m // 2:
+            r -= m
+        return word if inner is word.word and r == e else Pow(inner, r)
+    if isinstance(word, Prod):
+        factors = [w for w in (_reduce_exponents(f, m) for f in word.factors)
+                   if w is not None]
+        if not factors:
+            return None
+        if len(factors) == len(word.factors) and all(
+                a is b for a, b in zip(factors, word.factors)):
+            return word
+        return factors[0] if len(factors) == 1 else Prod(factors)
+    if isinstance(word, Comm):
+        left = _reduce_exponents(word.left, m)
+        right = _reduce_exponents(word.right, m)
+        if left is None or right is None:
+            return None
+        if left is word.left and right is word.right:
+            return word
+        return Comm(left, right)
+    raise TypeError(f"not a group word: {word!r}")
+
+
+def _block_counter(pres, n, p, bar, fixed, free_pairs, k, want_surjective):
+    """Counts one block of p^k assignments, stage by stage: surjectivity
+    first when asked, then each relator rewritten for the exponent of
+    U_n(F_p) (`_reduce_exponents`), those that become the identity left
+    out.  A relator passes where its entries, all in [0, p), OR to 0.  Odd p
+    compacts the block to the survivors before each relator; p = 2 ANDs
+    every verdict into its lane words, one word when the block has fewer
+    than 64 lanes."""
     rank = pres.rank
+    m = group_exponent(n, p)
+    words = [w for w in (_reduce_exponents(r, m) for r in pres.relators)
+             if w is not None]
     recipe = mul_recipe(n, bar)
     all_alive = _all_alive(p, k)
     if p == 2:
@@ -278,11 +325,9 @@ def _block_counter(pres, n, p, bar, fixed, free_pairs, k, stages):
     def count(start):
         images = _decode_images(start, planes, rank, n, p, bar, free_pairs,
                                 fixed, one)
-        alive = all_alive
-        for stage in stages:
-            if stage == "surjective":  # always the first stage
-                alive = _surjective_verdicts(n, p, rank, k, start)
-                continue
+        alive = (_surjective_verdicts(n, p, rank, k, start) if want_surjective
+                 else all_alive)
+        for word in words:
             if alive is not all_alive:
                 if not alive.any():
                     return 0
@@ -290,7 +335,7 @@ def _block_counter(pres, n, p, bar, fixed, free_pairs, k, stages):
                     survivors = np.flatnonzero(alive)
                     images = _compress(images, survivors)
                     alive = all_alive[:len(survivors)]
-            value = walk_word(pres.relators[stage], images, recipe, ring)
+            value = walk_word(word, images, recipe, ring)
             nonzero = functools.reduce(operator.or_, value)
             alive = alive & (_ALL ^ nonzero if p == 2 else nonzero == 0)
         return int(tally(alive))
@@ -304,9 +349,8 @@ def _count_range(pres, n, p, bar, fixed, lo, hi, k, want_surjective,
     every stage, one block of p^k assignments at a time."""
     pairs = triangle_pairs(n, bar)
     free_pairs = tuple(pq for pq in pairs if pq not in fixed)
-    stages = ["surjective"] if want_surjective else []
-    stages.extend(range(len(pres.relators)))
-    count = _block_counter(pres, n, p, bar, fixed, free_pairs, k, stages)
+    count = _block_counter(pres, n, p, bar, fixed, free_pairs, k,
+                           want_surjective)
     block = p ** k
     total = 0
     for start in range(lo, hi, block):
@@ -489,7 +533,7 @@ def cup_defining_check(pres, p, k, budget=ORACLE_BUDGET) -> dict:
     P = p ** rank
     # count the qualifying tuples first so the budget verdict is upfront
     V = vectors_array(rank, p).astype(np.int64)
-    pair_ok = zero_cup_table(cup_grams(pres, p), V, p)  # by vector index
+    pair_ok = zero_cup_table(cup_grams(pres, p), V, V, p)  # by vector index
     chains = np.ones(P, dtype=np.int64)
     for _ in range(k - 1):
         chains = pair_ok @ chains

@@ -45,6 +45,18 @@ class ExponentToken:
 P_INFINITY = ExponentToken(None)
 
 
+def group_exponent(n: int, p: int) -> int:
+    """The exponent of U_n(F_p): the least power m of p with m >= n.  An
+    element is I + N with N strictly upper triangular, so N^n = 0, and
+    (I + N)^m = I + N^m since p divides every other binomial coefficient
+    C(m, i).  Every quotient, the corner-dropped group among them, has an
+    exponent dividing m."""
+    m = p
+    while m < n:
+        m *= p
+    return m
+
+
 @lru_cache(maxsize=None)
 def triangle_pairs(n: int, bar: bool = False) -> tuple:
     """Strictly-upper entry positions (i, j), 1-based: superdiagonal first,
@@ -173,7 +185,7 @@ def walk_pow(a, e, recipe, ring):
 
 def walk_word(word, images, recipe, ring):
     """Entries of a group word with images[i-1] substituted for Gen(i);
-    [a, b] = a^-1 b^-1 a b."""
+    [a, b] = a^-1 b^-1 a b, walked as (ba)^-1 (ab) with one inverse."""
     from .words import Comm, Gen, Pow, Prod  # words builds on this module
 
     if isinstance(word, Gen):
@@ -192,9 +204,8 @@ def walk_word(word, images, recipe, ring):
     if isinstance(word, Comm):
         a = walk_word(word.left, images, recipe, ring)
         b = walk_word(word.right, images, recipe, ring)
-        inv = walk_mul(walk_inv(a, recipe, ring), walk_inv(b, recipe, ring),
-                       recipe, ring)
-        return walk_mul(walk_mul(inv, a, recipe, ring), b, recipe, ring)
+        ba_inv = walk_inv(walk_mul(b, a, recipe, ring), recipe, ring)
+        return walk_mul(ba_inv, walk_mul(a, b, recipe, ring), recipe, ring)
     raise TypeError(f"not a group word: {word!r}")
 
 

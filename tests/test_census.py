@@ -451,8 +451,8 @@ def test_every_model_gram_array_is_reflexive():
         P = p ** model.rank
         assert len(scan._reflexive_grams(model.rank, p, grams)) == len(grams)
         if grams and P <= 729:
-            mask = forms.zero_cup_table(grams, fp.vectors_array(model.rank, p),
-                                        p)
+            V = fp.vectors_array(model.rank, p)
+            mask = forms.zero_cup_table(grams, V, V, p)
             assert (mask == mask.T).all(), (model.describe(), p)
 
 
@@ -518,7 +518,7 @@ def test_classes_match_the_pair_mask_on_model_spaces():
         grams = census._model_forms(model, p)[0]
         P = p ** model.rank
         V = fp.vectors_array(model.rank, p)
-        mask = forms.zero_cup_table(grams, V, p)  # all true without grams
+        mask = forms.zero_cup_table(grams, V, V, p)  # all true without grams
         assert mask.shape == (P, P)
         # the central subspaces, 0 and the whole space
         d = model.rank
@@ -566,7 +566,7 @@ def test_classes_by_ranks_match_the_mask(case, cap):
     # at every y, each subspace's columns picked out by the literal block
     grams, spaces, d, p = case
     V = fp.vectors_array(d, p).astype(np.int64)
-    mask = forms.zero_cup_table(grams, V, p)
+    mask = forms.zero_cup_table(grams, V, V, p)
     members = [_block_members(S, V) for S in spaces]
     literal = _literal_classes(mask, members, p)
     pairs, triples = _literal_sums(literal, p)
@@ -697,7 +697,7 @@ def test_counts_over_lines_match_every_vector(case):
         assert (count, on) == (_literal_s3_count(forms, d, p), [])
         return
     members = [_block_members(S, V) for S in spaces]
-    mask = zero_cup_table(forms, V, p)
+    mask = zero_cup_table(forms, V, V, p)
     rows = [mask.sum(axis=1), *(mask[:, w].sum(axis=1) for w in members)]
     diag = mask.diagonal()
     sums = []

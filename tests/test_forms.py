@@ -127,12 +127,12 @@ def test_zero_cup_table_is_the_literal_product(p, monkeypatch):
     rng = np.random.default_rng(20141009 + p)
     d = {2: 7, 3: 5, 5: 3, 7: 3}[p]
     V = vectors_array(d, p)
-    # random arrays, negative entries, every entry p - 1, and more arrays
-    # than one packed code holds (31 // p.bit_length() of them)
+    # random arrays, negative entries, every entry p - 1, and a longer list
+    # of arrays, each ANDed into the table in turn
     grams = [rng.integers(0, p, (d, d)), rng.integers(-p, p, (d, d)),
              np.full((d, d), p - 1)]
     many = [rng.integers(0, p, (d, d)) for _ in range(31 // p.bit_length() + 2)]
-    # odd and even dimensions split into unequal and equal halves
+    # odd and even dimensions, down to one coordinate
     for dim in (1, 2, d - 1, d):
         W = vectors_array(dim, p)
         for arrays in ([g[:dim, :dim] for g in grams],
@@ -140,8 +140,8 @@ def test_zero_cup_table_is_the_literal_product(p, monkeypatch):
             literal = _literal_table(arrays, W, W, p)
             for cap in (1, 7, fp.BLOCK_CELLS):
                 monkeypatch.setattr(fp, "BLOCK_CELLS", cap)
-                assert (zero_cup_table(arrays, W, p) == literal).all()
-    assert zero_cup_table([], V[:3], p).all()
+                assert (zero_cup_table(arrays, W, W, p) == literal).all()
+    assert zero_cup_table([], V[:3], V, p).all()
 
 
 @pytest.mark.parametrize("p, d", [(2, 10), (3, 7)])
@@ -157,7 +157,7 @@ def test_zero_cup_table_working_set(p, d, monkeypatch):
         monkeypatch.setattr(fp, "BLOCK_CELLS", cap)
         tracemalloc.start()
         try:
-            table = zero_cup_table(grams, U, p)
+            table = zero_cup_table(grams, U, U, p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

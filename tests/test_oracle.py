@@ -583,8 +583,10 @@ def _literal_count(pres, n, p, fixed=(), surjective=False, central=False):
 
 def small_words(rank):
     """Words of at most five leaves in x_1 .. x_rank: q-powers with and
-    without p | q, p-infinity powers, commutators."""
-    exponent = st.one_of(st.integers(-3, 4), st.just(P_INFINITY))
+    without p | q, up to +-9 so that some are multiples of the target's
+    exponent (4 or 8 at p = 2, 3 or 9 at p = 3), p-infinity powers,
+    commutators."""
+    exponent = st.one_of(st.integers(-9, 9), st.just(P_INFINITY))
     return st.recursive(
         st.integers(1, rank).map(Gen),
         lambda inner: st.one_of(
@@ -670,6 +672,50 @@ def test_massey_exists_matches_literal_loop(data):
              for i, v in enumerate(chars, 1)}
     assert massey_system_exists(pres, chars, p) == (
         _literal_count(pres, k + 1, p, fixed, central=True) > 0)
+
+
+def test_relators_rewritten_for_the_exponent(monkeypatch):
+    # powers reduce mod the exponent m of the target, to the residue of
+    # least magnitude, and vanish where m divides them
+    reduce, x, y = oracle._reduce_exponents, Gen(1), Gen(2)
+    comm = Comm(x, y)
+    for e, m, want in ((5, 4, 1), (-3, 4, 1), (3, 4, -1), (6, 4, 2),
+                       (-2, 4, 2), (-1, 4, -1), (5, 9, -4), (-5, 9, 4)):
+        assert reduce(Pow(x, e), m) == Pow(x, want)
+    for word in (Pow(x, 8), Pow(x, -4), Pow(comm, P_INFINITY), Pow(x, 0),
+                 Prod(), Prod(Pow(x, 4), Comm(Pow(y, 12), x)),
+                 Comm(x, Prod(Pow(y, P_INFINITY)))):
+        assert reduce(word, 4) is None
+    assert reduce(Comm(Pow(x, 5), y), 4) == Comm(Pow(x, 1), y)
+    # an unchanged relator is the same object, parts and all
+    for word in (x, Pow(x, 2), Pow(x, -1), comm, Prod(x),
+                 Prod(Pow(x, 2), Comm(Pow(y, -1), x), comm)):
+        assert reduce(word, 4) is word
+    assert reduce(Prod(Pow(x, 3), y), 3) == y  # one factor left
+    walked, walk = [], oracle.walk_word
+
+    def spy(word, *args):
+        walked.append(word)
+        return walk(word, *args)
+
+    monkeypatch.setattr(oracle, "walk_word", spy)
+    # x_1^4 [x_1, x_2] onto U_4(F_2) walks as [x_1, x_2]
+    pres = demushkin_presentation(2, 2, 4, "D1")
+    chars = [FpVector(v, 2) for v in ((1, 0), (0, 1), (1, 1))]
+    fixed = {(s, s + 1): list(v) for s, v in enumerate(chars, 1)}
+    assert count_lifts_bruteforce(pres, 2, chars) == _literal_count(
+        pres, 4, 2, fixed)
+    assert walked and all(w == comm for w in walked)
+    # relators that vanish in the target are never walked
+    walked.clear()
+    pres = Presentation(2, [Prod(Pow(x, 4), Pow(comm, -8)),
+                            Comm(Pow(y, P_INFINITY), x)])
+    assert count_lifts_bruteforce(pres, 2, chars) == _literal_count(
+        pres, 4, 2, fixed)
+    pres = Presentation(2, [Prod(Pow(y, 3), Comm(x, Pow(y, -6)))])
+    assert count_epi_bruteforce(pres, 3, 3) == _literal_count(
+        pres, 3, 3, surjective=True) > 0
+    assert walked == []
 
 
 _P_INFINITY_WORD = Pow(Gen(1), P_INFINITY)  # walks to python int entries
@@ -760,7 +806,7 @@ def test_cup_grams_match_massey_systems(data):
                                          (3, 3))))
     pres = data.draw(cup_presentations(rank, p))
     V = vectors_array(rank, p).astype(np.int64)
-    table = zero_cup_table(cup_grams(pres, p), V, p)
+    table = zero_cup_table(cup_grams(pres, p), V, V, p)
     vecs = [FpVector(v, p) for v in V.tolist()]
     zero = FpVector((0,) * rank, p)
     for (i, x), (j, y) in itertools.product(enumerate(vecs), repeat=2):

@@ -12,6 +12,7 @@ from massey_census.unipotent import (
     ExponentToken,
     aut_order,
     fp_ring,
+    group_exponent,
     mul_recipe,
     pair_index,
     triangle_pairs,
@@ -122,6 +123,35 @@ def test_group_pow_large_exponent():
     assert power(g, P_INFINITY, 4, 3) == [0] * 6
     assert power(g, 0, 4, 3) == [0] * 6
     assert power(g, -1, 4, 3) == inv(g, 4, 3)
+
+
+def _dense_power(a, e, p):
+    """a^e mod p for e >= 0, by square-and-multiply on dense matrices."""
+    out = np.eye(len(a), dtype=np.int64)
+    while e:
+        if e & 1:
+            out = out @ a % p
+        a, e = a @ a % p, e >> 1
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_group_exponent_against_dense(n, p):
+    # every element has order dividing m, and the Jordan element
+    # I + E_12 + ... + E_(n-1,n) has order exactly m
+    m = group_exponent(n, p)
+    assert m >= n and m // p < n
+    eye = np.eye(n, dtype=np.int64)
+    rows, cols = np.array(triangle_pairs(n)).T - 1
+    rng = np.random.default_rng(100 * n + p)
+    for _ in range(10):
+        x = eye.copy()
+        x[rows, cols] = rng.integers(0, p, len(rows))
+        assert (_dense_power(x, m, p) == eye).all()
+    jordan = eye + np.eye(n, k=1, dtype=np.int64)
+    assert (_dense_power(jordan, m, p) == eye).all()
+    assert (_dense_power(jordan, m // p, p) != eye).any()
 
 
 def test_exponent_token():
